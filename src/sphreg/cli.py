@@ -192,11 +192,15 @@ def cmd_kak(args) -> int:
     return 0
 
 
+def _check_t_range(args) -> None:
+    if not 0 < args.tmin < args.tmax < math.inf:
+        raise CliError("need 0 < --tmin < --tmax, both finite")
+
+
 def _spectral_ts(args) -> np.ndarray:
     if args.tsteps < 2:
         raise CliError("--tsteps must be at least 2")
-    if not 0 < args.tmin < args.tmax:
-        raise CliError("need 0 < --tmin < --tmax")
+    _check_t_range(args)
     return np.geomspace(args.tmin, args.tmax, args.tsteps)
 
 
@@ -257,24 +261,42 @@ def cmd_spherical(args) -> int:
     except QuadratureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return COMPUTE_ERROR
+    except ValueError as exc:  # a degree or chamber point outside the supported range
+        raise CliError(str(exc)) from exc
     return 0
 
 
+CSV_COLUMNS = ("t", "Y", "re", "im")
+
+
 def _read_csv_rows(path: str) -> list[dict[str, float]]:
+    """Rows of a spherical CSV with numeric fields; the columns in
+    ``CSV_COLUMNS`` are required."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle if line.strip()]
+            lines = [(number, line.strip()) for number, line in enumerate(handle, start=1)
+                     if line.strip()]
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise CliError("empty input file")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
+    for name in CSV_COLUMNS:
+        if name not in header:
+            raise CliError(f"{path}: missing column {name!r}")
     rows = []
-    for line in lines[1:]:
+    for number, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != len(header):
             raise CliError(f"ragged CSV row: {line!r}")
-        rows.append({k: float(v) for k, v in zip(header, parts)})
+        row = {}
+        for name, text in zip(header, parts):
+            try:
+                row[name] = float(text)
+            except ValueError:
+                raise CliError(f"{path}: line {number}: non-numeric {name!r} "
+                               f"value {text!r}") from None
+        rows.append(row)
     return rows
 
 
@@ -322,6 +344,7 @@ def cmd_holder(args) -> int:
 
 
 def cmd_statphase(args) -> int:
+    _check_t_range(args)
     ts = []
     t = args.tmin
     while t <= args.tmax + 1e-9:

@@ -1,28 +1,31 @@
 """Numerical spherical functions.
 
-Noncompact side: the rank-one integral over the circle group for the
-special linear group of degree 2, and a Monte Carlo rotation-group integral
-for degree 3.  Compact side: the degree-``n`` circle-group spherical
-functions of the 2-sphere, evaluated both by the classical polynomial
-recurrence and by their oscillatory integral.
+Noncompact side: the rank-one circle integral for the degree-2 special
+linear group, and a Monte Carlo rotation-group integral for degree 3.
+Compact side: the degree-``n`` spherical functions of the 2-sphere, by the
+classical polynomial recurrence and by their oscillatory circle integral.
 
-Spectral-parameter convention.  Coordinates are taken in the simple-root
-basis, matching ``rootsys.Covector``.  At rank one the parameter ``c``
-stands for ``c * alpha`` with ``alpha`` the positive root, so the half-sum
-of positive roots sits at coordinate 1/2 and the bounded region for the
-imaginary part is ``|eta| <= 1/2``.  For degree 3 the parameter is
-``(c1, c2)`` against the two simple roots, and a traceless diagonal
-``(h1, h2, h3)`` pairs as ``c1 (h1 - h2) + c2 (h2 - h3)``.
+Spectral parameters are in simple-root coordinates, as in
+``rootsys.Covector``.  At rank one ``c`` stands for ``c * alpha`` with
+``alpha`` the positive root, so the half-sum of positive roots sits at 1/2
+and the bounded region is ``|eta| <= 1/2``.  For degree 3, ``(c1, c2)``
+pairs with a traceless diagonal ``(h1, h2, h3)`` as
+``c1 (h1 - h2) + c2 (h2 - h3)``.
 
-For ``a_Y = diag(e^Y, e^-Y)`` and the rotation by ``theta`` the projection
-onto the abelian part has the closed form
+For ``a_Y = diag(e^Y, e^-Y)`` and the rotation by ``theta``, the abelian
+coordinate ``u(Y, theta) = log |first column of a_Y k_theta|`` has the
+closed form ``0.5 * log(cosh 2Y + sinh 2Y cos 2theta)``, used here instead
+of per-node QR.  Its derivatives in ``Y`` close (``u'' = 2 - 2 u'^2``), so
+derivatives of the integrand are analytic.
 
-    u(Y, theta) = log |first column of a_Y k_theta|
-                = 0.5 * log(cosh 2Y + sinh 2Y cos 2theta),
-
-which this module uses instead of per-node QR; its derivatives in ``Y``
-close under differentiation (``u'' = 2 - 2 u'^2``), so derivatives of the
-integrand are available analytically.
+Quadrature.  Each rank-one circle integral is the trapezoid rule, which
+converges exponentially for smooth periodic integrands (Trefethen and
+Weideman, "The exponentially convergent trapezoidal rule", SIAM Review 56,
+2014).  The noncompact integrand depends on ``theta`` only through
+``cos 2theta`` and the compact one only through ``cos phi``, so the
+full-turn rule on ``N`` nodes equals the rule on a quarter (half) turn with
+``N / 4`` (``N / 2``) intervals and half-weight endpoints.  Doubling nests:
+each level evaluates only the midpoints of the level before.
 """
 
 from __future__ import annotations
@@ -85,7 +88,9 @@ class QuadratureConfig:
 
     Doubling starts at ``n_start`` nodes and stops when two consecutive
     levels agree to ``target`` (absolute, relative to max(1, |value|)) or at
-    ``n_max`` nodes; a final disagreement above ``fail`` raises.
+    ``n_max`` nodes; a final disagreement above ``fail`` raises.  Node counts
+    are full-turn nodes, of which the folded rule evaluates a quarter (a half
+    for the compact integral); ``n_start`` must be a multiple of 4.
     """
 
     n_start: int = 64
@@ -119,30 +124,38 @@ def sl2_chamber_derivatives(t_geo: float, theta, order: int):
     return out
 
 
-def _trapezoid_doubling(evaluate, config: QuadratureConfig):
-    """Run ``evaluate(theta_grid) -> mean`` over doubling grids.
+def _folded_grid(nodes: int, fold: int):
+    """Angles and weights of the full-turn ``nodes``-point trapezoid rule
+    folded onto [0, 2 pi / fold], for integrands even about 0 and periodic
+    with period 4 pi / fold.  The weights sum to one."""
+    m = nodes // fold
+    if m < 1 or nodes % fold:
+        raise ValueError(f"node count {nodes} is not a positive multiple of {fold}")
+    weights = np.full(m + 1, 1.0 / m)
+    weights[[0, -1]] *= 0.5
+    return (2.0 * np.pi / fold) * np.arange(m + 1) / m, weights
 
-    Returns (value, nodes, estimated_error).
-    """
+
+def _nested_trapezoid(integrand, fold: int, config: QuadratureConfig):
+    """Folded trapezoid rule over doubling levels; each level evaluates
+    ``integrand(angles)`` only at the midpoints of the level before.
+    Returns (value, full-turn nodes, estimated_error)."""
     nodes = config.n_start
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    previous = evaluate(theta)
+    theta, weights = _folded_grid(nodes, fold)
+    current = integrand(theta) @ weights
     while True:
-        nodes *= 2
-        theta = 2.0 * np.pi * np.arange(nodes) / nodes
-        current = evaluate(theta)
+        previous, nodes = current, 2 * nodes
+        theta, weights = _folded_grid(nodes, fold)
+        current = 0.5 * previous + integrand(theta[1::2]) @ weights[1::2]
         err = abs(current - previous)
         scale = max(1.0, abs(current))
         if err <= config.target * scale:
             return current, nodes, err
         if nodes >= config.n_max:
             if err > config.fail * scale:
-                raise QuadratureError(
-                    f"trapezoid rule did not converge: estimate {err:.3e} "
-                    f"at {nodes} nodes"
-                )
+                raise QuadratureError(f"trapezoid rule did not converge: estimate "
+                                      f"{err:.3e} at {nodes} nodes")
             return current, nodes, err
-        previous = current
 
 
 def spherical_sl2(
@@ -155,15 +168,10 @@ def spherical_sl2(
     invariant measure; exact value 1 at the identity.
     """
     if abs(t_geo) > config.t_geo_max:
-        raise ValueError(f"t_geo outside [-{config.t_geo_max}, {config.t_geo_max}]")
-    xi, eta = lam.xi[0], lam.eta[0]
-    exponent = 2.0j * xi - 2.0 * eta - 1.0
-
-    def evaluate(theta):
-        u = sl2_chamber_coordinate(t_geo, theta)
-        return np.exp(exponent * u).mean()
-
-    value, nodes, err = _trapezoid_doubling(evaluate, config)
+        raise ValueError(f"chamber point Y={t_geo:g} outside |Y| <= {config.t_geo_max:g}")
+    exponent = 2.0j * lam.xi[0] - 2.0 * lam.eta[0] - 1.0
+    value, nodes, err = _nested_trapezoid(
+        lambda theta: np.exp(exponent * sl2_chamber_coordinate(t_geo, theta)), 4, config)
     return SphericalValue(complex(value), nodes, float(err))
 
 
@@ -181,19 +189,16 @@ def sl2_sweep_nodes(xi_peak: float, t_geo: float, safety: float = 1.3,
     return 1 << int(math.ceil(math.log2(need)))
 
 
-def spherical_sl2_sweep(
-    xis: np.ndarray,
-    eta: float,
-    t_geo: float,
-    nodes: int,
-) -> np.ndarray:
+def spherical_sl2_sweep(xis: np.ndarray, eta: float, t_geo: float, nodes: int) -> np.ndarray:
     """Fixed-grid evaluation of the rank-one integral for many real spectral
     values at once; the caller chooses a node count adequate for the largest
-    frequency (total phase variation is about ``16 * |Y| * max(xi)``)."""
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    frequency (total phase variation is about ``16 * |Y| * max(xi)``).
+    Memory grows as ``len(xis) * nodes / 4``."""
+    theta, weights = _folded_grid(nodes, 4)
     u = sl2_chamber_coordinate(t_geo, theta)
-    phases = np.exp(2.0j * np.outer(np.asarray(xis, dtype=float), u))
-    return (phases * np.exp((-2.0 * eta - 1.0) * u)).mean(axis=1)
+    phase = 2.0 * np.outer(np.asarray(xis, dtype=float), u)
+    amplitude = weights * np.exp((-2.0 * eta - 1.0) * u)
+    return np.cos(phase) @ amplitude + 1j * (np.sin(phase) @ amplitude)
 
 
 def deriv_spherical_sl2(
@@ -214,24 +219,23 @@ def deriv_spherical_sl2(
         raise ValueError("order must be between 0 and 3")
     if not 0.0 < t_geo <= config.t_geo_max:
         raise ValueError("geodesic parameter must lie in the open positive chamber")
-    xi, eta = lam.xi[0], lam.eta[0]
-    c = 2.0j * t_scale * xi - 2.0 * eta - 1.0
+    c = 2.0j * t_scale * lam.xi[0] - 2.0 * lam.eta[0] - 1.0
 
-    def evaluate(theta):
+    def integrand(theta):
         derivs = sl2_chamber_derivatives(t_geo, theta, order)
         core = np.exp(c * derivs[0])
         if order == 0:
-            factor = 1.0
-        elif order == 1:
+            return core
+        if order == 1:
             factor = c * derivs[1]
         elif order == 2:
             factor = c * derivs[2] + (c * derivs[1]) ** 2
         else:
             u1, u2, u3 = derivs[1], derivs[2], derivs[3]
             factor = c * u3 + 3.0 * c * c * u1 * u2 + (c * u1) ** 3
-        return (factor * core).mean()
+        return factor * core
 
-    value, _, _ = _trapezoid_doubling(evaluate, config)
+    value, _, _ = _nested_trapezoid(integrand, 4, config)
     return complex(value)
 
 
@@ -313,17 +317,13 @@ def spherical_compact_su2(
     imaginary part of the quadrature must vanish and is asserted to 1e-10.
     """
     if n < 0 or n > 10_000:
-        raise ValueError("degree out of supported range")
+        raise ValueError(f"degree {n} outside the supported range [0, 10000]")
     if not 0.0 < theta < np.pi:
         raise ValueError("theta must lie in the open interval (0, pi)")
-
-    def evaluate(phi):
-        z = np.cos(theta) + 1j * np.sin(theta) * np.cos(phi)
-        return np.exp(n * np.log(z)).mean()
-
-    value, _, _ = _trapezoid_doubling(evaluate, config)
+    value, _, _ = _nested_trapezoid(
+        lambda phi: np.exp(n * np.log(np.cos(theta) + 1j * np.sin(theta) * np.cos(phi))),
+        2, config)
     if abs(value.imag) > 1e-10:
-        raise QuadratureError(
-            f"imaginary part {value.imag:.3e} above tolerance; quadrature failed"
-        )
+        raise QuadratureError(f"imaginary part {value.imag:.3e} above tolerance; "
+                              "quadrature failed")
     return float(value.real)

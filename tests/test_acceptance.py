@@ -4,9 +4,13 @@ One test per shipped criterion, each printing its pass/fail line; the same
 functions back the command-line ``selftest`` verb.
 """
 
+import time
+
+import numpy as np
 import pytest
 
 from sphreg import accept
+from sphreg import spherical as sph
 
 
 CRITERIA = [
@@ -30,3 +34,24 @@ def test_criterion(criterion):
     print(f"criterion {result.index:2d} [{status}] {result.name}: {result.detail} "
           f"({result.seconds:.1f}s)")
     assert result.passed, f"criterion {result.index}: {result.detail}"
+
+
+def test_holder_family_equals_full_turn_quadrature():
+    family, grid = accept.holder_family(grid_points=33, sweep=(16, 2048))
+    assert set(family) == {16, 2048}
+    for t, values in family.items():
+        nodes = sph.sl2_sweep_nodes(t * accept.HOLDER_XI, accept.HOLDER_REGION[1])
+        theta = 2.0 * np.pi * np.arange(nodes) / nodes
+        u = sph.sl2_chamber_coordinate(grid[:, None], theta[None, :])
+        want = (np.exp(-u) * np.cos(2.0 * t * accept.HOLDER_XI * u)).mean(axis=1)
+        assert np.max(np.abs(values - want)) <= 1e-13
+
+
+def test_budget_overrun_is_reported_apart_from_the_maths():
+    t0 = time.perf_counter() - 10.0
+    over = accept._result(2, "x", True, "checks", t0, budget=5.0)
+    assert not over.passed and over.detail.startswith("maths ok; 5 s budget exceeded")
+    both = accept._result(2, "x", False, "checks", t0, budget=5.0)
+    assert not both.passed and both.detail.startswith("maths failed;")
+    within = accept._result(2, "x", True, "checks", t0, budget=60.0)
+    assert within.passed and within.detail == "checks"

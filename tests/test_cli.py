@@ -143,6 +143,38 @@ def test_spherical_su2_and_guards():
     assert code == 2  # no points
 
 
+def test_spherical_out_of_range_inputs_exit_two():
+    code, _, err = run("spherical", "--group", "su2", "--points", "1.0",
+                       "--tmin", "10", "--tmax", "20000", "--tsteps", "3")
+    assert code == 2 and "degree" in err and "Traceback" not in err
+    code, _, err = run("spherical", "--group", "sl2", "--points", "6",
+                       "--tmin", "4", "--tmax", "32", "--tsteps", "4")
+    assert code == 2 and "Y=6" in err
+
+
+@pytest.mark.parametrize("tmin", ["0", "-5"])
+def test_statphase_rejects_nonpositive_tmin(tmin):
+    for group in ("sl2", "su2"):
+        code, out, err = run("statphase", "--group", group, "--Y", "1.0",
+                             "--tmin", tmin, "--tmax", "400")
+        assert code == 2 and out == "" and "--tmin" in err
+
+
+@pytest.mark.parametrize("verb", ["decay", "holder"])
+def test_malformed_csv_exits_two(tmp_path, verb):
+    extra = ("--alpha", "0.5") if verb == "holder" else ()
+    non_numeric = tmp_path / "non_numeric.csv"
+    non_numeric.write_text("t,Y,re,im,err\n16,0.5,0.1,0,0\n\n32,0.5,abc,0,0\n",
+                           encoding="utf-8")
+    code, _, err = run(verb, "--input", str(non_numeric), *extra)
+    assert code == 2 and "line 4" in err and "'re'" in err
+    assert len(err.strip().splitlines()) == 1
+    no_y = tmp_path / "no_y.csv"
+    no_y.write_text("t,re,im,err\n16,0.1,0,0\n32,0.2,0,0\n", encoding="utf-8")
+    code, _, err = run(verb, "--input", str(no_y), *extra)
+    assert code == 2 and "missing column 'Y'" in err
+
+
 def test_decay_and_holder_consume_spherical_csv(tmp_path):
     code, out, _ = run("spherical", "--group", "sl2", "--xi", "0.5",
                        "--ygrid", "0.5:1.5:33", "--tmin", "16", "--tmax", "256",

@@ -98,6 +98,72 @@ def test_geodesic_range_guard():
         spherical_sl2(SpectralParameter.rank1(1.0), 5.5)
 
 
+# The folded, nested rule must equal the brute-force full-turn trapezoid mean
+# at the same node count; QuadratureConfig(n_start=N // 2, n_max=N) pins the
+# final level at N full-turn nodes.
+PINNED_NODES = (64, 256, 4096, 1 << 15)
+
+
+def _pinned(nodes):
+    return QuadratureConfig(n_start=nodes // 2, n_max=nodes, fail=1.0)
+
+
+def _full_turn(nodes):
+    return 2.0 * np.pi * np.arange(nodes) / nodes
+
+
+@pytest.mark.parametrize("nodes", PINNED_NODES)
+def test_folded_rule_equals_full_turn_mean(nodes):
+    theta = _full_turn(nodes)
+    for xi, eta, y in [(0.7, 0.2, 0.9), (6.0, -0.4, 1.6), (15.0, 0.0, 0.3), (3.0, 0.5, -1.2)]:
+        got = spherical_sl2(SpectralParameter.rank1(xi, eta), y, _pinned(nodes))
+        u = sph.sl2_chamber_coordinate(y, theta)
+        assert got.quadrature_nodes == nodes
+        assert abs(got.value - np.exp((2j * xi - 2 * eta - 1) * u).mean()) <= 1e-13
+
+
+@pytest.mark.parametrize("nodes", PINNED_NODES)
+def test_folded_derivatives_equal_full_turn_mean(nodes):
+    theta = _full_turn(nodes)
+    for xi, eta, scale, y in [(0.8, 0.1, 3.0, 1.1), (0.5, -0.3, 1.0, 0.6)]:
+        c = 2j * scale * xi - 2 * eta - 1
+        u, u1, u2, u3 = sph.sl2_chamber_derivatives(y, theta, 3)
+        factors = [1.0, c * u1, c * u2 + (c * u1) ** 2,
+                   c * u3 + 3 * c * c * u1 * u2 + (c * u1) ** 3]
+        for order, factor in enumerate(factors):
+            want = (factor * np.exp(c * u)).mean()
+            got = sph.deriv_spherical_sl2(SpectralParameter.rank1(xi, eta), scale, y, order,
+                                          _pinned(nodes))
+            # order-3 values reach about 30, so the bound is relative above 1
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("nodes", PINNED_NODES)
+def test_folded_compact_integral_equals_full_turn_mean(nodes):
+    phi = _full_turn(nodes)
+    for n, theta in [(0, 1.0), (3, 0.4), (17, 2.2), (60, 1.3)]:
+        z = np.cos(theta) + 1j * np.sin(theta) * np.cos(phi)
+        want = np.exp(n * np.log(z)).mean()
+        got = sph.spherical_compact_su2(n, theta, _pinned(nodes))
+        assert abs(got - want.real) <= 1e-13
+
+
+def test_folded_sweep_equals_full_turn_mean():
+    nodes = 8192
+    xis = np.array([0.5, 9.0, 40.0])
+    u = sph.sl2_chamber_coordinate(1.3, _full_turn(nodes))
+    want = np.exp(np.outer(2j * xis + 0.2 - 1.0, u)).mean(axis=1)
+    got = sph.spherical_sl2_sweep(xis, -0.1, 1.3, nodes)
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_node_counts_must_fold():
+    with pytest.raises(ValueError):
+        spherical_sl2(SpectralParameter.rank1(1.0), 1.0, QuadratureConfig(n_start=66))
+    with pytest.raises(ValueError):
+        sph.spherical_sl2_sweep(np.array([1.0]), 0.0, 1.0, 2)
+
+
 def test_sweep_matches_single_evaluations():
     xis = np.array([3.0, 17.0, 40.0])
     swept = sph.spherical_sl2_sweep(xis, 0.0, 1.2, sph.sl2_sweep_nodes(40.0, 1.2))
