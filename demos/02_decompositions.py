@@ -30,8 +30,3 @@ print("regular (strictly interior chamber):", lg.is_regular(g))
 # On a chamber wall the factorization still exists, uniqueness is what fails.
 wall = lg.SpecialLinearElement.diagonal([1.0, 1.0, -2.0])
 print("wall element regular?", lg.is_regular(wall))
-
-# Circle nodes used by the rank-one quadratures: exact unit mass.
-nodes = lg.so2_nodes(8)
-print("\ncircle nodes:", [f"{a:.3f}" for a, _ in nodes])
-print("weights sum to", sum(w for _, w in nodes))

@@ -113,10 +113,7 @@ def criterion_2_weyl_invariance(per_system: int = 200) -> CriterionResult:
         group = rs.weyl_group(system)
         lams = _random_rational_coords(rng, per_system, system.rank)
         base = rs.n_of_many(system, lams)
-        mats = np.array(
-            [[[int(x) for x in row] for row in w.matrix] for w in group],
-            dtype=np.int64,
-        )
+        mats = np.array([w.matrix for w in group], dtype=np.int64)
         images = np.einsum("wij,lj->wli", mats, lams).reshape(-1, system.rank)
         values = rs.n_of_many(system, images).reshape(len(group), per_system)
         if not np.all(values == base[None, :]):

@@ -26,10 +26,9 @@ keys are an error.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from . import rootsys
 from .rootsys import RootSystem, RootSystemError
@@ -322,11 +321,7 @@ def _parse_kv_items(text: str, lineno: int, what: str) -> list[tuple[str, int]]:
 
 
 def load_catalog(source: str) -> CatalogFile:
-    """Parse catalog text (or a path to it) into a validated ``CatalogFile``."""
-    if "\n" not in source and source.endswith(".txt"):
-        with open(source, "r", encoding="utf-8") as handle:
-            source = handle.read()
-
+    """Parse catalog text into a validated ``CatalogFile``."""
     version = 1
     entries: list[SymmetricSpaceEntry] = []
     current: dict[str, object] | None = None
@@ -399,5 +394,5 @@ def load_catalog(source: str) -> CatalogFile:
 
 
 def default_catalog_text() -> str:
-    """Text of the packaged default catalog."""
-    return resources.files(__package__).joinpath("data/catalog_default.txt").read_text("utf-8")
+    """Text of the default catalog, serialized from ``builtin_catalog()``."""
+    return serialize_catalog(builtin_catalog())

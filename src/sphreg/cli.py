@@ -9,6 +9,7 @@ with '.' as the decimal separator; exact rationals print as p/q.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import os
 import sys
@@ -87,9 +88,12 @@ def _load_catalog(args) -> cat.CatalogFile:
     path = args.catalog or os.environ.get("KAPPA_CATALOG") or "default"
     try:
         if path == "default":
-            return cat.load_catalog(cat.default_catalog_text())
-        return cat.load_catalog(path)
-    except (OSError, cat.CatalogError) as exc:
+            text = cat.default_catalog_text()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        return cat.load_catalog(text)
+    except (OSError, UnicodeDecodeError, cat.CatalogError) as exc:
         raise CliError(f"cannot load catalog: {exc}") from exc
 
 
@@ -108,11 +112,12 @@ def cmd_table(args) -> int:
     rows = cat.kappa_table(catalog)
     mismatch = False
     if args.format == "csv":
-        print("id,group,rank,computed,expected,match")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(("id", "group", "rank", "computed", "expected", "match"))
         for row_id, group, rank, computed, expected, match in rows:
             computed_text = "error" if computed is None else _fmt_rational(computed)
-            print(f"{row_id},{group},{rank},{computed_text},{_fmt_rational(expected)},"
-                  f"{'true' if match else 'false'}")
+            writer.writerow((row_id, group, rank, computed_text, _fmt_rational(expected),
+                             "true" if match else "false"))
             mismatch |= not match
     else:
         width = max(len(r[0]) for r in rows) if rows else 2
@@ -216,18 +221,18 @@ def cmd_spherical(args) -> int:
         raise CliError("one of --points or --ygrid is required")
     ts = _spectral_ts(args)
     digits = args.digits
-    print("t,Y,re,im,err")
+    lines = ["t,Y,re,im,err"]  # printed only once every row is computed
 
     def emit(t, y, value, err):
-        print(f"{_fmt(t, digits)},{_fmt(y, digits)},{_fmt(value.real, digits)},"
-              f"{_fmt(value.imag, digits)},{_fmt(err, 3)}")
+        lines.append(f"{_fmt(t, digits)},{_fmt(y, digits)},{_fmt(value.real, digits)},"
+                     f"{_fmt(value.imag, digits)},{_fmt(err, 3)}")
 
     try:
         if args.group == "sl2":
             xi = _parse_floats(args.xi)[0] if args.xi else 0.5
             eta = _parse_floats(args.eta)[0] if args.eta else 0.0
             for y in points:
-                nodes = sph.sl2_sweep_nodes(max(ts) * abs(xi) + abs(eta) + 1.0, y)
+                nodes = sph.sl2_sweep_nodes(float(ts[-1]) * abs(xi) + abs(eta) + 1.0, y)
                 config = QuadratureConfig(n_start=1024, n_max=max(8192, 2 * nodes),
                                           target=1e-12, fail=1e-7)
                 for t in ts:
@@ -261,8 +266,9 @@ def cmd_spherical(args) -> int:
     except QuadratureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return COMPUTE_ERROR
-    except ValueError as exc:  # a degree or chamber point outside the supported range
+    except ValueError as exc:  # a spectral value, degree or chamber point out of range
         raise CliError(str(exc)) from exc
+    print("\n".join(lines))
     return 0
 
 
@@ -352,32 +358,36 @@ def cmd_statphase(args) -> int:
         t *= 2
     if len(ts) < 2:
         raise CliError("need at least two dyadic steps between --tmin and --tmax")
-    print("t,quad_re,quad_im,lead_re,lead_im,abs_err")
+    lines = ["t,quad_re,quad_im,lead_re,lead_im,abs_err"]  # printed once all rows are in
     digits = args.digits
-    if args.group == "sl2":
-        amplitude = asy.spherical_amplitude_sl2(args.Y)
-        config = QuadratureConfig(n_start=1024,
-                                  n_max=max(8192, 2 * sph.sl2_sweep_nodes(
-                                      ts[-1] * args.xi, args.Y)),
-                                  target=1e-12, fail=1e-7)
-        for t in ts:
-            quad = sph.spherical_sl2(SpectralParameter.rank1(t * args.xi), args.Y,
-                                     config).value
-            lead = asy.leading_term_sl2(args.xi, args.Y, t, amplitude).total
-            print(f"{t},{_fmt(quad.real, digits)},{_fmt(quad.imag, digits)},"
-                  f"{_fmt(lead.real, digits)},{_fmt(lead.imag, digits)},"
-                  f"{_fmt(abs(quad - lead), 6)}")
-    elif args.group == "su2":
-        if not 0.0 < args.Y < math.pi:
-            raise CliError("su2 --Y must lie in (0, pi)")
-        seq = sph.legendre_sequence(ts[-1], math.cos(args.Y))
-        for t in ts:
-            quad = seq[t]
-            lead = asy.leading_term_compact(t, args.Y)
-            print(f"{t},{_fmt(quad, digits)},0,{_fmt(lead, digits)},0,"
-                  f"{_fmt(abs(quad - lead), 6)}")
-    else:
-        raise CliError(f"unknown group {args.group!r}")
+    try:
+        if args.group == "sl2":
+            amplitude = asy.spherical_amplitude_sl2(args.Y)
+            config = QuadratureConfig(n_start=1024,
+                                      n_max=max(8192, 2 * sph.sl2_sweep_nodes(
+                                          ts[-1] * args.xi, args.Y)),
+                                      target=1e-12, fail=1e-7)
+            for t in ts:
+                quad = sph.spherical_sl2(SpectralParameter.rank1(t * args.xi), args.Y,
+                                         config).value
+                lead = asy.leading_term_sl2(args.xi, args.Y, t, amplitude).total
+                lines.append(f"{t},{_fmt(quad.real, digits)},{_fmt(quad.imag, digits)},"
+                             f"{_fmt(lead.real, digits)},{_fmt(lead.imag, digits)},"
+                             f"{_fmt(abs(quad - lead), 6)}")
+        elif args.group == "su2":
+            if not 0.0 < args.Y < math.pi:
+                raise CliError("su2 --Y must lie in (0, pi)")
+            seq = sph.legendre_sequence(ts[-1], math.cos(args.Y))
+            for t in ts:
+                quad = seq[t]
+                lead = asy.leading_term_compact(t, args.Y)
+                lines.append(f"{t},{_fmt(quad, digits)},0,{_fmt(lead, digits)},0,"
+                             f"{_fmt(abs(quad - lead), 6)}")
+        else:
+            raise CliError(f"unknown group {args.group!r}")
+    except ValueError as exc:  # a spectral value or chamber point out of range
+        raise CliError(str(exc)) from exc
+    print("\n".join(lines))
     return 0
 
 
@@ -419,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--digits", type=int, default=17,
                         help="significant digits for floating output")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="reserved; computations are deterministic regardless")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_system_args(p):

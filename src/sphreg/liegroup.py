@@ -24,7 +24,6 @@ __all__ = [
     "iwasawa_projection",
     "kak",
     "read_matrix",
-    "so2_nodes",
     "write_matrix",
 ]
 
@@ -139,19 +138,6 @@ def is_regular(g: SpecialLinearElement, tol: float = 1e-9) -> bool:
     consecutive gaps of the sorted log singular values exceed ``tol``."""
     a_log = kak(g).a_log
     return bool(np.all(np.diff(a_log) < -tol))
-
-
-def so2_nodes(count: int) -> list[tuple[float, float]]:
-    """Equally weighted angular nodes for the unit-mass measure on the circle
-    group.
-
-    The uniform trapezoid rule is spectrally accurate for smooth periodic
-    integrands; 64 or more nodes is a sensible floor in production use.
-    """
-    if count < 1:
-        raise ValueError("count must be positive")
-    weight = 1.0 / count
-    return [(2.0 * np.pi * j / count, weight) for j in range(count)]
 
 
 def haar_so_n_sample(n: int, rng_seed: int, count: int) -> np.ndarray:

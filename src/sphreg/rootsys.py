@@ -1,19 +1,27 @@
 """Exact-arithmetic engine for restricted root systems with multiplicities.
 
-Everything in this module is exact: root coefficients are integers, Gram
-matrices and covector coordinates are rationals, and the orthogonality test
-inside ``n_of`` is an exact comparison, never a floating-point one.  Roots
-are stored through their coefficients in the simple-root basis; no ambient
-Euclidean embedding is used.  Gram matrices follow the conventional
+Roots are stored through their integer coefficients in the simple-root
+basis; no ambient Euclidean embedding is used.  Gram matrices follow the
 normalization in which the short root of each family has squared length 2
-(the regularity invariant, dominance and hull membership are all invariant
-under rescaling, so the choice is free).
+(the invariant, dominance and hull membership are scale invariant, so the
+choice is free).  Covector coordinates are exact rationals.
+
+The exact layer runs on one integer kernel.  The Weyl group preserves the
+root lattice, so its elements are integer matrices in simple-root
+coordinates: row ``i`` of ``s_i`` is ``e_i`` minus column ``i`` of the
+Cartan matrix.  ``n_of`` clears denominators and shares the pairing kernel
+``(R G) x`` of ``n_of_many``, which runs in int64 while
+``max|x| * max_i sum_j |(R G)_ij| < 2**63`` bounds every partial sum, and in
+Python integers (``dtype=object``) otherwise, so the zero test is exact for
+every input.  Coordinates never pass through floating point.
 
 Supported families: A, B, C, D, BC (non-reduced), G2, F4, E6, E7, E8.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -74,9 +82,6 @@ class Covector:
         c = Fraction(c)
         return Covector(tuple(c * a for a in self.coords))
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
-
 
 @dataclass(frozen=True)
 class WeylElement:
@@ -84,18 +89,15 @@ class WeylElement:
 
     ``word = (i1, ..., im)`` means the element is the composition
     ``s_{i1} s_{i2} ... s_{im}`` (rightmost reflection applied first); the
-    matrix acts on coordinate columns.
+    integer matrix acts on coordinate columns.
     """
 
-    matrix: tuple[tuple[Fraction, ...], ...]
+    matrix: tuple[tuple[int, ...], ...]
     word: tuple[int, ...]
 
     def apply(self, lam: Covector) -> Covector:
-        return Covector(
-            tuple(
-                sum(row[j] * lam.coords[j] for j in range(len(row)))
-                for row in self.matrix
-            )
+        return Covector.make(
+            sum(row[j] * lam.coords[j] for j in range(len(row))) for row in self.matrix
         )
 
 
@@ -109,9 +111,6 @@ class RootSystem:
     gram: tuple[tuple[Fraction, ...], ...]
     positive_roots: tuple[PositiveRoot, ...]
     reduced: bool
-
-    def simple_index(self) -> range:
-        return range(self.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -314,53 +313,63 @@ def inner(sys: RootSystem, lam: Covector, mu: Covector) -> Fraction:
     return total
 
 
-def _pairing_matrix(sys: RootSystem) -> np.ndarray:
-    """Integer matrix R @ G with one row per positive root (cached)."""
-    return _pairing_matrix_cached(sys)
-
-
 @lru_cache(maxsize=None)
-def _pairing_matrix_cached(sys: RootSystem) -> np.ndarray:
+def _pairing_kernel(sys: RootSystem) -> tuple[np.ndarray, np.ndarray, int]:
+    """Integer matrix ``R G`` (one row per positive root), the multiplicities,
+    and the largest absolute row sum of ``R G``."""
     coeffs = np.array([r.coeffs for r in sys.positive_roots], dtype=np.int64)
     gram = np.array([[int(x) for x in row] for row in sys.gram], dtype=np.int64)
-    return coeffs @ gram
+    pairing = coeffs @ gram
+    mult = np.array([r.multiplicity for r in sys.positive_roots], dtype=np.int64)
+    return pairing, mult, int(np.abs(pairing).sum(axis=1).max())
 
 
-@lru_cache(maxsize=None)
-def _mult_vector(sys: RootSystem) -> np.ndarray:
-    return np.array([r.multiplicity for r in sys.positive_roots], dtype=np.int64)
+def _integer_rows(coords, rank: int) -> np.ndarray:
+    """``coords`` as a ``(count, rank)`` integer array, never through float:
+    numpy integers that fit int64 as they stand, anything else as Python ints."""
+    rows = np.asarray(coords)
+    if rows.ndim != 2 or rows.shape[1] != rank:
+        raise ValueError(f"coordinate rows must have shape (count, {rank})")
+    if np.can_cast(rows.dtype, np.int64):
+        return rows
+    try:
+        # ``np.asarray`` may have rounded huge ints to float, so start again
+        # from ``coords`` itself
+        return np.frompyfunc(operator.index, 1, 1)(np.array(coords, dtype=object))
+    except TypeError:
+        raise TypeError("coordinates must be integers; clear denominators first") from None
 
 
 def n_of(sys: RootSystem, lam: Covector) -> int:
     """Multiplicity-weighted count of positive roots not orthogonal to ``lam``.
 
-    The orthogonality test is exact rational arithmetic.
+    The denominators of ``lam`` are cleared and the integer row goes through
+    the kernel of ``n_of_many``, so the orthogonality test is exact.
     """
     if len(lam.coords) != sys.rank:
         raise ValueError("coordinate length does not match rank")
-    total = 0
-    for root in sys.positive_roots:
-        pairing = Fraction(0)
-        for i, c in enumerate(root.coeffs):
-            if c:
-                pairing += c * sum(
-                    sys.gram[i][j] * lam.coords[j] for j in range(sys.rank)
-                )
-        if pairing != 0:
-            total += root.multiplicity
-    return total
+    coords = [Fraction(c) for c in lam.coords]
+    scale = math.lcm(*(c.denominator for c in coords))
+    return int(n_of_many(sys, [[c.numerator * (scale // c.denominator) for c in coords]])[0])
 
 
-def n_of_many(sys: RootSystem, coords: np.ndarray) -> np.ndarray:
+def n_of_many(sys: RootSystem, coords) -> np.ndarray:
     """Vectorized ``n_of`` over integer coordinate rows.
 
-    ``coords`` must be integral; rational inputs should be scaled by a common
-    denominator first (the orthogonality pattern is scale-invariant).  All
-    arithmetic stays in int64, so the zero test is exact.
+    ``coords`` must be integral, of shape ``(count, rank)``; rational inputs
+    should be scaled by a common denominator first (the orthogonality
+    pattern is scale-invariant).  The pairings are computed in int64 when
+    their partial sums provably fit, and in Python integers otherwise, so
+    the zero test is exact for every input.
     """
-    coords = np.asarray(coords, dtype=np.int64)
-    pairings = _pairing_matrix(sys) @ coords.T
-    return ((pairings != 0).T @ _mult_vector(sys)).astype(np.int64)
+    rows = _integer_rows(coords, sys.rank)
+    pairing, mult, row_bound = _pairing_kernel(sys)
+    largest = max(int(rows.max()), -int(rows.min())) if rows.size else 0
+    if largest * row_bound < 2 ** 63:
+        pairings = pairing @ rows.astype(np.int64, copy=False).T
+    else:
+        pairings = pairing.astype(object) @ rows.astype(object, copy=False).T
+    return (pairings != 0).T @ mult
 
 
 def kappa(sys: RootSystem) -> Fraction:
@@ -440,15 +449,18 @@ def fundamental_weights(sys: RootSystem) -> list[Covector]:
     return weights
 
 
-def _simple_reflection_matrix(sys: RootSystem, i: int) -> tuple[tuple[Fraction, ...], ...]:
-    rows = []
-    for r in range(sys.rank):
-        row = [Fraction(int(r == c)) for c in range(sys.rank)]
-        if r == i:
-            for c in range(sys.rank):
-                row[c] -= 2 * sys.gram[i][c] / sys.gram[i][i]
-        rows.append(tuple(row))
-    return tuple(rows)
+def _simple_reflection_matrices(sys: RootSystem) -> list[tuple[tuple[int, ...], ...]]:
+    """Integer matrices of the simple reflections in simple-root coordinates:
+    row ``i`` of ``s_i`` is ``e_i - cartan[:, i]``, its other rows are those
+    of the identity."""
+    cartan = _cartan_from_gram([[int(x) for x in row] for row in sys.gram])
+    identity = _identity(sys.rank)
+    return [identity[:i] + (tuple(identity[i][c] - cartan[c][i] for c in range(sys.rank)),)
+            + identity[i + 1:] for i in range(sys.rank)]
+
+
+def _identity(rank: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
 
 
 def _mat_mul(a, b):
@@ -469,10 +481,8 @@ def weyl_group(sys: RootSystem, max_rank: int = 4) -> list[WeylElement]:
         raise RootSystemError(
             f"rank {sys.rank} exceeds the Weyl-group generation bound {max_rank}"
         )
-    identity = tuple(
-        tuple(Fraction(int(i == j)) for j in range(sys.rank)) for i in range(sys.rank)
-    )
-    gens = [_simple_reflection_matrix(sys, i) for i in range(sys.rank)]
+    identity = _identity(sys.rank)
+    gens = _simple_reflection_matrices(sys)
     elements = {identity: ()}
     frontier = [identity]
     while frontier:
@@ -500,16 +510,14 @@ def dominant_representative(sys: RootSystem, lam: Covector) -> tuple[Covector, W
     """
     current = lam
     word: list[int] = []
-    matrix = tuple(
-        tuple(Fraction(int(i == j)) for j in range(sys.rank)) for i in range(sys.rank)
-    )
+    matrix = _identity(sys.rank)
+    gens = _simple_reflection_matrices(sys)
     simples = [simple_covector(sys, i) for i in range(sys.rank)]
     while True:
         for i in range(sys.rank):
             if inner(sys, current, simples[i]) < 0:
-                gen = _simple_reflection_matrix(sys, i)
-                current = WeylElement(gen, (i,)).apply(current)
-                matrix = _mat_mul(gen, matrix)
+                current = WeylElement(gens[i], (i,)).apply(current)
+                matrix = _mat_mul(gens[i], matrix)
                 word.insert(0, i)
                 break
         else:

@@ -184,6 +184,8 @@ def sl2_sweep_nodes(xi_peak: float, t_geo: float, safety: float = 1.3,
     nodes per full turn.  The floor covers the width-``e^{-2Y}`` amplitude
     dip even when the phase is slow.
     """
+    if not (math.isfinite(xi_peak) and math.isfinite(t_geo)):
+        raise ValueError(f"non-finite spectral value {xi_peak} or chamber point {t_geo}")
     need = max(4.0 * abs(xi_peak) * math.sinh(2.0 * abs(t_geo)) * safety,
                40.0 * math.exp(2.0 * abs(t_geo)), float(floor))
     return 1 << int(math.ceil(math.log2(need)))

@@ -1,5 +1,6 @@
 """Command-line interface: verbs, formats, exit codes, determinism."""
 
+import csv
 import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
@@ -7,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+from sphreg import catalog as cat
 from sphreg import cli
 
 
@@ -61,6 +63,28 @@ def test_table_flags_mismatch(tmp_path):
     code, out, _ = run("table", "--catalog", str(bad), "--format", "csv")
     assert code == 1
     assert "false" in out
+
+
+def test_table_reads_catalog_path_of_any_name(tmp_path):
+    path = tmp_path / "my.cat"
+    path.write_text(cat.default_catalog_text(), encoding="utf-8")
+    code, out, _ = run("table", "--catalog", str(path), "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 138
+
+
+def test_table_missing_catalog_exits_two(tmp_path):
+    code, out, err = run("table", "--catalog", str(tmp_path / "absent.cat"))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "absent.cat" in err
+
+
+def test_table_csv_quotes_group_names():
+    code, out, _ = run("table", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 1 + 137
+    assert all(len(row) == 6 for row in rows)
+    assert ["AIII-p2-q3", "SU(2,3)", "2", "7/2", "7/2", "true"] in rows
 
 
 def test_weights_output():
@@ -150,6 +174,20 @@ def test_spherical_out_of_range_inputs_exit_two():
     code, _, err = run("spherical", "--group", "sl2", "--points", "6",
                        "--tmin", "4", "--tmax", "32", "--tsteps", "4")
     assert code == 2 and "Y=6" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("spherical", "--group", "sl2", "--xi", "1e308", "--points", "1",
+     "--tmin", "1", "--tmax", "10", "--tsteps", "2"),
+    ("statphase", "--group", "sl2", "--xi", "1e308", "--Y", "1"),
+    # degree 20000 is out of range, after the rows for 5000 and 10000
+    ("spherical", "--group", "su2", "--points", "1.0",
+     "--tmin", "5000", "--tmax", "20000", "--tsteps", "3"),
+])
+def test_spectral_input_errors_print_nothing(argv):
+    code, out, err = run(*argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("tmin", ["0", "-5"])

@@ -147,23 +147,6 @@ def test_singular_input_raises():
         lg.iwasawa(SpecialLinearElement(3, bad))
 
 
-def test_so2_nodes():
-    nodes = lg.so2_nodes(4)
-    angles = [a for a, _ in nodes]
-    weights = [w for _, w in nodes]
-    assert np.allclose(angles, [0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
-    assert np.allclose(weights, 0.25)
-
-    nodes = lg.so2_nodes(64)
-    assert abs(sum(w for _, w in nodes) - 1.0) <= 1e-15
-    cos_integral = sum(w * np.cos(a) for a, w in nodes)
-    wave = sum(w * np.exp(2j * a) for a, w in nodes)
-    assert abs(cos_integral) <= 1e-14
-    assert abs(wave) <= 1e-13
-    with pytest.raises(ValueError):
-        lg.so2_nodes(0)
-
-
 def test_haar_samples_orthogonal_and_deterministic():
     qs = lg.haar_so_n_sample(3, 123, 64)
     for q in qs:

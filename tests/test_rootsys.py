@@ -1,5 +1,6 @@
 """Exact root-system engine: examples, invariants, and property tests."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,8 +16,11 @@ def build(family, rank, mult):
 
 
 A2 = build("A", 2, {"all": 1})
+B2 = build("B", 2, {"short": 1, "long": 1})
 BC1 = build("BC", 1, {"short": 2, "long": 1})
+BC2 = build("BC", 2, {"short": 2, "medium": 2, "long": 1})
 G2 = build("G2", 2, {"short": 1, "long": 1})
+F4 = build("F4", 4, {"short": 2, "long": 1})
 
 
 def cov(system, *values):
@@ -143,6 +147,48 @@ def test_n_of_exactness_near_orthogonal():
     assert rs.n_of(system, lam) == rs.n_of(system, scaled)
 
 
+def _recount(system, row):
+    """``n`` at an integer row, in Python integers only."""
+    gram_row = [sum(int(g) * x for g, x in zip(gram, row)) for gram in system.gram]
+    return sum(r.multiplicity for r in system.positive_roots
+               if sum(c * y for c, y in zip(r.coeffs, gram_row)) != 0)
+
+
+@pytest.mark.parametrize("rows", [
+    [[2 ** 62, 0]],  # pairs to 2**64 with the long simple root: 0 in int64
+    [[2 ** 63, 2 ** 70]],
+    [[1, -1], [2 ** 62, 0], [-2 ** 63, 2 ** 63], [2 ** 70, -2 ** 70], [0, 0], [3, 1]],
+    np.array([[2 ** 62, 0], [-2 ** 63, 0], [2 ** 63 - 1, -2 ** 62], [1, 1]], dtype=np.int64),
+    np.array([[2 ** 63, 0], [1, 2 ** 64 - 1], [2, 1]], dtype=np.uint64),
+])
+def test_n_of_many_never_wraps(rows):
+    for system in (B2, BC2, G2):
+        expected = [_recount(system, [int(x) for x in row]) for row in rows]
+        assert rs.n_of_many(system, rows).tolist() == expected
+
+
+def test_n_of_many_rejects_non_integers():
+    for rows in ([[0.5, 1]], np.array([[1.0, 2.0]]), [[Fraction(1, 2), 1]]):
+        with pytest.raises(TypeError):
+            rs.n_of_many(B2, rows)
+
+
+def test_n_of_clears_large_denominators():
+    rng = np.random.default_rng(8)
+    for system in (BC2, G2, F4):
+        lams = [Covector.make([Fraction(2 ** 70, 3 ** 50), Fraction(-2 ** 70, 3 ** 50)]
+                              + [0] * (system.rank - 2))]
+        for _ in range(30):
+            lams.append(Covector.make(
+                Fraction(int(n), int(d) * 7 ** 30)
+                for n, d in zip(rng.integers(-9, 10, system.rank),
+                                rng.integers(1, 2 ** 40, system.rank))))
+        for lam in lams:
+            scale = math.lcm(*(c.denominator for c in lam.coords))
+            row = [int(c * scale) for c in lam.coords]
+            assert rs.n_of(system, lam) == rs.n_of_many(system, [row])[0] == _recount(system, row)
+
+
 # ---------------------------------------------------------------------------
 # the invariant
 # ---------------------------------------------------------------------------
@@ -177,6 +223,12 @@ def test_weyl_group_sizes():
     assert len(rs.weyl_group(A2)) == 6
     assert len(rs.weyl_group(G2)) == 12
     assert len(rs.weyl_group(build("B", 2, {"short": 1, "long": 1}))) == 8
+
+
+def test_weyl_group_f4_is_integral():
+    group = rs.weyl_group(F4)
+    assert len(group) == 1152
+    assert all(type(x) is int for w in group for row in w.matrix for x in row)
 
 
 def test_weyl_group_rank_guard():
