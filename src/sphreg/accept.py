@@ -233,24 +233,25 @@ def holder_family(xi: float = HOLDER_XI,
                   grid_points: int = HOLDER_GRID_POINTS,
                   sweep: Sequence[float] = HOLDER_SWEEP):
     """Chamber restrictions of the spherical family on a uniform grid, by
-    fixed-node quadrature for each member of the sweep.  ``u`` and ``exp(-u)``
-    are evaluated once per block of the grid, on the folded grid of the finest
-    member; node counts are powers of two, so each coarser member takes a
-    strided slice of it."""
+    fixed-node Mehler-Dirichlet quadrature for each member of the sweep.  The
+    amplitude and the phase per unit scale are evaluated once per block of
+    the grid, on the folded grid of the finest member; node counts are powers
+    of two, so each coarser member takes a strided slice of it."""
     grid = np.linspace(region[0], region[1], grid_points)
     nodes = {t: sph.sl2_sweep_nodes(t * xi, region[1]) for t in sweep}
     finest = max(nodes.values())
     theta, _ = sph._folded_grid(finest, 4)
     weights = {t: sph._folded_grid(n, 4)[1] for t, n in nodes.items()}
     family = {t: np.empty(grid_points) for t in sweep}
-    block = max(1, (1 << 19) // len(theta))
+    block = max(1, (1 << 17) // len(theta))
     for s in range(0, grid_points, block):
-        u = sph.sl2_chamber_coordinate(grid[s:s + block][:, None], theta[None, :])
-        amplitude = np.exp(-u)
+        y = grid[s:s + block][:, None]
+        amplitude = sph.sl2_mehler_amplitude(y, theta)
+        phase = 2.0 * xi * y * np.cos(theta)
         for t in sweep:
             stride = finest // nodes[t]
             family[t][s:s + block] = (amplitude[:, ::stride]
-                                      * np.cos(2.0 * t * xi * u[:, ::stride])) @ weights[t]
+                                      * np.cos(t * phase[:, ::stride])) @ weights[t]
     return family, grid
 
 

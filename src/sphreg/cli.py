@@ -221,11 +221,13 @@ def cmd_spherical(args) -> int:
         raise CliError("one of --points or --ygrid is required")
     ts = _spectral_ts(args)
     digits = args.digits
-    lines = ["t,Y,re,im,err"]  # printed only once every row is computed
+    # sl3 rows carry both chamber coordinates; printed once every row is computed
+    lines = ["t,Y,Y2,re,im,err" if args.group == "sl3" else "t,Y,re,im,err"]
 
-    def emit(t, y, value, err):
-        lines.append(f"{_fmt(t, digits)},{_fmt(y, digits)},{_fmt(value.real, digits)},"
-                     f"{_fmt(value.imag, digits)},{_fmt(err, 3)}")
+    def emit(t, ys, value, err):
+        lines.append(",".join([_fmt(t, digits), *(_fmt(y, digits) for y in ys),
+                               _fmt(value.real, digits), _fmt(value.imag, digits),
+                               _fmt(err, 3)]))
 
     try:
         if args.group == "sl2":
@@ -238,7 +240,7 @@ def cmd_spherical(args) -> int:
                 for t in ts:
                     lam = SpectralParameter.rank1(t * xi, eta)
                     value = sph.spherical_sl2(lam, y, config)
-                    emit(t, y, value.value, value.estimated_error)
+                    emit(t, (y,), value.value, value.estimated_error)
         elif args.group == "sl3":
             xi = _parse_floats(args.xi) if args.xi else [0.5, 0.5]
             eta = _parse_floats(args.eta) if args.eta else [0.0, 0.0]
@@ -252,7 +254,7 @@ def cmd_spherical(args) -> int:
                     lam = SpectralParameter.rank2((t * xi[0], t * xi[1]), tuple(eta))
                     value = sph.spherical_sl3(lam, (y1, y2), samples=args.samples,
                                               seed=args.seed)
-                    emit(t, y1, value.value, value.estimated_error)
+                    emit(t, (y1, y2), value.value, value.estimated_error)
         elif args.group == "su2":
             for y in points:
                 if not 0.0 < y < math.pi:
@@ -260,7 +262,7 @@ def cmd_spherical(args) -> int:
                 for t in ts:
                     n = int(round(t))
                     value = sph.spherical_compact_su2(n, y)
-                    emit(float(n), y, complex(value), 0.0)
+                    emit(float(n), (y,), complex(value), 0.0)
         else:
             raise CliError(f"unknown group {args.group!r}")
     except QuadratureError as exc:
@@ -308,26 +310,31 @@ def _read_csv_rows(path: str) -> list[dict[str, float]]:
 
 def cmd_decay(args) -> int:
     rows = _read_csv_rows(args.input)
-    ys = sorted({row["Y"] for row in rows})
+    # one fit per chamber point; sl3 rows carry a second coordinate Y2
+    names = ["Y", "Y2"] if rows and "Y2" in rows[0] else ["Y"]
+    points = sorted({tuple(row[name] for name in names) for row in rows})
     status = 0
-    for y in ys:
+    for point in points:
+        label = " ".join(f"{name}={_fmt(y, 6)}" for name, y in zip(names, point))
         samples = sorted(
             (row["t"], math.hypot(row["re"], row["im"]))
-            for row in rows if row["Y"] == y
+            for row in rows if tuple(row[name] for name in names) == point
         )
         try:
             fit = asy.decay_fit(samples)
         except ValueError as exc:
-            print(f"Y={_fmt(y, 6)}: error: {exc}", file=sys.stderr)
+            print(f"{label}: error: {exc}", file=sys.stderr)
             status = COMPUTE_ERROR
             continue
-        print(f"Y={_fmt(y, 6)} slope={_fmt(fit.slope, 6)} "
+        print(f"{label} slope={_fmt(fit.slope, 6)} "
               f"intercept={_fmt(fit.intercept, 6)} r2={_fmt(fit.r_squared, 6)}")
     return status
 
 
 def cmd_holder(args) -> int:
     rows = _read_csv_rows(args.input)
+    if rows and "Y2" in rows[0]:
+        raise CliError("holder needs one chamber coordinate; the input has a Y2 column")
     ts = sorted({row["t"] for row in rows})
     grid = np.array(sorted({row["Y"] for row in rows}))
     family = {}

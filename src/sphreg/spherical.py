@@ -12,17 +12,22 @@ and the bounded region is ``|eta| <= 1/2``.  For degree 3, ``(c1, c2)``
 pairs with a traceless diagonal ``(h1, h2, h3)`` as
 ``c1 (h1 - h2) + c2 (h2 - h3)``.
 
-For ``a_Y = diag(e^Y, e^-Y)`` and the rotation by ``theta``, the abelian
-coordinate ``u(Y, theta) = log |first column of a_Y k_theta|`` has the
-closed form ``0.5 * log(cosh 2Y + sinh 2Y cos 2theta)``, used here instead
-of per-node QR.  Its derivatives in ``Y`` close (``u'' = 2 - 2 u'^2``), so
-derivatives of the integrand are analytic.
+Rank one.  The abelian coordinate of ``a_Y k_theta``, ``a_Y = diag(e^Y, e^-Y)``,
+is ``u = 0.5 log(cosh 2Y + sinh 2Y cos 2theta)`` in closed form.  Laplace's
+integral of ``exp((2i xi - 2 eta - 1) u)`` defines the value, with phase slope
+up to ``2 xi sinh 2Y``.  Values come from the Mehler-Dirichlet form instead
+(DLMF §14.12; the Abel transform of Koornwinder, "Jacobi functions and
+analysis on noncompact semisimple Lie groups", 1984), with slope at most
+``2 |xi Y|``: ``phi = (1/pi) int_0^pi cosh((i xi - eta) 2Y cos a) /
+sqrt(sinhc(Y (1 - cos a)) sinhc(Y (1 + cos a))) da``, ``sinhc x = sinh x / x``.
+Laplace's form remains in the derivatives, whose chamber-coordinate factors
+close (``u'' = 2 - 2 u'^2``), and in ``asymptotics``.
 
 Quadrature.  Each rank-one circle integral is the trapezoid rule, which
 converges exponentially for smooth periodic integrands (Trefethen and
 Weideman, "The exponentially convergent trapezoidal rule", SIAM Review 56,
-2014).  The noncompact integrand depends on ``theta`` only through
-``cos 2theta`` and the compact one only through ``cos phi``, so the
+2014).  The noncompact integrands depend on the angle only through
+``cos 2a`` and the compact one only through ``cos phi``, so the
 full-turn rule on ``N`` nodes equals the rule on a quarter (half) turn with
 ``N / 4`` (``N / 2``) intervals and half-weight endpoints.  Doubling nests:
 each level evaluates only the midpoints of the level before.
@@ -48,6 +53,7 @@ __all__ = [
     "sl2_chamber_coordinate",
     "sl2_sweep_nodes",
     "sl2_chamber_derivatives",
+    "sl2_mehler_amplitude",
     "spherical_compact_su2",
     "spherical_sl2",
     "spherical_sl2_sweep",
@@ -101,6 +107,7 @@ class QuadratureConfig:
 
 
 DEFAULT_CONFIG = QuadratureConfig()
+SWEEP_NODE_CEILING = 1 << 24  # full-turn nodes; sl2_sweep_nodes raises above it
 
 
 def sl2_chamber_coordinate(t_geo: float, theta) -> np.ndarray:
@@ -109,19 +116,13 @@ def sl2_chamber_coordinate(t_geo: float, theta) -> np.ndarray:
 
 
 def sl2_chamber_derivatives(t_geo: float, theta, order: int):
-    """(u, u', u'', u''') of the chamber coordinate with respect to the
-    geodesic parameter, evaluated on an angle grid."""
-    d = np.cosh(2.0 * t_geo) + np.sinh(2.0 * t_geo) * np.cos(2.0 * theta)
-    u = 0.5 * np.log(d)
-    out = [u]
-    if order >= 1:
-        u1 = (np.sinh(2.0 * t_geo) + np.cosh(2.0 * t_geo) * np.cos(2.0 * theta)) / d
-        out.append(u1)
-    if order >= 2:
-        out.append(2.0 - 2.0 * out[1] ** 2)
-    if order >= 3:
-        out.append(-4.0 * out[1] * out[2])
-    return out
+    """(u, u', u'', u''')[:order + 1] of the chamber coordinate with respect
+    to the geodesic parameter, evaluated on an angle grid."""
+    cos2 = np.cos(2.0 * theta)
+    d = np.cosh(2.0 * t_geo) + np.sinh(2.0 * t_geo) * cos2
+    u1 = (np.sinh(2.0 * t_geo) + np.cosh(2.0 * t_geo) * cos2) / d
+    u2 = 2.0 - 2.0 * u1 ** 2
+    return [0.5 * np.log(d), u1, u2, -4.0 * u1 * u2][:order + 1]
 
 
 def _folded_grid(nodes: int, fold: int):
@@ -158,49 +159,56 @@ def _nested_trapezoid(integrand, fold: int, config: QuadratureConfig):
             return current, nodes, err
 
 
+def sl2_mehler_amplitude(t_geo, theta) -> np.ndarray:
+    """``1 / sqrt(sinhc(x1) sinhc(x2))``, the Mehler-Dirichlet amplitude, with
+    ``x1 = Y (1 - cos a) = 2Y sin^2(a/2)`` and ``x2 = 2Y - x1``.  Both are
+    clamped at the smallest normal float, so ``x / sinh x`` is 1 at ``x = 0``."""
+    y, tiny = 2.0 * np.abs(t_geo), np.finfo(float).tiny
+    x1 = np.maximum(y * np.sin(0.5 * theta) ** 2, tiny)
+    x2 = np.maximum(y - x1, tiny)
+    return np.sqrt((x1 / np.sinh(x1)) * (x2 / np.sinh(x2)))
+
+
 def spherical_sl2(
     lam: SpectralParameter, t_geo: float, config: QuadratureConfig = DEFAULT_CONFIG
 ) -> SphericalValue:
     """Spherical function of the degree-2 special linear group at
-    a_Y = diag(e^Y, e^-Y), Y = ``t_geo``.
-
-    The circle integral of exp((i lam - rho)(H(a_Y k))) with unit-mass
-    invariant measure; exact value 1 at the identity.
-    """
+    a_Y = diag(e^Y, e^-Y), Y = ``t_geo``, by the Mehler-Dirichlet integral;
+    exact value 1 at the identity."""
     if abs(t_geo) > config.t_geo_max:
         raise ValueError(f"chamber point Y={t_geo:g} outside |Y| <= {config.t_geo_max:g}")
-    exponent = 2.0j * lam.xi[0] - 2.0 * lam.eta[0] - 1.0
+    w = 2.0 * t_geo * (1j * lam.xi[0] - lam.eta[0])
     value, nodes, err = _nested_trapezoid(
-        lambda theta: np.exp(exponent * sl2_chamber_coordinate(t_geo, theta)), 4, config)
+        lambda a: np.cosh(w * np.cos(a)) * sl2_mehler_amplitude(t_geo, a), 4, config)
     return SphericalValue(complex(value), nodes, float(err))
 
 
 def sl2_sweep_nodes(xi_peak: float, t_geo: float, safety: float = 1.3,
-                    floor: int = 8192) -> int:
-    """Power-of-two node count resolving the rank-one integrand.
-
-    The phase slope concentrates near the chamber-wall angle and peaks at
-    ``2 |xi| sinh(2Y)``; alias-free trapezoid sampling needs twice that many
-    nodes per full turn.  The floor covers the width-``e^{-2Y}`` amplitude
-    dip even when the phase is slow.
-    """
+                    floor: int = 64) -> int:
+    """Power-of-two full-turn node count for the Mehler-Dirichlet integrand at
+    spectral values up to ``xi_peak``.  The phase ``2 xi Y cos a`` has Fourier
+    modes ``J_n(2 |xi Y|)``, negligible past ``n = 2 |xi Y|``; the ``N``-node
+    trapezoid rule is exact below mode ``N``, and ``safety`` times twice that
+    covers it.  The floor covers the amplitude, of width about ``1 / sqrt(Y)``
+    in ``a``.  A count above ``SWEEP_NODE_CEILING`` raises ``ValueError``."""
     if not (math.isfinite(xi_peak) and math.isfinite(t_geo)):
         raise ValueError(f"non-finite spectral value {xi_peak} or chamber point {t_geo}")
-    need = max(4.0 * abs(xi_peak) * math.sinh(2.0 * abs(t_geo)) * safety,
-               40.0 * math.exp(2.0 * abs(t_geo)), float(floor))
+    need = max(4.0 * abs(xi_peak) * abs(t_geo) * safety, float(floor))
+    if need > SWEEP_NODE_CEILING:
+        raise ValueError(f"spectral value {xi_peak:g} at Y={t_geo:g} needs more than "
+                         f"{SWEEP_NODE_CEILING} quadrature nodes")
     return 1 << int(math.ceil(math.log2(need)))
 
 
 def spherical_sl2_sweep(xis: np.ndarray, eta: float, t_geo: float, nodes: int) -> np.ndarray:
-    """Fixed-grid evaluation of the rank-one integral for many real spectral
-    values at once; the caller chooses a node count adequate for the largest
-    frequency (total phase variation is about ``16 * |Y| * max(xi)``).
-    Memory grows as ``len(xis) * nodes / 4``."""
+    """Fixed-node Mehler-Dirichlet values for many real spectral values; ``nodes``
+    must resolve the largest (``sl2_sweep_nodes``).  Memory: ``len(xis) * nodes / 4``."""
     theta, weights = _folded_grid(nodes, 4)
-    u = sl2_chamber_coordinate(t_geo, theta)
-    phase = 2.0 * np.outer(np.asarray(xis, dtype=float), u)
-    amplitude = weights * np.exp((-2.0 * eta - 1.0) * u)
-    return np.cos(phase) @ amplitude + 1j * (np.sin(phase) @ amplitude)
+    s = 2.0 * t_geo * np.cos(theta)
+    amplitude = weights * sl2_mehler_amplitude(t_geo, theta)
+    phase = np.outer(np.asarray(xis, dtype=float), s)
+    return (np.cos(phase) @ (amplitude * np.cosh(eta * s))
+            - 1j * (np.sin(phase) @ (amplitude * np.sinh(eta * s))))
 
 
 def deriv_spherical_sl2(
@@ -212,30 +220,22 @@ def deriv_spherical_sl2(
 ) -> complex:
     """Derivative of order ``order`` (0..3) in the geodesic parameter of the
     chamber restriction of the spherical function at spectral value
-    ``t_scale * xi + i eta``.
-
-    Differentiation happens under the integral via the closed-form chamber
-    coordinate derivatives; no finite differencing.
-    """
+    ``t_scale * xi + i eta``.  Order 0 is ``spherical_sl2``; higher orders
+    differentiate Laplace's integrand under the integral (no finite differences)."""
     if not 0 <= order <= 3:
         raise ValueError("order must be between 0 and 3")
     if not 0.0 < t_geo <= config.t_geo_max:
         raise ValueError("geodesic parameter must lie in the open positive chamber")
+    if order == 0:
+        return spherical_sl2(SpectralParameter.rank1(t_scale * lam.xi[0], lam.eta[0]),
+                             t_geo, config).value
     c = 2.0j * t_scale * lam.xi[0] - 2.0 * lam.eta[0] - 1.0
 
     def integrand(theta):
-        derivs = sl2_chamber_derivatives(t_geo, theta, order)
-        core = np.exp(c * derivs[0])
-        if order == 0:
-            return core
-        if order == 1:
-            factor = c * derivs[1]
-        elif order == 2:
-            factor = c * derivs[2] + (c * derivs[1]) ** 2
-        else:
-            u1, u2, u3 = derivs[1], derivs[2], derivs[3]
-            factor = c * u3 + 3.0 * c * c * u1 * u2 + (c * u1) ** 3
-        return factor * core
+        u, u1, u2, u3 = sl2_chamber_derivatives(t_geo, theta, 3)
+        factor = (c * u1 if order == 1 else c * u2 + (c * u1) ** 2 if order == 2
+                  else c * u3 + 3.0 * c * c * u1 * u2 + (c * u1) ** 3)
+        return factor * np.exp(c * u)
 
     value, _, _ = _nested_trapezoid(integrand, 4, config)
     return complex(value)

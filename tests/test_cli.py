@@ -148,6 +148,44 @@ def test_spherical_sl3_csv():
     assert code == 2  # odd point list cannot form pairs
 
 
+def test_spherical_sl3_rows_keep_both_chamber_coordinates():
+    code, out, _ = run("spherical", "--group", "sl3", "--points", "1,0,1,0.5",
+                       "--tmin", "1", "--tmax", "2", "--tsteps", "2", "--samples", "500")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["t", "Y", "Y2", "re", "im", "err"]
+    assert [(r[0], float(r[1]), float(r[2])) for r in rows[1:]] == [
+        ("1", 1.0, 0.0), ("2", 1.0, 0.0), ("1", 1.0, 0.5), ("2", 1.0, 0.5)]
+
+
+def test_decay_fits_each_sl3_point_and_holder_refuses_it(tmp_path):
+    code, out, _ = run("spherical", "--group", "sl3", "--points", "1,0,1,0.5",
+                       "--tmin", "1", "--tmax", "8", "--tsteps", "8", "--samples", "500")
+    assert code == 0
+    path = tmp_path / "sl3.csv"
+    path.write_text(out)
+    code, out, _ = run("decay", "--input", str(path))
+    assert code == 0
+    assert [line.split(" slope=")[0] for line in out.splitlines()] == ["Y=1 Y2=0", "Y=1 Y2=0.5"]
+    code, out, err = run("holder", "--input", str(path), "--alpha", "0.5")
+    assert code == 2 and out == "" and "Y2" in err
+
+
+def test_spherical_sl2_at_large_chamber_point_against_legendre_function():
+    mpmath = pytest.importorskip("mpmath")
+    code, out, _ = run("spherical", "--group", "sl2", "--points", "4.9", "--xi", "1",
+                       "--tmin", "500", "--tmax", "1000", "--tsteps", "2")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[0] for row in rows] == ["500", "1000"]
+    for t, _, re_part, im_part, err in rows:
+        with mpmath.workdps(30):
+            want = float(mpmath.re(mpmath.legenp(mpmath.mpc(-0.5, float(t)), 0,
+                                                 mpmath.cosh(9.8), type=3)))
+        assert abs(float(re_part) - want) <= 1e-14
+        assert float(im_part) == 0.0 and float(err) <= 1e-12
+
+
 def test_table_pretty_format():
     code, out, _ = run("table", "--format", "pretty")
     assert code == 0
@@ -180,6 +218,9 @@ def test_spherical_out_of_range_inputs_exit_two():
     ("spherical", "--group", "sl2", "--xi", "1e308", "--points", "1",
      "--tmin", "1", "--tmax", "10", "--tsteps", "2"),
     ("statphase", "--group", "sl2", "--xi", "1e308", "--Y", "1"),
+    # finite, but above the quadrature node ceiling
+    ("spherical", "--group", "sl2", "--xi", "1e300", "--points", "1"),
+    ("statphase", "--group", "sl2", "--xi", "1e300", "--Y", "1"),
     # degree 20000 is out of range, after the rows for 5000 and 10000
     ("spherical", "--group", "su2", "--points", "1.0",
      "--tmin", "5000", "--tmax", "20000", "--tsteps", "3"),

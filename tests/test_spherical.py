@@ -56,6 +56,29 @@ def test_against_legendre_function_oracle():
         assert abs(got - want) <= 1e-10
 
 
+@pytest.mark.parametrize("xi,eta,y", [(30.0, 0.0, 2.0), (7.0, 0.4, 3.0), (150.0, -0.2, 4.5),
+                                      (2000.0, 0.3, 2.5), (1000.0, 0.0, 4.9)])
+def test_large_chamber_points_against_legendre_function(xi, eta, y):
+    # at large Y the node count grows like |xi Y|; with Laplace's form it grows like xi e^{2Y}
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = complex(mpmath.legenp(mpmath.mpc(-0.5 - eta, xi), 0, mpmath.cosh(2 * y),
+                                     type=3))
+    got = spherical_sl2(SpectralParameter.rank1(xi, eta), y, BIG)
+    assert abs(got.value - want) <= 1e-13 * max(1.0, abs(want))
+    assert got.estimated_error <= 1e-12
+
+
+def test_sweep_nodes_ceiling():
+    assert sph.sl2_sweep_nodes(0.0, 1.0) == 64
+    assert sph.sl2_sweep_nodes(1000.0, 2.0) == 1 << 14
+    assert sph.sl2_sweep_nodes(-1000.0, -2.0) == 1 << 14
+    assert sph.sl2_sweep_nodes(8e5, 4.0) == sph.SWEEP_NODE_CEILING
+    for xi in (1e6, 1e300):
+        with pytest.raises(ValueError, match="quadrature nodes"):
+            sph.sl2_sweep_nodes(xi, 4.0)
+
+
 def test_positive_definite_family_is_bounded():
     for xi in (0.3, 1.0, 5.0, 40.0):
         for y in (0.5, 2.0, 4.0):
@@ -112,14 +135,25 @@ def _full_turn(nodes):
     return 2.0 * np.pi * np.arange(nodes) / nodes
 
 
+def _sinhc(x):
+    safe = np.where(x == 0.0, 1.0, x)
+    return np.where(x == 0.0, 1.0, np.sinh(safe) / safe)
+
+
+def _mehler_full_turn(xi, eta, y, nodes):
+    """Full-turn trapezoid mean of the Mehler-Dirichlet integrand."""
+    c = np.cos(_full_turn(nodes))
+    amplitude = 1.0 / np.sqrt(_sinhc(y * (1.0 - c)) * _sinhc(y * (1.0 + c)))
+    return (np.cosh(np.multiply.outer(2.0 * y * (1j * np.asarray(xi) - eta), c))
+            * amplitude).mean(axis=-1)
+
+
 @pytest.mark.parametrize("nodes", PINNED_NODES)
 def test_folded_rule_equals_full_turn_mean(nodes):
-    theta = _full_turn(nodes)
     for xi, eta, y in [(0.7, 0.2, 0.9), (6.0, -0.4, 1.6), (15.0, 0.0, 0.3), (3.0, 0.5, -1.2)]:
         got = spherical_sl2(SpectralParameter.rank1(xi, eta), y, _pinned(nodes))
-        u = sph.sl2_chamber_coordinate(y, theta)
         assert got.quadrature_nodes == nodes
-        assert abs(got.value - np.exp((2j * xi - 2 * eta - 1) * u).mean()) <= 1e-13
+        assert abs(got.value - _mehler_full_turn(xi, eta, y, nodes)) <= 1e-13
 
 
 @pytest.mark.parametrize("nodes", PINNED_NODES)
@@ -128,10 +162,12 @@ def test_folded_derivatives_equal_full_turn_mean(nodes):
     for xi, eta, scale, y in [(0.8, 0.1, 3.0, 1.1), (0.5, -0.3, 1.0, 0.6)]:
         c = 2j * scale * xi - 2 * eta - 1
         u, u1, u2, u3 = sph.sl2_chamber_derivatives(y, theta, 3)
-        factors = [1.0, c * u1, c * u2 + (c * u1) ** 2,
+        factors = [None, c * u1, c * u2 + (c * u1) ** 2,
                    c * u3 + 3 * c * c * u1 * u2 + (c * u1) ** 3]
         for order, factor in enumerate(factors):
-            want = (factor * np.exp(c * u)).mean()
+            # order 0 is the value, by the Mehler-Dirichlet integral
+            want = (_mehler_full_turn(scale * xi, eta, y, nodes) if factor is None
+                    else (factor * np.exp(c * u)).mean())
             got = sph.deriv_spherical_sl2(SpectralParameter.rank1(xi, eta), scale, y, order,
                                           _pinned(nodes))
             # order-3 values reach about 30, so the bound is relative above 1
@@ -151,10 +187,19 @@ def test_folded_compact_integral_equals_full_turn_mean(nodes):
 def test_folded_sweep_equals_full_turn_mean():
     nodes = 8192
     xis = np.array([0.5, 9.0, 40.0])
-    u = sph.sl2_chamber_coordinate(1.3, _full_turn(nodes))
-    want = np.exp(np.outer(2j * xis + 0.2 - 1.0, u)).mean(axis=1)
+    want = _mehler_full_turn(xis, -0.1, 1.3, nodes)
     got = sph.spherical_sl2_sweep(xis, -0.1, 1.3, nodes)
     assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("xi,eta,y", [(0.7, 0.2, 0.9), (6.0, -0.4, 1.6), (15.0, 0.0, 0.3),
+                                      (3.0, 0.5, -1.2), (0.0, 0.75, 2.0)])
+def test_value_equals_converged_laplace_mean(xi, eta, y):
+    # Laplace's integral, the definition, is resolved at 2^17 full-turn nodes
+    u = sph.sl2_chamber_coordinate(y, _full_turn(1 << 17))
+    want = np.exp((2j * xi - 2 * eta - 1) * u).mean()
+    got = spherical_sl2(SpectralParameter.rank1(xi, eta), y).value
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_node_counts_must_fold():
