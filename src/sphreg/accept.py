@@ -135,6 +135,10 @@ def criterion_3_infimum(per_system: int = 10_000) -> CriterionResult:
     for entry in cat.builtin_catalog().entries:
         system = cat.instantiate(entry)
         kap2 = 2 * rs.kappa(system)
+        if kap2.denominator != 1:
+            return _result(3, "invariant is the infimum of n/2", False,
+                           f"2 * kappa is not an integer in {entry.id}", t0)
+        kap2 = int(kap2)
         lams = _random_rational_coords(rng, per_system, system.rank)
         if not np.all(rs.n_of_many(system, lams) >= kap2):
             return _result(3, "invariant is the infimum of n/2", False,

@@ -286,10 +286,6 @@ def _validate_entries(entries: Iterable[SymmetricSpaceEntry]) -> None:
 _ENTRY_KEYS = ("id", "label", "cartan", "params", "family", "mult", "kappa")
 
 
-def _format_fraction(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def serialize_catalog(catalog: CatalogFile) -> str:
     out = io.StringIO()
     out.write(f"version = {catalog.format_version}\n")
@@ -303,7 +299,7 @@ def serialize_catalog(catalog: CatalogFile) -> str:
         out.write(f"family = {entry.family} rank:{entry.rank}\n")
         mult = " ".join(f"{k}:{v}" for k, v in entry.multiplicities)
         out.write(f"mult = {mult}\n")
-        out.write(f"kappa = {_format_fraction(entry.expected_kappa)}\n")
+        out.write(f"kappa = {entry.expected_kappa}\n")
     return out.getvalue()
 
 

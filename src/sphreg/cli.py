@@ -33,10 +33,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _fmt_rational(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _fmt(x: float, digits: int) -> str:
     return f"{x:.{digits}g}"
 
@@ -103,7 +99,7 @@ def _load_catalog(args) -> cat.CatalogFile:
 
 def cmd_kappa(args) -> int:
     system = _build_system(args)
-    print(_fmt_rational(rs.kappa(system)))
+    print(rs.kappa(system))
     return 0
 
 
@@ -115,18 +111,18 @@ def cmd_table(args) -> int:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(("id", "group", "rank", "computed", "expected", "match"))
         for row_id, group, rank, computed, expected, match in rows:
-            computed_text = "error" if computed is None else _fmt_rational(computed)
-            writer.writerow((row_id, group, rank, computed_text, _fmt_rational(expected),
+            computed_text = "error" if computed is None else str(computed)
+            writer.writerow((row_id, group, rank, computed_text, str(expected),
                              "true" if match else "false"))
             mismatch |= not match
     else:
         width = max(len(r[0]) for r in rows) if rows else 2
         gwidth = max(len(r[1]) for r in rows) if rows else 5
         for row_id, group, rank, computed, expected, match in rows:
-            computed_text = "error" if computed is None else _fmt_rational(computed)
+            computed_text = "error" if computed is None else str(computed)
             status = "ok" if match else "MISMATCH"
             print(f"{row_id:<{width}}  {group:<{gwidth}}  rank {rank:>2}  "
-                  f"kappa {computed_text:>6}  expected {_fmt_rational(expected):>6}  {status}")
+                  f"kappa {computed_text:>6}  expected {expected!s:>6}  {status}")
             mismatch |= not match
         print(f"{len(rows)} rows, {sum(1 for r in rows if not r[5])} mismatches")
     return COMPUTE_ERROR if mismatch else 0
@@ -136,9 +132,9 @@ def cmd_weights(args) -> int:
     system = _build_system(args)
     weights = rs.fundamental_weights(system)
     for i, weight in enumerate(weights, start=1):
-        coords = ",".join(_fmt_rational(c) for c in weight.coords)
+        coords = ",".join(map(str, weight.coords))
         print(f"mu{i} = ({coords})  n = {rs.n_of(system, weight)}")
-    print(f"kappa = {_fmt_rational(rs.kappa(system))}")
+    print(f"kappa = {rs.kappa(system)}")
     return 0
 
 

@@ -6,14 +6,18 @@ normalization in which the short root of each family has squared length 2
 (the invariant, dominance and hull membership are scale invariant, so the
 choice is free).  Covector coordinates are exact rationals.
 
-The exact layer runs on one integer kernel.  The Weyl group preserves the
-root lattice, so its elements are integer matrices in simple-root
-coordinates: row ``i`` of ``s_i`` is ``e_i`` minus column ``i`` of the
-Cartan matrix.  ``n_of`` clears denominators and shares the pairing kernel
-``(R G) x`` of ``n_of_many``, which runs in int64 while
+The exact layer runs on one integer kernel of int64 numpy arrays.  The
+Weyl group preserves the root lattice, so its elements are integer matrices
+in simple-root coordinates: row ``i`` of ``s_i`` is ``e_i`` minus column
+``i`` of the Cartan matrix.  The root closure, the Weyl group and the
+dominant representatives multiply by the stacked simple reflections.  The
+fundamental weights are rows of the inverse Cartan matrix, whose adjugate
+is rounded from floating point and proven exact by the integer identity
+``cartan @ adj == det * I``.  ``n_of`` clears denominators and shares the
+pairing kernel ``(R G) x`` of ``n_of_many``, which runs in int64 while
 ``max|x| * max_i sum_j |(R G)_ij| < 2**63`` bounds every partial sum, and in
 Python integers (``dtype=object``) otherwise, so the zero test is exact for
-every input.  Coordinates never pass through floating point.
+every input.  Covector coordinates never pass through floating point.
 
 Supported families: A, B, C, D, BC (non-reduced), G2, F4, E6, E7, E8.
 """
@@ -108,7 +112,7 @@ class RootSystem:
     family: str
     rank: int
     simple_roots: tuple[str, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
+    gram: tuple[tuple[int, ...], ...]
     positive_roots: tuple[PositiveRoot, ...]
     reduced: bool
 
@@ -201,38 +205,59 @@ def _gram_int(family: str, rank: int) -> list[list[int]]:
     return g
 
 
-def _cartan_from_gram(gram: Sequence[Sequence[int]]) -> list[list[int]]:
+def _cartan_from_gram(gram: Sequence[Sequence[int]]) -> np.ndarray:
     """Cartan integers c[i][j] = 2<a_i, a_j>/<a_j, a_j>; exact and integral."""
-    rank = len(gram)
-    cartan = [[0] * rank for _ in range(rank)]
-    for i in range(rank):
-        for j in range(rank):
-            num = 2 * gram[i][j]
-            if num % gram[j][j] != 0:
-                raise RootSystemError("non-crystallographic Gram matrix")
-            cartan[i][j] = num // gram[j][j]
-    return cartan
+    gram = np.array(gram, dtype=np.int64)
+    double, diagonal = 2 * gram, gram.diagonal()
+    if np.any(double % diagonal):
+        raise RootSystemError("non-crystallographic Gram matrix")
+    return double // diagonal
+
+
+def _simple_reflections(gram: Sequence[Sequence[int]]) -> np.ndarray:
+    """Stacked int64 matrices of the simple reflections in simple-root
+    coordinates: row ``i`` of ``s_i`` is ``e_i - cartan[:, i]``, its other
+    rows are those of the identity."""
+    cartan = _cartan_from_gram(gram)
+    rank = len(cartan)
+    gens = np.tile(np.eye(rank, dtype=np.int64), (rank, 1, 1))
+    gens[np.arange(rank), np.arange(rank)] -= cartan.T
+    return gens
+
+
+def _closure(gens: np.ndarray, seeds: np.ndarray) -> tuple[list[np.ndarray], list[tuple]]:
+    """Breadth-first closure of the stacked integer matrices ``seeds`` under
+    left multiplication by the stacked generators ``gens``.
+
+    Returns the elements in order of discovery and, for each, the word
+    ``(i1, ..., im)`` with element ``= gens[i1] ... gens[im] @ seed``.  Each
+    frontier is multiplied by every generator in one ``einsum``, and the
+    products are visited in (element, generator) order."""
+    seen = {seed.tobytes() for seed in seeds}
+    elements, words = list(seeds), [()] * len(seeds)
+    frontier, frontier_words = seeds, words
+    while len(frontier):
+        products = np.einsum("gij,fjk->fgik", gens, frontier).reshape(-1, *seeds.shape[1:])
+        found, found_words = [], []
+        for n, product in enumerate(products):
+            key = product.tobytes()
+            if key not in seen:
+                seen.add(key)
+                found.append(product)
+                found_words.append((n % len(gens),) + frontier_words[n // len(gens)])
+        elements += found
+        words += found_words
+        frontier = np.array(found).reshape(-1, *seeds.shape[1:])
+        frontier_words = found_words
+    return elements, words
 
 
 def _reduced_closure(gram: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """All roots of the reduced system, as coefficient vectors, via the
     reflection orbit of the simple roots."""
     rank = len(gram)
-    cartan = _cartan_from_gram(gram)
-    simple = [tuple(int(i == k) for i in range(rank)) for k in range(rank)]
-    seen = set(simple)
-    frontier = list(simple)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for j in range(rank):
-                pairing = sum(v[i] * cartan[i][j] for i in range(rank))
-                w = tuple(v[i] - (pairing if i == j else 0) for i in range(rank))
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return sorted(seen)
+    roots, _ = _closure(_simple_reflections(gram), np.eye(rank, dtype=np.int64)[:, :, None])
+    return sorted(tuple(root.ravel().tolist()) for root in roots)
 
 
 def _norm2_int(gram: Sequence[Sequence[int]], v: Sequence[int]) -> int:
@@ -281,7 +306,7 @@ def build_root_system(
             )
         roots.append(PositiveRoot(v, int(mult_assignment[cls])))
 
-    gram = tuple(tuple(Fraction(x) for x in row) for row in gram_int)
+    gram = tuple(tuple(row) for row in gram_int)
     labels = tuple(f"a{i + 1}" for i in range(rank))
     reduced = family != "BC"
     return RootSystem(family, rank, labels, gram, tuple(roots), reduced)
@@ -318,8 +343,7 @@ def _pairing_kernel(sys: RootSystem) -> tuple[np.ndarray, np.ndarray, int]:
     """Integer matrix ``R G`` (one row per positive root), the multiplicities,
     and the largest absolute row sum of ``R G``."""
     coeffs = np.array([r.coeffs for r in sys.positive_roots], dtype=np.int64)
-    gram = np.array([[int(x) for x in row] for row in sys.gram], dtype=np.int64)
-    pairing = coeffs @ gram
+    pairing = coeffs @ np.array(sys.gram, dtype=np.int64)
     mult = np.array([r.multiplicity for r in sys.positive_roots], dtype=np.int64)
     return pairing, mult, int(np.abs(pairing).sum(axis=1).max())
 
@@ -402,22 +426,6 @@ def rho(sys: RootSystem) -> Covector:
     return Covector(tuple(coords))
 
 
-def _solve_rational(gram: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over the rationals; Gram matrices are invertible."""
-    n = len(rhs)
-    m = [list(row) + [rhs[i]] for i, row in enumerate(gram)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
-
-
 @lru_cache(maxsize=None)
 def _doubled_simple(sys: RootSystem) -> tuple[bool, ...]:
     """Whether twice each simple root is again a positive root."""
@@ -437,38 +445,14 @@ def fundamental_weights(sys: RootSystem) -> list[Covector]:
     they span over the nonnegative integers indexes the spherical
     representations of the compact dual.
     """
-    doubled = _doubled_simple(sys)
-    weights = []
-    for i in range(sys.rank):
-        ratio = 2 if doubled[i] else 1
-        rhs = [
-            Fraction(ratio) * sys.gram[i][i] if j == i else Fraction(0)
-            for j in range(sys.rank)
-        ]
-        weights.append(Covector(tuple(_solve_rational(sys.gram, rhs))))
-    return weights
-
-
-def _simple_reflection_matrices(sys: RootSystem) -> list[tuple[tuple[int, ...], ...]]:
-    """Integer matrices of the simple reflections in simple-root coordinates:
-    row ``i`` of ``s_i`` is ``e_i - cartan[:, i]``, its other rows are those
-    of the identity."""
-    cartan = _cartan_from_gram([[int(x) for x in row] for row in sys.gram])
-    identity = _identity(sys.rank)
-    return [identity[:i] + (tuple(identity[i][c] - cartan[c][i] for c in range(sys.rank)),)
-            + identity[i + 1:] for i in range(sys.rank)]
-
-
-def _identity(rank: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    cartan = _cartan_from_gram(sys.gram)
+    det = round(np.linalg.det(cartan))
+    adj = np.rint(det * np.linalg.inv(cartan)).astype(np.int64)
+    if det == 0 or not np.array_equal(cartan @ adj, det * np.eye(sys.rank, dtype=np.int64)):
+        raise RootSystemError("no exact integer inverse of the Cartan matrix")
+    # <w_i, a_j> = ratio_i <a_i, a_i> delta_ij gives w_i = 2 ratio_i (row i of cartan^-1)
+    return [Covector(tuple(Fraction(2 * (2 if doubled else 1) * a, det) for a in row))
+            for doubled, row in zip(_doubled_simple(sys), adj.tolist())]
 
 
 def weyl_group(sys: RootSystem, max_rank: int = 4) -> list[WeylElement]:
@@ -481,21 +465,10 @@ def weyl_group(sys: RootSystem, max_rank: int = 4) -> list[WeylElement]:
         raise RootSystemError(
             f"rank {sys.rank} exceeds the Weyl-group generation bound {max_rank}"
         )
-    identity = _identity(sys.rank)
-    gens = _simple_reflection_matrices(sys)
-    elements = {identity: ()}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for mat in frontier:
-            word = elements[mat]
-            for i, gen in enumerate(gens):
-                prod = _mat_mul(gen, mat)
-                if prod not in elements:
-                    elements[prod] = (i,) + word
-                    nxt.append(prod)
-        frontier = nxt
-    out = [WeylElement(mat, word) for mat, word in elements.items()]
+    elements, words = _closure(_simple_reflections(sys.gram),
+                               np.eye(sys.rank, dtype=np.int64)[None])
+    out = [WeylElement(tuple(map(tuple, mat.tolist())), word)
+           for mat, word in zip(elements, words)]
     out.sort(key=lambda w: (len(w.word), w.word))
     return out
 
@@ -508,20 +481,24 @@ def dominant_representative(sys: RootSystem, lam: Covector) -> tuple[Covector, W
     pairing; each step strictly increases the pairing with the half-sum of
     positive roots, so the loop terminates.
     """
-    current = lam
+    if len(lam.coords) != sys.rank:
+        raise ValueError("coordinate length does not match rank")
+    coords = [Fraction(c) for c in lam.coords]
     word: list[int] = []
-    matrix = _identity(sys.rank)
-    gens = _simple_reflection_matrices(sys)
-    simples = [simple_covector(sys, i) for i in range(sys.rank)]
+    matrix = np.eye(sys.rank, dtype=np.int64)
+    gens = _simple_reflections(sys.gram)
     while True:
-        for i in range(sys.rank):
-            if inner(sys, current, simples[i]) < 0:
-                current = WeylElement(gens[i], (i,)).apply(current)
-                matrix = _mat_mul(gens[i], matrix)
+        for i, row in enumerate(sys.gram):
+            pairing = sum(g * c for g, c in zip(row, coords))
+            if pairing < 0:
+                # s_i changes coordinate i only
+                coords[i] -= Fraction(2 * pairing, row[i])
+                matrix = gens[i] @ matrix
                 word.insert(0, i)
                 break
         else:
-            return current, WeylElement(matrix, tuple(word))
+            return Covector(tuple(coords)), WeylElement(tuple(map(tuple, matrix.tolist())),
+                                                        tuple(word))
 
 
 def in_bounded_region(sys: RootSystem, eta: Covector) -> bool:

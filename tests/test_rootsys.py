@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sphreg import rootsys as rs
+from sphreg import catalog as cat, rootsys as rs
 from sphreg.rootsys import Covector, RootSystemError
 
 
@@ -242,10 +242,26 @@ def test_weyl_contains_identity_and_closed():
     mats = {w.matrix for w in group}
     identity = group[0]
     assert identity.word == ()
-    from sphreg.rootsys import _mat_mul
     for w1 in group[:4]:
         for w2 in group[:4]:
-            assert _mat_mul(w1.matrix, w2.matrix) in mats
+            product = np.array(w1.matrix, dtype=np.int64) @ np.array(w2.matrix, dtype=np.int64)
+            assert tuple(map(tuple, product.tolist())) in mats
+
+
+def _weyl_order(family, rank):
+    if family == "A":
+        return math.factorial(rank + 1)
+    if family == "D":
+        return 2 ** (rank - 1) * math.factorial(rank)
+    return {"G2": 12, "F4": 1152}.get(family, 2 ** rank * math.factorial(rank))
+
+
+def test_weyl_group_orders_over_catalog():
+    systems = [(entry, cat.instantiate(entry)) for entry in cat.builtin_catalog().entries]
+    low_rank = [(entry, system) for entry, system in systems if system.rank <= 4]
+    assert len(low_rank) == 98
+    for entry, system in low_rank:
+        assert len(rs.weyl_group(system)) == _weyl_order(entry.family, entry.rank), entry.id
 
 
 def test_weyl_preserves_inner_and_roots():
@@ -324,6 +340,23 @@ def test_fundamental_weights_examples():
     assert rs.fundamental_weights(BC1)[0].coords == (Fraction(2),)
 
 
+def test_fundamental_weights_dual_to_simple_roots_over_catalog():
+    entries = cat.builtin_catalog().entries
+    assert len(entries) == 137
+    for entry in entries:
+        system = cat.instantiate(entry)
+        coeff_set = {r.coeffs for r in system.positive_roots}
+        weights = rs.fundamental_weights(system)
+        assert len(weights) == system.rank
+        for i, weight in enumerate(weights):
+            alpha_i = rs.simple_covector(system, i)
+            ratio = 2 if tuple(2 * c for c in alpha_i.coords) in coeff_set else 1
+            for j in range(system.rank):
+                expected = ratio * rs.inner(system, alpha_i, alpha_i) if i == j else 0
+                assert rs.inner(system, weight, rs.simple_covector(system, j)) == expected, \
+                    (entry.id, i, j)
+
+
 def test_dominant_representative():
     lam = rs.rho(A2)
     image, w = rs.dominant_representative(A2, lam)
@@ -336,6 +369,14 @@ def test_dominant_representative():
     assert len(w.word) == 3  # longest element of the rank-2 symmetric group
 
     assert rs.n_of(A2, neg) == rs.n_of(A2, image)
+
+
+def test_dominant_representative_dimension_mismatch():
+    for coords in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError):
+            rs.dominant_representative(A2, Covector.make(coords))
+        with pytest.raises(ValueError):
+            rs.in_bounded_region(A2, Covector.make(coords))
 
 
 def test_in_bounded_region_examples():
