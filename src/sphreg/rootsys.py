@@ -9,8 +9,10 @@ choice is free).  Covector coordinates are exact rationals.
 The exact layer runs on one integer kernel of int64 numpy arrays.  The
 Weyl group preserves the root lattice, so its elements are integer matrices
 in simple-root coordinates: row ``i`` of ``s_i`` is ``e_i`` minus column
-``i`` of the Cartan matrix.  The root closure, the Weyl group and the
-dominant representatives multiply by the stacked simple reflections.  The
+``i`` of the Cartan matrix.  The root closure and the Weyl group multiply
+by the stacked simple reflections.  The dominant representatives walk on
+cleared integer coordinates and their integer coroot pairings, so the walk
+and the hull test do no ``Fraction`` arithmetic.  The
 fundamental weights are rows of the inverse Cartan matrix, whose adjugate
 is rounded from floating point and proven exact by the integer identity
 ``cartan @ adj == det * I``.  ``n_of`` clears denominators and shares the
@@ -100,9 +102,9 @@ class WeylElement:
     word: tuple[int, ...]
 
     def apply(self, lam: Covector) -> Covector:
-        return Covector.make(
-            sum(row[j] * lam.coords[j] for j in range(len(row))) for row in self.matrix
-        )
+        x, scale = _cleared(lam, len(self.matrix))
+        return Covector(tuple(Fraction(sum(a * b for a, b in zip(row, x)), scale)
+                              for row in self.matrix))
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,8 @@ class RootSystem:
 # ---------------------------------------------------------------------------
 
 _FIXED_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
+# the root closure costs about rank**4 operations and rank**3 int64 words
+MAX_RANK = 64
 
 # squared length -> class name, per family, in the short-root-length-2 scale
 _CLASS_BY_NORM = {
@@ -156,6 +160,8 @@ def _check_rank(family: str, rank: int) -> None:
         raise RootSystemError(f"unknown family {family!r}")
     if rank < minimum:
         raise RootSystemError(f"family {family} requires rank >= {minimum}, got {rank}")
+    if rank > MAX_RANK:
+        raise RootSystemError(f"rank {rank} exceeds the supported maximum {MAX_RANK}")
 
 
 def _gram_int(family: str, rank: int) -> list[list[int]]:
@@ -364,17 +370,22 @@ def _integer_rows(coords, rank: int) -> np.ndarray:
         raise TypeError("coordinates must be integers; clear denominators first") from None
 
 
+def _cleared(lam: Covector, rank: int) -> tuple[list[int], int]:
+    """Integers ``x`` and the least positive ``scale`` with ``lam = x / scale``."""
+    if len(lam.coords) != rank:
+        raise ValueError("coordinate length does not match rank")
+    coords = [Fraction(c) for c in lam.coords]
+    scale = math.lcm(*(c.denominator for c in coords))
+    return [c.numerator * (scale // c.denominator) for c in coords], scale
+
+
 def n_of(sys: RootSystem, lam: Covector) -> int:
     """Multiplicity-weighted count of positive roots not orthogonal to ``lam``.
 
     The denominators of ``lam`` are cleared and the integer row goes through
     the kernel of ``n_of_many``, so the orthogonality test is exact.
     """
-    if len(lam.coords) != sys.rank:
-        raise ValueError("coordinate length does not match rank")
-    coords = [Fraction(c) for c in lam.coords]
-    scale = math.lcm(*(c.denominator for c in coords))
-    return int(n_of_many(sys, [[c.numerator * (scale // c.denominator) for c in coords]])[0])
+    return int(n_of_many(sys, [_cleared(lam, sys.rank)[0]])[0])
 
 
 def n_of_many(sys: RootSystem, coords) -> np.ndarray:
@@ -417,13 +428,15 @@ def reflect(sys: RootSystem, root: PositiveRoot, lam: Covector) -> Covector:
     return lam - alpha.scale(coeff)
 
 
+def _two_rho(sys: RootSystem) -> list[int]:
+    """Sum of positive roots weighted by multiplicities, in integers."""
+    return [sum(column) for column in
+            zip(*([r.multiplicity * c for c in r.coeffs] for r in sys.positive_roots))]
+
+
 def rho(sys: RootSystem) -> Covector:
     """Half sum of positive roots weighted by multiplicities."""
-    coords = [Fraction(0)] * sys.rank
-    for root in sys.positive_roots:
-        for i, c in enumerate(root.coeffs):
-            coords[i] += Fraction(root.multiplicity * c, 2)
-    return Covector(tuple(coords))
+    return Covector(tuple(Fraction(t, 2) for t in _two_rho(sys)))
 
 
 @lru_cache(maxsize=None)
@@ -473,32 +486,38 @@ def weyl_group(sys: RootSystem, max_rank: int = 4) -> list[WeylElement]:
     return out
 
 
+def _chamber_walk(cartan: list[list[int]], x: list[int]) -> list[int]:
+    """Reflects the integer coordinates ``x`` in place into the dominant
+    chamber, always at the smallest index with a negative coroot pairing,
+    and returns the indices in the order applied.
+
+    The pairing ``q_i = <x, a_i^vee> = sum_j x_j cartan[j][i]`` has the sign
+    of ``<x, a_i>``.  ``s_i`` subtracts ``q_i`` from ``x_i`` and
+    ``q_i cartan[i][k]`` from each ``q_k``.  Each step strictly increases the
+    pairing with the half-sum of positive roots, so the walk ends."""
+    q = [sum(xj * row[i] for xj, row in zip(x, cartan)) for i in range(len(x))]
+    steps = []
+    while True:
+        i = next((i for i, qi in enumerate(q) if qi < 0), None)
+        if i is None:
+            return steps
+        qi = q[i]
+        x[i] -= qi
+        q = [qk - qi * c for qk, c in zip(q, cartan[i])]
+        steps.append(i)
+
+
 def dominant_representative(sys: RootSystem, lam: Covector) -> tuple[Covector, WeylElement]:
     """Weyl-chamber representative of ``lam`` together with the element mapping
-    ``lam`` onto it.
-
-    Repeatedly reflects at the smallest-index simple root with negative
-    pairing; each step strictly increases the pairing with the half-sum of
-    positive roots, so the loop terminates.
-    """
-    if len(lam.coords) != sys.rank:
-        raise ValueError("coordinate length does not match rank")
-    coords = [Fraction(c) for c in lam.coords]
-    word: list[int] = []
+    ``lam`` onto it, by the integer walk of ``_chamber_walk``."""
+    x, scale = _cleared(lam, sys.rank)
+    cartan = _cartan_from_gram(sys.gram)
+    steps = _chamber_walk(cartan.tolist(), x)
     matrix = np.eye(sys.rank, dtype=np.int64)
-    gens = _simple_reflections(sys.gram)
-    while True:
-        for i, row in enumerate(sys.gram):
-            pairing = sum(g * c for g, c in zip(row, coords))
-            if pairing < 0:
-                # s_i changes coordinate i only
-                coords[i] -= Fraction(2 * pairing, row[i])
-                matrix = gens[i] @ matrix
-                word.insert(0, i)
-                break
-        else:
-            return Covector(tuple(coords)), WeylElement(tuple(map(tuple, matrix.tolist())),
-                                                        tuple(word))
+    for i in steps:
+        matrix[i] -= cartan[:, i] @ matrix  # row i of s_i is e_i - cartan[:, i]
+    return (Covector(tuple(Fraction(c, scale) for c in x)),
+            WeylElement(tuple(map(tuple, matrix.tolist())), tuple(reversed(steps))))
 
 
 def in_bounded_region(sys: RootSystem, eta: Covector) -> bool:
@@ -507,8 +526,8 @@ def in_bounded_region(sys: RootSystem, eta: Covector) -> bool:
 
     For a dominant representative the hull condition is that the difference
     from the half-sum is a nonnegative combination of simple roots, which in
-    simple-root coordinates is a sign check.
+    simple-root coordinates is a sign check: ``scale * 2 rho >= 2 x``.
     """
-    dominant, _ = dominant_representative(sys, eta)
-    difference = rho(sys) - dominant
-    return all(c >= 0 for c in difference.coords)
+    x, scale = _cleared(eta, sys.rank)
+    _chamber_walk(_cartan_from_gram(sys.gram).tolist(), x)
+    return all(scale * t >= 2 * c for t, c in zip(_two_rho(sys), x))

@@ -10,6 +10,7 @@ import pytest
 
 from sphreg import catalog as cat
 from sphreg import cli
+from sphreg import rootsys as rs
 
 
 def run(*argv):
@@ -43,6 +44,13 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         run("no-such-verb")
     assert exc.value.code == 2
+
+
+def test_rank_above_ceiling_exits_two():
+    code, out, err = run("kappa", "--family", "A", "--rank", str(rs.MAX_RANK + 1),
+                         "--mult", "all:1")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "exceeds" in err
 
 
 def test_table_default_catalog():

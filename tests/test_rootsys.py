@@ -100,6 +100,20 @@ def test_invalid_inputs():
         build("G2", 3, {"short": 1, "long": 1})
 
 
+@pytest.mark.parametrize("family", ["A", "B", "C", "BC", "D"])
+def test_rank_ceiling_refused_before_building(family, monkeypatch):
+    rs._check_rank(family, rs.MAX_RANK)
+
+    def refuse(*args):
+        raise AssertionError("a root system above the rank ceiling was built")
+
+    monkeypatch.setattr(rs, "_gram_int", refuse)
+    monkeypatch.setattr(rs, "_reduced_closure", refuse)
+    mult = {c: 1 for c in rs.class_vocabulary(family)}
+    with pytest.raises(RootSystemError, match="exceeds"):
+        build(family, rs.MAX_RANK + 1, mult)
+
+
 def test_absent_class_is_ignored():
     system = build("C", 1, {"short": 4, "long": 3})
     assert [(r.coeffs, r.multiplicity) for r in system.positive_roots] == [((1,), 3)]
@@ -395,6 +409,96 @@ def test_in_bounded_region_weyl_invariant():
                              zip(rng.integers(-6, 7, 2), rng.integers(1, 5, 2))])
         results = {rs.in_bounded_region(G2, w.apply(eta)) for w in group}
         assert len(results) == 1
+
+
+def _fraction_walk(system, lam):
+    """The earlier reflection loop on ``Fraction`` coordinates, kept as an
+    oracle: reflect at the smallest index with negative Gram pairing.
+    Returns (coordinates, word, matrix)."""
+    gram, rank = system.gram, system.rank
+    coords = [Fraction(c) for c in lam.coords]
+    word = []
+    matrix = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    while True:
+        for i, row in enumerate(gram):
+            pairing = sum(g * c for g, c in zip(row, coords))
+            if pairing < 0:
+                coords[i] -= Fraction(2 * pairing, row[i])
+                # row i of s_i M is M[i] - sum_j cartan[j][i] M[j]; the
+                # Cartan integers 2 gram[j][i] / gram[i][i] divide exactly
+                cartan_i = [2 * gram[j][i] // gram[i][i] for j in range(rank)]
+                matrix[i] = [matrix[i][k] - sum(c * m[k] for c, m in zip(cartan_i, matrix) if c)
+                             for k in range(rank)]
+                word.insert(0, i)
+                break
+        else:
+            return tuple(coords), tuple(word), tuple(tuple(row) for row in matrix)
+
+
+def _fraction_half_sum(system):
+    return [sum(Fraction(r.multiplicity * r.coeffs[j], 2) for r in system.positive_roots)
+            for j in range(system.rank)]
+
+
+def _reduced_positive_count(family, rank):
+    """Positive roots of the reduced system; BC counts as B."""
+    if family == "A":
+        return rank * (rank + 1) // 2
+    if family == "D":
+        return rank * (rank - 1)
+    return {"G2": 6, "F4": 24, "E6": 36, "E7": 63, "E8": 120}.get(family, rank * rank)
+
+
+def _walk_inputs(system, seed):
+    """-s rho for s in {1, 9/8}, seeded covectors with denominators up to
+    2**40, and one with a coordinate of 2**70."""
+    rng = np.random.default_rng([seed, system.rank])
+    rho = rs.rho(system)
+    lams = [rho.scale(-1), rho.scale(Fraction(-9, 8))]
+    for _ in range(3):
+        lams.append(Covector.make(
+            Fraction(int(rng.integers(-2 ** 20, 2 ** 20)), int(rng.integers(1, 2 ** 40)))
+            for _ in range(system.rank)))
+    huge = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+            for _ in range(system.rank)]
+    huge[-1] = Fraction(-2 ** 70)
+    return lams + [Covector.make(huge)]
+
+
+def test_chamber_walk_matches_fraction_oracle_over_catalog():
+    entries = cat.builtin_catalog().entries
+    assert len(entries) == 137
+    for n, entry in enumerate(entries):
+        system = cat.instantiate(entry)
+        half_sum = _fraction_half_sum(system)
+        for lam in _walk_inputs(system, n):
+            dominant, w = rs.dominant_representative(system, lam)
+            expected = _fraction_walk(system, lam)
+            assert (dominant.coords, w.word, w.matrix) == expected, entry.id
+            assert w.apply(lam) == dominant, entry.id
+            # the hull test: rho minus the dominant representative is nonnegative
+            inside = all(h >= c for h, c in zip(half_sum, expected[0]))
+            assert rs.in_bounded_region(system, lam) == inside, entry.id
+
+
+def test_antidominant_rho_walk_length_is_reduced_root_count():
+    for entry in cat.builtin_catalog().entries:
+        system = cat.instantiate(entry)
+        _, w = rs.dominant_representative(system, rs.rho(system).scale(-1))
+        assert len(w.word) == _reduced_positive_count(entry.family, entry.rank), entry.id
+
+
+def test_weyl_apply_matches_fraction_row_sums():
+    rng = np.random.default_rng(5)
+    for system in (G2, BC2, F4):
+        lams = [Covector.make(Fraction(int(a), int(b)) for a, b in
+                              zip(rng.integers(-2 ** 30, 2 ** 30, system.rank),
+                                  rng.integers(1, 2 ** 40, system.rank)))
+                for _ in range(2)]
+        for w in rs.weyl_group(system):
+            for lam in lams:
+                expected = tuple(sum(a * c for a, c in zip(row, lam.coords)) for row in w.matrix)
+                assert w.apply(lam).coords == expected
 
 
 # ---------------------------------------------------------------------------
