@@ -266,10 +266,6 @@ def _reduced_closure(gram: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return sorted(tuple(root.ravel().tolist()) for root in roots)
 
 
-def _norm2_int(gram: Sequence[Sequence[int]], v: Sequence[int]) -> int:
-    return sum(v[i] * gram[i][j] * v[j] for i in range(len(v)) for j in range(len(v)))
-
-
 def build_root_system(
     family: str, rank: int, mult_assignment: Mapping[str, int]
 ) -> RootSystem:
@@ -292,20 +288,26 @@ def build_root_system(
     gram_int = _gram_int(family, rank)
     all_roots = _reduced_closure(gram_int)
     positives = [v for v in all_roots if all(c >= 0 for c in v)]
+    # Squared lengths from one integer product.  Root coefficients are at most
+    # 6 and Gram entries at most 6 in absolute value, so each of the rank**2
+    # terms is at most 216 and, under MAX_RANK, every sum stays below 2**20.
+    coeffs = np.array(positives, dtype=np.int64)
+    norm2 = dict(zip(positives, np.einsum(
+        "ri,ij,rj->r", coeffs, np.array(gram_int, dtype=np.int64), coeffs).tolist()))
 
     if family == "BC":
-        short_norm = min(_norm2_int(gram_int, v) for v in positives)
-        doubled = [tuple(2 * c for c in v) for v in positives
-                   if _norm2_int(gram_int, v) == short_norm]
-        positives = sorted(positives + doubled)
+        # the double 2v of a short root v has squared length 4 |v|^2
+        short_norm = min(norm2.values())
+        norm2.update({tuple(2 * c for c in v): 4 * short_norm
+                      for v, n2 in list(norm2.items()) if n2 == short_norm})
+        positives = sorted(norm2)
 
     by_norm = _CLASS_BY_NORM[family]
     roots = []
     for v in positives:
-        norm2 = _norm2_int(gram_int, v)
-        cls = by_norm.get(norm2)
+        cls = by_norm.get(norm2[v])
         if cls is None:
-            raise RootSystemError(f"unexpected root length {norm2} in {family}{rank}")
+            raise RootSystemError(f"unexpected root length {norm2[v]} in {family}{rank}")
         if cls not in mult_assignment:
             raise RootSystemError(
                 f"incomplete multiplicity assignment: class {cls!r} not covered"

@@ -23,6 +23,11 @@ sqrt(sinhc(Y (1 - cos a)) sinhc(Y (1 + cos a))) da``, ``sinhc x = sinh x / x``.
 Laplace's form remains in the derivatives, whose chamber-coordinate factors
 close (``u'' = 2 - 2 u'^2``), and in ``asymptotics``.
 
+Rank two.  ``H(a k)`` is closed form too: with ``z1, z2`` the first two columns
+of the Gaussian matrix that ``liegroup.haar_so_n_sample`` turns into ``k`` and
+``w = z1 x z2``, ``h1 = log(|a z1|/|z1|)``, ``h1 + h2 = log(|a^-1 w|/|w|)`` and
+``h3 = -(h1 + h2)``; both read one Gaussian stream, so a seed gives the same ``k``.
+
 Quadrature.  Each rank-one circle integral is the trapezoid rule, which
 converges exponentially for smooth periodic integrands (Trefethen and
 Weideman, "The exponentially convergent trapezoidal rule", SIAM Review 56,
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liegroup import haar_so_n_sample
+from .liegroup import _gaussian_blocks
 
 __all__ = [
     "QuadratureConfig",
@@ -241,46 +246,41 @@ def deriv_spherical_sl2(
     return complex(value)
 
 
-def spherical_sl3(
-    lam: SpectralParameter,
-    a_log,
-    samples: int = 10_000,
-    seed: int = 42,
-) -> SphericalValue:
+def spherical_sl3(lam: SpectralParameter, a_log, samples: int = 10_000,
+                  seed: int = 42) -> SphericalValue:
     """Monte Carlo spherical function of the degree-3 special linear group.
 
     ``a_log`` is the first two entries of the traceless diagonal (the third
-    is implied).  The reported error is the combined standard error of the
-    real and imaginary parts; it is not a hard bound.
+    is implied).  Sample ``i`` is ``k = haar_so_n_sample(3, seed, samples)[i]``,
+    never formed: ``k e1 = z1/|z1|`` and ``k e3 = +-w/|w|`` (Mezzadri, Notices
+    AMS 54, 2007).  As ``det(a k) = 1`` and ``(a k)^-T = a^-1 k``, the Iwasawa
+    diagonal has ``|r11| = |a k e1|``, ``|r11 r22| = |a^-1 k e3|`` and
+    ``|r33| = 1/|r11 r22|``.  Block statistics are merged (Chan, Golub and
+    LeVeque, 1979), so memory does not grow with ``samples``.  The error is
+    the combined standard error of the real and imaginary parts, not a bound.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     y1, y2 = float(a_log[0]), float(a_log[1])
-    diag = np.array([y1, y2, -y1 - y2])
-    a = np.diag(np.exp(diag))
-    rotations = haar_so_n_sample(3, seed, samples)
-
-    values = np.empty(samples, dtype=complex)
-    block = 1 << 16
-    for start in range(0, samples, block):
-        stop = min(start + block, samples)
-        prod = a @ rotations[start:stop]
-        _, r = np.linalg.qr(prod)
-        d = np.abs(np.einsum("...ii->...i", r))
-        h = np.log(d)
-        c1 = lam.xi[0] + 1j * lam.eta[0]
-        c2 = lam.xi[1] + 1j * lam.eta[1]
-        pairing = c1 * (h[:, 0] - h[:, 1]) + c2 * (h[:, 1] - h[:, 2])
-        rho_pairing = h[:, 0] - h[:, 2]
-        values[start:stop] = np.exp(1j * pairing - rho_pairing)
-
-    mean = values.mean()
-    if samples > 1:
-        var = values.real.var(ddof=1) + values.imag.var(ddof=1)
-        stderr = float(np.sqrt(var / samples))
-    else:
-        stderr = float("inf")
-    return SphericalValue(complex(mean), samples, stderr)
+    a = np.exp([y1, y2, -y1 - y2])
+    c1, c2 = (x + 1j * e for x, e in zip(lam.xi, lam.eta))
+    n, total, m2 = 0, 0j, 0.0  # count, sum and summed squared deviation so far
+    for _, _, z in _gaussian_blocks(3, seed, samples):
+        z1 = z[:, :, 0]
+        w = np.cross(z1, z[:, :, 1])
+        sq1, sqw = z1 * z1, w * w  # squared coordinates
+        h1 = 0.5 * np.log(sq1 @ a ** 2 / sq1.sum(axis=1))
+        h12 = 0.5 * np.log(sqw @ a ** -2 / sqw.sum(axis=1))
+        h2, h3 = h12 - h1, -h12
+        pairing = c1 * (h1 - h2) + c2 * (h2 - h3)
+        rho_pairing = h1 - h3
+        values = np.exp(1j * pairing - rho_pairing)
+        m, block_sum = len(values), values.sum()
+        dev = values - block_sum / m
+        m2 += np.vdot(dev, dev).real + abs(block_sum / m - total / max(n, 1)) ** 2 * n * m / (n + m)
+        n, total = n + m, total + block_sum
+    stderr = float(np.sqrt(m2 / (samples - 1) / samples)) if samples > 1 else float("inf")
+    return SphericalValue(complex(total / samples), samples, stderr)
 
 
 def legendre(n: int, x):

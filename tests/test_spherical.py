@@ -1,6 +1,7 @@
 """Spherical-function numerics against independent oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,6 +240,75 @@ def test_sl3_deterministic_per_seed():
     a = spherical_sl3(lam, (0.8, 0.1), samples=5_000, seed=7)
     b = spherical_sl3(lam, (0.8, 0.1), samples=5_000, seed=7)
     assert a.value == b.value and a.estimated_error == b.estimated_error
+
+
+def _sl3_qr_oracle(lam, a_log, samples, seed):
+    """The QR path: the Iwasawa diagonal of ``a k`` for each sampled rotation,
+    with the mean and standard error over one array of values."""
+    y1, y2 = a_log
+    a = np.diag(np.exp([y1, y2, -y1 - y2]))
+    _, r = np.linalg.qr(a @ lg.haar_so_n_sample(3, seed, samples))
+    h = np.log(np.abs(np.einsum("...ii->...i", r)))
+    c1, c2 = (x + 1j * e for x, e in zip(lam.xi, lam.eta))
+    values = np.exp(1j * (c1 * (h[:, 0] - h[:, 1]) + c2 * (h[:, 1] - h[:, 2]))
+                    - (h[:, 0] - h[:, 2]))
+    var = values.real.var(ddof=1) + values.imag.var(ddof=1)
+    return values.mean(), math.sqrt(var / samples)
+
+
+SL3_POINTS = [
+    ((0.4, 0.7), (0.0, 0.0), (1.0, 0.0), 10_000, 3),
+    ((1.3, -0.4), (0.2, -0.3), (2.5, -1.0), 2 * 7282 + 5, 5),  # last block partial
+    ((0.5, 0.2), (0.1, 0.0), (0.8, 0.1), 5_000, 7),
+    ((3.0, 1.0), (0.5, 0.5), (4.0, 1.0), 7282, 8),
+    ((0.0, 0.0), (0.0, 0.0), (-1.5, 2.0), 20_001, 11),
+]
+
+
+@pytest.mark.parametrize("xi, eta, a_log, samples, seed", SL3_POINTS)
+def test_sl3_matches_qr_oracle(xi, eta, a_log, samples, seed):
+    lam = SpectralParameter.rank2(xi, eta)
+    value, stderr = _sl3_qr_oracle(lam, a_log, samples, seed)
+    got = spherical_sl3(lam, a_log, samples, seed)
+    assert got.quadrature_nodes == samples
+    assert abs(got.value - value) <= 1e-14
+    assert abs(got.estimated_error - stderr) <= 1e-14
+
+
+def test_sl3_calls_neither_qr_nor_rotation_sampler(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(lg, "haar_so_n_sample", refuse)
+    v = spherical_sl3(SpectralParameter.rank2((0.4, 0.7)), (1.0, 0.5), samples=20_000)
+    assert abs(v.value) <= 1.0 + 3.0 * v.estimated_error
+
+
+@pytest.mark.parametrize("seed", [1, 2024])
+def test_sl3_block_merge_matches_one_array(seed, monkeypatch):
+    lam = SpectralParameter.rank2((0.3, 0.9), (0.1, -0.1))
+    merged = spherical_sl3(lam, (1.0, 0.5), 100_003, seed)
+    # the same stream as one block: one sum and one two-pass variance
+    whole = np.concatenate([z for _, _, z in lg._gaussian_blocks(3, seed, 100_003)])
+    monkeypatch.setattr(sph, "_gaussian_blocks", lambda n, s, count: [(0, count, whole)])
+    one = spherical_sl3(lam, (1.0, 0.5), 100_003, seed)
+    assert abs(merged.value - one.value) <= 1e-15 * abs(one.value)
+    assert abs(merged.estimated_error - one.estimated_error) <= 1e-15 * one.estimated_error
+
+
+def test_sl3_memory_does_not_grow_with_samples():
+    lam = SpectralParameter.rank2((0.3, 0.9))
+    peaks = []
+    for samples in (40_000, 400_000):
+        tracemalloc.start()
+        try:
+            spherical_sl3(lam, (1.0, 0.5), samples, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 6 << 20, peaks
+    assert peaks[1] <= 1.2 * peaks[0], peaks
 
 
 def test_legendre_recurrence():
