@@ -205,6 +205,13 @@ def _spectral_ts(args) -> np.ndarray:
     return np.geomspace(args.tmin, args.tmax, args.tsteps)
 
 
+def _sl2_config(xi_peak: float, y: float) -> QuadratureConfig:
+    """Adaptive rank-one rule for spectral values up to ``xi_peak`` at ``Y = y``:
+    at most twice the count ``sl2_sweep_nodes`` gives, and at least 8192 nodes."""
+    return QuadratureConfig(n_start=1024, n_max=max(8192, 2 * sph.sl2_sweep_nodes(xi_peak, y)),
+                            target=1e-12, fail=1e-7)
+
+
 def cmd_spherical(args) -> int:
     points = _parse_floats(args.points) if args.points else None
     if args.ygrid:
@@ -230,9 +237,7 @@ def cmd_spherical(args) -> int:
             xi = _parse_floats(args.xi)[0] if args.xi else 0.5
             eta = _parse_floats(args.eta)[0] if args.eta else 0.0
             for y in points:
-                nodes = sph.sl2_sweep_nodes(float(ts[-1]) * abs(xi) + abs(eta) + 1.0, y)
-                config = QuadratureConfig(n_start=1024, n_max=max(8192, 2 * nodes),
-                                          target=1e-12, fail=1e-7)
+                config = _sl2_config(float(ts[-1]) * abs(xi) + abs(eta) + 1.0, y)
                 for t in ts:
                     lam = SpectralParameter.rank1(t * xi, eta)
                     value = sph.spherical_sl2(lam, y, config)
@@ -366,10 +371,7 @@ def cmd_statphase(args) -> int:
     try:
         if args.group == "sl2":
             amplitude = asy.spherical_amplitude_sl2(args.Y)
-            config = QuadratureConfig(n_start=1024,
-                                      n_max=max(8192, 2 * sph.sl2_sweep_nodes(
-                                          ts[-1] * args.xi, args.Y)),
-                                      target=1e-12, fail=1e-7)
+            config = _sl2_config(ts[-1] * args.xi, args.Y)
             for t in ts:
                 quad = sph.spherical_sl2(SpectralParameter.rank1(t * args.xi), args.Y,
                                          config).value
@@ -520,6 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.digits < 0:
+        parser.error(f"argument --digits: must be nonnegative, got {args.digits}")
     try:
         return args.func(args)
     except CliError as exc:

@@ -40,8 +40,10 @@ class SpecialLinearElement:
     @staticmethod
     def from_array(matrix) -> "SpecialLinearElement":
         a = np.asarray(matrix, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("expected a square matrix")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+            raise ValueError("expected a non-empty square matrix")
+        if not np.isfinite(a).all():
+            raise ValueError("matrix entries must be finite")
         det = np.linalg.det(a)
         if det <= 0:
             raise ValueError("matrix must have positive determinant")

@@ -20,8 +20,8 @@ up to ``2 xi sinh 2Y``.  Values come from the Mehler-Dirichlet form instead
 analysis on noncompact semisimple Lie groups", 1984), with slope at most
 ``2 |xi Y|``: ``phi = (1/pi) int_0^pi cosh((i xi - eta) 2Y cos a) /
 sqrt(sinhc(Y (1 - cos a)) sinhc(Y (1 + cos a))) da``, ``sinhc x = sinh x / x``.
-Laplace's form remains in the derivatives, whose chamber-coordinate factors
-close (``u'' = 2 - 2 u'^2``), and in ``asymptotics``.
+Derivatives come from the same family (``deriv_spherical_sl2``).  Laplace's
+form remains in ``asymptotics`` and as the tests' oracle.
 
 Rank two.  ``H(a k)`` is closed form too: with ``z1, z2`` the first two columns
 of the Gaussian matrix that ``liegroup.haar_so_n_sample`` turns into ``k`` and
@@ -108,11 +108,11 @@ class QuadratureConfig:
     n_max: int = 8192
     target: float = 1e-12
     fail: float = 1e-7
-    t_geo_max: float = 5.0
 
 
 DEFAULT_CONFIG = QuadratureConfig()
 SWEEP_NODE_CEILING = 1 << 24  # full-turn nodes; sl2_sweep_nodes raises above it
+T_GEO_MAX = 5.0  # chamber points with |Y| above it raise ValueError
 
 
 def sl2_chamber_coordinate(t_geo: float, theta) -> np.ndarray:
@@ -122,7 +122,8 @@ def sl2_chamber_coordinate(t_geo: float, theta) -> np.ndarray:
 
 def sl2_chamber_derivatives(t_geo: float, theta, order: int):
     """(u, u', u'', u''')[:order + 1] of the chamber coordinate with respect
-    to the geodesic parameter, evaluated on an angle grid."""
+    to the geodesic parameter, evaluated on an angle grid: the factors of
+    Laplace's form of the derivatives, which no value or derivative here uses."""
     cos2 = np.cos(2.0 * theta)
     d = np.cosh(2.0 * t_geo) + np.sinh(2.0 * t_geo) * cos2
     u1 = (np.sinh(2.0 * t_geo) + np.cosh(2.0 * t_geo) * cos2) / d
@@ -180,8 +181,8 @@ def spherical_sl2(
     """Spherical function of the degree-2 special linear group at
     a_Y = diag(e^Y, e^-Y), Y = ``t_geo``, by the Mehler-Dirichlet integral;
     exact value 1 at the identity."""
-    if abs(t_geo) > config.t_geo_max:
-        raise ValueError(f"chamber point Y={t_geo:g} outside |Y| <= {config.t_geo_max:g}")
+    if abs(t_geo) > T_GEO_MAX:
+        raise ValueError(f"chamber point Y={t_geo:g} outside |Y| <= {T_GEO_MAX:g}")
     w = 2.0 * t_geo * (1j * lam.xi[0] - lam.eta[0])
     value, nodes, err = _nested_trapezoid(
         lambda a: np.cosh(w * np.cos(a)) * sl2_mehler_amplitude(t_geo, a), 4, config)
@@ -225,25 +226,41 @@ def deriv_spherical_sl2(
 ) -> complex:
     """Derivative of order ``order`` (0..3) in the geodesic parameter of the
     chamber restriction of the spherical function at spectral value
-    ``t_scale * xi + i eta``.  Order 0 is ``spherical_sl2``; higher orders
-    differentiate Laplace's integrand under the integral (no finite differences)."""
+    ``t_scale * xi + i eta``.  Order 0 is ``spherical_sl2``.
+
+    With ``s = i t_scale xi - eta``, ``nu = s - 1/2``, ``x = cosh 2Y`` and
+    ``c = cos a``, order 1 is DLMF 14.10.5, ``(x^2 - 1) P_nu' = nu (x P_nu -
+    P_{nu-1})``, in Mehler-Dirichlet form: ``phi' = (2 nu / sinh 2Y) (1/pi)
+    int_0^pi [A sinh(2Ysc) sinh(2Yc) + 2Y^2 sin^2 a cosh(2Ysc) / A] da`` with
+    ``A = sl2_mehler_amplitude``; ``A^2 (cosh 2Y - cosh 2Yc) = 2Y^2 sin^2 a``
+    removes the 0/0 at the wall.  The prefactor sits inside the integrand, so
+    the stop test sees the derivative's own scale.  Orders 2 and 3 follow from
+    Legendre's equation, with no further quadrature:
+    ``phi'' = -2 coth(2Y) phi' + (4 s^2 - 1) phi`` and
+    ``phi''' = -2 coth(2Y) phi'' + (4 csch^2(2Y) + 4 s^2 - 1) phi'``."""
     if not 0 <= order <= 3:
         raise ValueError("order must be between 0 and 3")
-    if not 0.0 < t_geo <= config.t_geo_max:
+    if not 0.0 < t_geo <= T_GEO_MAX:
         raise ValueError("geodesic parameter must lie in the open positive chamber")
+    scaled = SpectralParameter.rank1(t_scale * lam.xi[0], lam.eta[0])
     if order == 0:
-        return spherical_sl2(SpectralParameter.rank1(t_scale * lam.xi[0], lam.eta[0]),
-                             t_geo, config).value
-    c = 2.0j * t_scale * lam.xi[0] - 2.0 * lam.eta[0] - 1.0
+        return spherical_sl2(scaled, t_geo, config).value
+    s, y2 = 1j * scaled.xi[0] - scaled.eta[0], 2.0 * t_geo
+    prefactor = (2.0 * s - 1.0) / math.sinh(y2)
 
-    def integrand(theta):
-        u, u1, u2, u3 = sl2_chamber_derivatives(t_geo, theta, 3)
-        factor = (c * u1 if order == 1 else c * u2 + (c * u1) ** 2 if order == 2
-                  else c * u3 + 3.0 * c * c * u1 * u2 + (c * u1) ** 3)
-        return factor * np.exp(c * u)
+    def integrand(a):
+        c, amplitude = np.cos(a), sl2_mehler_amplitude(t_geo, a)
+        return prefactor * (amplitude * np.sinh(y2 * s * c) * np.sinh(y2 * c)
+                            + 0.5 * (y2 * np.sin(a)) ** 2 * np.cosh(y2 * s * c) / amplitude)
 
-    value, _, _ = _nested_trapezoid(integrand, 4, config)
-    return complex(value)
+    d1 = complex(_nested_trapezoid(integrand, 4, config)[0])
+    if order == 1:
+        return d1
+    coth, k = 1.0 / math.tanh(y2), 4.0 * s * s - 1.0
+    d2 = -2.0 * coth * d1 + k * spherical_sl2(scaled, t_geo, config).value
+    if order == 2:
+        return d2
+    return -2.0 * coth * d2 + (4.0 / math.sinh(y2) ** 2 + k) * d1
 
 
 def spherical_sl3(lam: SpectralParameter, a_log, samples: int = 10_000,

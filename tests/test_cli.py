@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -128,6 +129,41 @@ def test_iwasawa_and_kak_verbs(tmp_path):
     code, out, _ = run("kak", "--matrix", str(path))
     assert code == 0
     assert "regular = true" in out
+
+
+@pytest.mark.parametrize("verb", ["iwasawa", "kak"])
+def test_empty_matrix_exits_two(tmp_path, verb):
+    path = tmp_path / "g.txt"
+    path.write_text("0\n", encoding="utf-8")
+    code, out, err = run(verb, "--matrix", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "non-empty" in err
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf"])
+@pytest.mark.parametrize("verb", ["iwasawa", "kak"])
+def test_non_finite_matrix_exits_two(tmp_path, verb, entry):
+    path = tmp_path / "g.txt"
+    path.write_text(f"2\n1 {entry}\n0 1\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(verb, "--matrix", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "finite" in err
+
+
+@pytest.mark.parametrize("verb", ["iwasawa", "kak", "spherical"])
+def test_negative_digits_rejected_at_parse_time(tmp_path, capsys, verb):
+    path = tmp_path / "g.txt"
+    path.write_text("2\n1 0\n0.5 1\n", encoding="utf-8")
+    argv = [verb, "--group", "sl2", "--points", "1"] if verb == "spherical" else \
+        [verb, "--matrix", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--digits", "-1", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--digits: must be nonnegative" in captured.err.splitlines()[-1]
 
 
 def test_spherical_csv_and_determinism():

@@ -157,22 +157,44 @@ def test_folded_rule_equals_full_turn_mean(nodes):
         assert abs(got.value - _mehler_full_turn(xi, eta, y, nodes)) <= 1e-13
 
 
+def _mehler_derivative_full_turn(xi, eta, y, nodes):
+    """Full-turn trapezoid mean of the order-1 Mehler-Dirichlet integrand."""
+    a = _full_turn(nodes)
+    c, s = np.cos(a), 1j * xi - eta
+    amplitude = 1.0 / np.sqrt(_sinhc(y * (1.0 - c)) * _sinhc(y * (1.0 + c)))
+    return ((2.0 * s - 1.0) / np.sinh(2.0 * y)
+            * (amplitude * np.sinh(2.0 * y * s * c) * np.sinh(2.0 * y * c)
+               + 2.0 * y * y * np.sin(a) ** 2 * np.cosh(2.0 * y * s * c) / amplitude)).mean()
+
+
+def _laplace_derivatives(xi, eta, y, nodes=1 << 17):
+    """Orders 1-3 by Laplace's integral, differentiated under the integral
+    sign and resolved at ``nodes`` full-turn nodes."""
+    c = 2j * xi - 2 * eta - 1
+    u, u1, u2, u3 = sph.sl2_chamber_derivatives(y, _full_turn(nodes), 3)
+    factors = [c * u1, c * u2 + (c * u1) ** 2, c * u3 + 3 * c * c * u1 * u2 + (c * u1) ** 3]
+    return [(factor * np.exp(c * u)).mean() for factor in factors]
+
+
 @pytest.mark.parametrize("nodes", PINNED_NODES)
 def test_folded_derivatives_equal_full_turn_mean(nodes):
-    theta = _full_turn(nodes)
     for xi, eta, scale, y in [(0.8, 0.1, 3.0, 1.1), (0.5, -0.3, 1.0, 0.6)]:
-        c = 2j * scale * xi - 2 * eta - 1
-        u, u1, u2, u3 = sph.sl2_chamber_derivatives(y, theta, 3)
-        factors = [None, c * u1, c * u2 + (c * u1) ** 2,
-                   c * u3 + 3 * c * c * u1 * u2 + (c * u1) ** 3]
-        for order, factor in enumerate(factors):
-            # order 0 is the value, by the Mehler-Dirichlet integral
-            want = (_mehler_full_turn(scale * xi, eta, y, nodes) if factor is None
-                    else (factor * np.exp(c * u)).mean())
-            got = sph.deriv_spherical_sl2(SpectralParameter.rank1(xi, eta), scale, y, order,
-                                          _pinned(nodes))
-            # order-3 values reach about 30, so the bound is relative above 1
-            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+        want = _mehler_derivative_full_turn(scale * xi, eta, y, nodes)
+        got = sph.deriv_spherical_sl2(SpectralParameter.rank1(xi, eta), scale, y, 1,
+                                      _pinned(nodes))
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("xi,eta,scale,y", [(0.8, 0.1, 3.0, 1.1), (0.5, -0.3, 1.0, 0.6),
+                                            (6.0, -0.4, 1.0, 1.6), (15.0, 0.0, 1.0, 0.3),
+                                            (0.0, 0.75, 1.0, 2.0)])
+def test_derivatives_equal_converged_laplace_mean(xi, eta, scale, y):
+    wants = _laplace_derivatives(scale * xi, eta, y)
+    for order, want in enumerate(wants, start=1):
+        got = sph.deriv_spherical_sl2(SpectralParameter.rank1(xi, eta), scale, y, order)
+        # the Laplace mean's own roundoff reaches 1e-12 at order 3 (eta = 0.75,
+        # Y = 2 against mpmath), so the bound is looser than the rule's error
+        assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), order
 
 
 @pytest.mark.parametrize("nodes", PINNED_NODES)
@@ -368,6 +390,33 @@ def test_first_derivative_sign_at_spectral_origin():
     lam = SpectralParameter.rank1(0.0)
     for y in (0.5, 1.0, 2.0):
         assert sph.deriv_spherical_sl2(lam, 1.0, y, 1).real < 0.0
+
+
+@pytest.mark.parametrize("xi,eta,y,rtol", [(2000.0, 0.0, 2.4, 1e-11), (1000.0, 0.0, 4.9, 1e-11),
+                                           (300.0, 0.5, 5.0, 1e-11), (1.0, 0.2, 0.01, 1e-11),
+                                           (3.0, -0.5, 1e-4, 1e-9)])
+def test_derivatives_against_legendre_function(xi, eta, y, rtol):
+    # Laplace's form of the derivatives stopped on roundoff at large Y
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        nu = mpmath.mpc(-0.5 - eta, xi)
+        y_mp = mpmath.mpf(y)
+        wants = [complex(mpmath.diff(lambda s: mpmath.legenp(nu, 0, mpmath.cosh(2 * s), type=3),
+                                     y_mp, order)) for order in (1, 2, 3)]
+    for order, want in enumerate(wants, start=1):
+        got = sph.deriv_spherical_sl2(SpectralParameter.rank1(xi, eta), 1.0, y, order, BIG)
+        assert abs(got - want) <= rtol * max(1.0, abs(want)), order
+
+
+def test_derivatives_call_no_laplace_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(sph, "sl2_chamber_derivatives", refuse)
+    monkeypatch.setattr(sph, "sl2_chamber_coordinate", refuse)
+    lam = SpectralParameter.rank1(0.8, 0.1)
+    for order in range(4):
+        assert math.isfinite(abs(sph.deriv_spherical_sl2(lam, 3.0, 1.1, order)))
 
 
 def test_derivative_guards():
