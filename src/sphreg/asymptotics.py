@@ -155,12 +155,14 @@ def leading_term_sl2(
     terms = []
     total = 0.0 + 0.0j
     for w in (+1, -1):
-        hess_mag = abs(2.0 * lam_xi) * abs(1.0 - math.exp(-4.0 * w * t_geo))
+        hess_mag = abs(2.0 * lam_xi * math.expm1(-4.0 * w * t_geo))
+        if hess_mag == 0.0:
+            raise ValueError(f"phase Hessian underflows at lam_xi={lam_xi}, t_geo={t_geo}")
         sigma = -sign_xi * w
         branch = np.exp(1j * math.pi * sigma / 4.0)
         orbit = np.array([0.0, math.pi]) if w == 1 else np.array([math.pi / 2, 3 * math.pi / 2])
         gbar = complex(np.mean(amplitude(orbit)))
-        c_w = branch * math.sqrt(2.0 / (math.pi * hess_mag)) * gbar
+        c_w = branch * math.sqrt(2.0 / math.pi) / math.sqrt(hess_mag) * gbar
         phase = np.exp(2.0j * t * lam_xi * w * t_geo)
         terms.append(WeylTerm(w, complex(phase), complex(c_w)))
         total += phase * c_w
@@ -309,7 +311,8 @@ def exp_sum_separation(
     big_n: int,
 ) -> float:
     """Cesaro mean over t = m .. m+N-1 of the squared modulus of the
-    difference of two finite exponential sums."""
+    difference of two finite exponential sums.  A phase or a square outside
+    float64 range raises ``FloatingPointError``."""
     fx = np.asarray(f_values_x, dtype=complex)
     fy = np.asarray(f_values_y, dtype=complex)
     ux = np.asarray(u_x, dtype=float)
@@ -318,9 +321,12 @@ def exp_sum_separation(
         raise ValueError("input arrays must have equal length")
     if big_n < 1:
         raise ValueError("N must be at least 1")
+    if not all(np.isfinite(v).all() for v in (fx, fy, ux, uy)):
+        raise ValueError("values and frequencies must be finite")
     ts = np.arange(m, m + big_n)[:, np.newaxis]
-    sums = (fx * np.exp(1j * ts * ux) - fy * np.exp(1j * ts * uy)).sum(axis=1)
-    return float(np.mean(np.abs(sums) ** 2))
+    with np.errstate(over="raise", invalid="raise"):
+        sums = (fx * np.exp(1j * ts * ux) - fy * np.exp(1j * ts * uy)).sum(axis=1)
+        return float(np.mean(np.abs(sums) ** 2))
 
 
 @dataclass(frozen=True)

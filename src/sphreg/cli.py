@@ -366,6 +366,8 @@ def cmd_statphase(args) -> int:
         t *= 2
     if len(ts) < 2:
         raise CliError("need at least two dyadic steps between --tmin and --tmax")
+    if ts[0] == 0:
+        raise CliError(f"--tmin {args.tmin} rounds to t = 0; the steps need whole t >= 1")
     lines = ["t,quad_re,quad_im,lead_re,lead_im,abs_err"]  # printed once all rows are in
     digits = args.digits
     try:
@@ -405,6 +407,8 @@ def cmd_expsum(args) -> int:
         mean = asy.exp_sum_separation(fx, fy, ux, uy, args.m, args.N)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    except FloatingPointError as exc:
+        raise CliError(f"exponential sum out of float64 range: {exc}", COMPUTE_ERROR) from exc
     print(_fmt(mean, args.digits))
     return 0
 

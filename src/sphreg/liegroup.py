@@ -10,6 +10,7 @@ orthogonal factors sign-fixed to determinant one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +45,14 @@ class SpecialLinearElement:
             raise ValueError("expected a non-empty square matrix")
         if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite")
-        det = np.linalg.det(a)
-        if det <= 0:
+        sign, log_det = np.linalg.slogdet(a)
+        if sign <= 0:
             raise ValueError("matrix must have positive determinant")
-        a = a / det ** (1.0 / a.shape[0])
+        peak = np.abs(a).max()  # divided out first: exp overflows only when singular
+        try:
+            a = a / peak * math.exp(math.log(peak) - log_det / a.shape[0])
+        except OverflowError:
+            raise ValueError("matrix is numerically singular") from None
         a.setflags(write=False)
         return SpecialLinearElement(a.shape[0], a)
 

@@ -16,10 +16,12 @@ and the hull test do no ``Fraction`` arithmetic.  The
 fundamental weights are rows of the inverse Cartan matrix, whose adjugate
 is rounded from floating point and proven exact by the integer identity
 ``cartan @ adj == det * I``.  ``n_of`` clears denominators and shares the
-pairing kernel ``(R G) x`` of ``n_of_many``, which runs in int64 while
-``max|x| * max_i sum_j |(R G)_ij| < 2**63`` bounds every partial sum, and in
-Python integers (``dtype=object``) otherwise, so the zero test is exact for
-every input.  Covector coordinates never pass through floating point.
+pairing kernel ``(R G) x`` of ``n_of_many``.  While
+``max|x| * max_i sum_j |(R G)_ij| < 2**53`` bounds every product and partial
+sum, it runs as a float64 BLAS product: each of those is an integer below
+``2**53``, so IEEE double computes it exactly in any summation order.
+Otherwise it runs in Python integers (``dtype=object``), so the zero test is
+exact for every input.  Covector coordinates are never rounded.
 
 Supported families: A, B, C, D, BC (non-reduced), G2, F4, E6, E7, E8.
 """
@@ -258,12 +260,14 @@ def _closure(gens: np.ndarray, seeds: np.ndarray) -> tuple[list[np.ndarray], lis
     return elements, words
 
 
-def _reduced_closure(gram: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """All roots of the reduced system, as coefficient vectors, via the
-    reflection orbit of the simple roots."""
+@lru_cache(maxsize=None)
+def _reduced_closure(gram: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """All roots of the reduced system, as sorted coefficient vectors, via
+    the reflection orbit of the simple roots.  Computed once per Gram matrix,
+    of which the rank ceiling allows a few hundred."""
     rank = len(gram)
     roots, _ = _closure(_simple_reflections(gram), np.eye(rank, dtype=np.int64)[:, :, None])
-    return sorted(tuple(root.ravel().tolist()) for root in roots)
+    return tuple(sorted(tuple(root.ravel().tolist()) for root in roots))
 
 
 def build_root_system(
@@ -285,15 +289,15 @@ def build_root_system(
         if int(value) != value or value <= 0:
             raise RootSystemError(f"invalid multiplicity {value!r} for class {key!r}")
 
-    gram_int = _gram_int(family, rank)
-    all_roots = _reduced_closure(gram_int)
+    gram = tuple(map(tuple, _gram_int(family, rank)))
+    all_roots = _reduced_closure(gram)
     positives = [v for v in all_roots if all(c >= 0 for c in v)]
     # Squared lengths from one integer product.  Root coefficients are at most
     # 6 and Gram entries at most 6 in absolute value, so each of the rank**2
     # terms is at most 216 and, under MAX_RANK, every sum stays below 2**20.
     coeffs = np.array(positives, dtype=np.int64)
     norm2 = dict(zip(positives, np.einsum(
-        "ri,ij,rj->r", coeffs, np.array(gram_int, dtype=np.int64), coeffs).tolist()))
+        "ri,ij,rj->r", coeffs, np.array(gram, dtype=np.int64), coeffs).tolist()))
 
     if family == "BC":
         # the double 2v of a short root v has squared length 4 |v|^2
@@ -314,7 +318,6 @@ def build_root_system(
             )
         roots.append(PositiveRoot(v, int(mult_assignment[cls])))
 
-    gram = tuple(tuple(row) for row in gram_int)
     labels = tuple(f"a{i + 1}" for i in range(rank))
     reduced = family != "BC"
     return RootSystem(family, rank, labels, gram, tuple(roots), reduced)
@@ -395,18 +398,23 @@ def n_of_many(sys: RootSystem, coords) -> np.ndarray:
 
     ``coords`` must be integral, of shape ``(count, rank)``; rational inputs
     should be scaled by a common denominator first (the orthogonality
-    pattern is scale-invariant).  The pairings are computed in int64 when
-    their partial sums provably fit, and in Python integers otherwise, so
-    the zero test is exact for every input.
+    pattern is scale-invariant).  The pairings are computed in float64 when
+    their partial sums provably stay below ``2**53``, and in Python integers
+    otherwise, so the zero test is exact for every input.
     """
     rows = _integer_rows(coords, sys.rank)
     pairing, mult, row_bound = _pairing_kernel(sys)
     largest = max(int(rows.max()), -int(rows.min())) if rows.size else 0
-    if largest * row_bound < 2 ** 63:
-        pairings = pairing @ rows.astype(np.int64, copy=False).T
+    if largest * row_bound < 2 ** 53:
+        # blocks of at most 2**18 multiply-adds, which OpenBLAS runs on one thread;
+        # on a busy two-core host its thread pool took 8 ms per E8 batch, one thread 0.7
+        weights = pairing.T.astype(np.float64)
+        floats, step = rows.astype(np.float64), max(1, 2 ** 18 // weights.size)
+        hits = np.concatenate([floats[start:start + step] @ weights != 0
+                               for start in range(0, max(len(floats), 1), step)])
     else:
-        pairings = pairing.astype(object) @ rows.astype(object, copy=False).T
-    return (pairings != 0).T @ mult
+        hits = (pairing.astype(object) @ rows.astype(object, copy=False).T).T != 0
+    return hits @ mult
 
 
 def kappa(sys: RootSystem) -> Fraction:
@@ -480,12 +488,15 @@ def weyl_group(sys: RootSystem, max_rank: int = 4) -> list[WeylElement]:
         raise RootSystemError(
             f"rank {sys.rank} exceeds the Weyl-group generation bound {max_rank}"
         )
-    elements, words = _closure(_simple_reflections(sys.gram),
-                               np.eye(sys.rank, dtype=np.int64)[None])
-    out = [WeylElement(tuple(map(tuple, mat.tolist())), word)
-           for mat, word in zip(elements, words)]
-    out.sort(key=lambda w: (len(w.word), w.word))
-    return out
+    return list(_weyl_elements(sys.gram))
+
+
+@lru_cache(maxsize=None)
+def _weyl_elements(gram: tuple[tuple[int, ...], ...]) -> tuple[WeylElement, ...]:
+    """The Weyl group of ``gram`` by word length, then word; computed once."""
+    elements, words = _closure(_simple_reflections(gram), np.eye(len(gram), dtype=np.int64)[None])
+    group = (WeylElement(tuple(map(tuple, m.tolist())), word) for m, word in zip(elements, words))
+    return tuple(sorted(group, key=lambda w: (len(w.word), w.word)))
 
 
 def _chamber_walk(cartan: list[list[int]], x: list[int]) -> list[int]:

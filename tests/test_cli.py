@@ -349,3 +349,46 @@ def test_selftest_single_fast_criterion():
     assert code == 0
     assert "criterion 10 [pass]" in out
     assert "1/1 criteria passed" in out
+
+
+def _quiet_run(*argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(*argv)
+
+
+@pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+@pytest.mark.parametrize("verb", ["iwasawa", "kak"])
+def test_extreme_scalar_matrix_is_the_identity(tmp_path, verb, scale):
+    identity, scaled = tmp_path / "identity.txt", tmp_path / "scaled.txt"
+    identity.write_text("2\n1 0\n0 1\n", encoding="utf-8")
+    scaled.write_text(f"2\n{scale} 0\n0 {scale}\n", encoding="utf-8")
+    code, out, err = _quiet_run(verb, "--matrix", str(scaled))
+    assert code == 0 and err == ""
+    assert out == run(verb, "--matrix", str(identity))[1]
+
+
+@pytest.mark.parametrize("group", ["sl2", "su2"])
+def test_statphase_tmin_rounding_to_zero_exits_two(group):
+    code, out, err = _quiet_run("statphase", "--group", group, "--Y", "2",
+                                "--tmin", "0.5", "--tmax", "4")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "rounds to t = 0" in err
+
+
+def test_statphase_underflowing_hessian_exits_two():
+    code, out, err = _quiet_run("statphase", "--group", "sl2", "--Y", "1e-300",
+                                "--xi", "1e-300", "--tmin", "1", "--tmax", "4")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "underflows" in err
+
+
+def test_expsum_out_of_range_phase_exits_one():
+    code, out, err = _quiet_run("expsum", "--fx", "1,-1", "--fy", "1,1", "--ux", "1e308,1",
+                                "--uy", "1,-1", "-N", "10")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "float64 range" in err
+    code, out, err = _quiet_run("expsum", "--fx", "1,-1", "--fy", "1,1", "--ux", "inf,1",
+                                "--uy", "1,-1", "-N", "10")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "finite" in err

@@ -32,6 +32,14 @@ def test_construction_rejects_nonpositive_determinant():
         SpecialLinearElement.from_array(np.ones((2, 3)))
 
 
+def test_construction_is_scale_free():
+    for scale in (1e-310, 1e-200, 1e200, 1e300):
+        g = SpecialLinearElement.from_array(scale * np.eye(2))
+        assert np.allclose(g.entries, np.eye(2), rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="numerically singular"):
+        SpecialLinearElement.from_array(np.diag([1.0] + [1e-320] * 29))
+
+
 def test_iwasawa_of_rotation_is_trivial():
     g = SpecialLinearElement.from_array(rotation(0.7))
     fac = lg.iwasawa(g)

@@ -542,3 +542,110 @@ def test_n_weyl_invariant_property(coords):
     base = rs.n_of(G2, lam)
     for w in rs.weyl_group(G2):
         assert rs.n_of(G2, w.apply(lam)) == base
+
+
+# ---------------------------------------------------------------------------
+# the float64 tier of n_of_many and the per-Gram caches
+# ---------------------------------------------------------------------------
+
+E8 = build("E8", 8, {"all": 1})
+
+
+def _straddling_rows(system, largest):
+    """Rows whose largest absolute entry is ``largest``: ``largest e_1`` and,
+    for each positive root, a row orthogonal to it and the same row moved by
+    one unit along a coordinate the root pairs with, both nearly as large.
+    A product that rounded its inputs would read the moved row's small,
+    nonzero pairing as zero."""
+    rank = system.rank
+    rows = [[largest] + [0] * (rank - 1)]
+    for root in system.positive_roots:
+        p = [sum(c * g for c, g in zip(root.coeffs, column)) for column in zip(*system.gram)]
+        i = min((k for k in range(rank) if p[k]), key=lambda k: abs(p[k]))
+        j = next((k for k in range(rank) if k != i and p[k]), None)
+        u = [0] * rank
+        if j is None:
+            u[(i + 1) % rank] = 1
+        else:
+            u[i], u[j] = p[j], -p[i]
+        scale = (largest - 1) // max(abs(c) for c in u)
+        row = [scale * c for c in u]
+        rows.append(row)
+        rows.append([c + (k == i) for k, c in enumerate(row)])
+    return rows
+
+
+@pytest.mark.parametrize("system", [B2, BC2, G2, F4, E8], ids=["B2", "BC2", "G2", "F4", "E8"])
+def test_n_of_many_exact_across_float64_bound(system):
+    row_bound = rs._pairing_kernel(system)[2]
+    # no row bound here divides 2**53 - 1 or 2**53 + 1, so each target is
+    # straddled by the largest entries just below and just above it
+    targets = [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1]
+    sizes = sorted({t // row_bound for t in targets} | {-(-t // row_bound) for t in targets}
+                   | {2 ** 53, 2 ** 60, (2 ** 63 - 1) // row_bound})
+    assert any(2 ** 53 - row_bound <= s * row_bound < 2 ** 53 for s in sizes)
+    assert any(2 ** 53 <= s * row_bound < 2 ** 53 + row_bound for s in sizes)
+    for largest in sizes:
+        rows = _straddling_rows(system, largest)
+        expected = [_recount(system, row) for row in rows]
+        for batch in (rows, np.array(rows, dtype=np.int64)):
+            assert rs.n_of_many(system, batch).tolist() == expected, largest
+        if largest == 2 ** 60:
+            # the rows do probe cancellation: rounded to float64 they miscount
+            pairing = np.array([[sum(c * g for c, g in zip(r.coeffs, column))
+                                 for column in zip(*system.gram)]
+                                for r in system.positive_roots], dtype=np.float64)
+            mult = [r.multiplicity for r in system.positive_roots]
+            rounded = ((np.array(rows, dtype=np.float64) @ pairing.T) != 0) @ mult
+            assert rounded.tolist() != expected
+
+
+def test_weyl_group_result_is_callers_own():
+    first = rs.weyl_group(G2)
+    expected = [(w.matrix, w.word) for w in first]
+    first.reverse()
+    first.pop()
+    first.append(first[0])
+    again = rs.weyl_group(G2)
+    assert [(w.matrix, w.word) for w in again] == expected
+    assert again is not first
+
+
+def test_shared_gram_keeps_each_systems_multiplicities():
+    rs._reduced_closure.cache_clear()
+    b2 = build("B", 2, {"short": 1, "long": 3})
+    b2_other = build("B", 2, {"short": 5, "long": 2})
+    bc2 = build("BC", 2, {"short": 2, "medium": 7, "long": 4})
+    assert b2.gram == b2_other.gram == bc2.gram
+    assert [(r.coeffs, r.multiplicity) for r in b2.positive_roots] == [
+        ((0, 1), 1), ((1, 0), 3), ((1, 1), 1), ((1, 2), 3)]
+    assert [(r.coeffs, r.multiplicity) for r in b2_other.positive_roots] == [
+        ((0, 1), 5), ((1, 0), 2), ((1, 1), 5), ((1, 2), 2)]
+    assert [(r.coeffs, r.multiplicity) for r in bc2.positive_roots] == [
+        ((0, 1), 2), ((0, 2), 4), ((1, 0), 7), ((1, 1), 2), ((1, 2), 7), ((2, 2), 4)]
+    assert rs.kappa(b2) != rs.kappa(b2_other)
+
+
+def test_closure_runs_once_per_gram_over_catalog(monkeypatch):
+    calls = []
+    closure = rs._closure
+
+    def counted(gens, seeds):
+        calls.append(gens.tobytes())
+        return closure(gens, seeds)
+
+    monkeypatch.setattr(rs, "_closure", counted)
+    rs._reduced_closure.cache_clear()
+    rs._weyl_elements.cache_clear()
+    try:
+        systems = [cat.instantiate(entry) for entry in cat.builtin_catalog().entries]
+        grams = {system.gram for system in systems}
+        assert len(calls) == len(grams) < len(systems)
+        del calls[:]
+        low_rank = [system for system in systems if system.rank <= 4]
+        for system in low_rank:
+            rs.weyl_group(system)
+        assert len(calls) == len({system.gram for system in low_rank}) < len(low_rank)
+    finally:
+        rs._reduced_closure.cache_clear()
+        rs._weyl_elements.cache_clear()
