@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .spherical import legendre, sl2_chamber_coordinate
+from .spherical import legendre_rows, sl2_chamber_coordinate
 
 __all__ = [
     "DecayFit",
@@ -358,19 +358,24 @@ def singular_blowup_check(
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     degrees = sorted(int(n) for n in n_list)
+    if not degrees:
+        raise ValueError("need at least one degree")
+    if degrees[0] < 0:
+        raise ValueError("degree must be nonnegative")
+    scales = [n ** -2 if n > 0 else 0.0 for n in degrees]
+    for n, scale in zip(degrees, scales):
+        if not np.any(thetas >= scale):
+            raise ValueError(f"no approach angle at scale n^-2 for n={n}")
 
     wall = []
     interior = []
-    cos_grid = np.cos(thetas)
-    for n in degrees:
-        values = legendre(n, cos_grid)
-        allowed = thetas >= (n ** -2 if n > 0 else 0.0)
-        if not np.any(allowed):
-            raise ValueError(f"no approach angle at scale n^-2 for n={n}")
-        quot = np.abs(1.0 - values[allowed]) / thetas[allowed] ** alpha
+    # one recurrence pass; the last column is the interior angle
+    table = legendre_rows(degrees, np.append(np.cos(thetas), math.cos(interior_theta)))
+    for row, scale in zip(table, scales):
+        allowed = thetas >= scale
+        quot = np.abs(1.0 - row[:-1][allowed]) / thetas[allowed] ** alpha
         wall.append(float(quot.max()))
-        p_fixed = legendre(n, math.cos(interior_theta))
-        interior.append(float(abs(1.0 - p_fixed) / interior_theta ** alpha))
+        interior.append(float(abs(1.0 - row[-1]) / interior_theta ** alpha))
 
     wall_growth = wall[-1] / wall[0] if wall[0] else math.inf
     finite = [q for q in interior if q > 0]

@@ -260,8 +260,7 @@ def cmd_spherical(args) -> int:
             for y in points:
                 if not 0.0 < y < math.pi:
                     raise CliError("su2 points must lie in (0, pi)")
-                for t in ts:
-                    n = int(round(t))
+                for n in dict.fromkeys(int(round(t)) for t in ts):  # whole, distinct degrees
                     value = sph.spherical_compact_su2(n, y)
                     emit(float(n), (y,), complex(value), 0.0)
         else:
@@ -364,6 +363,7 @@ def cmd_statphase(args) -> int:
     while t <= args.tmax + 1e-9:
         ts.append(int(round(t)))
         t *= 2
+    ts = list(dict.fromkeys(ts))  # two steps can round to the same whole t
     if len(ts) < 2:
         raise CliError("need at least two dyadic steps between --tmin and --tmax")
     if ts[0] == 0:

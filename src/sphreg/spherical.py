@@ -41,6 +41,7 @@ each level evaluates only the midpoints of the level before.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,7 @@ __all__ = [
     "SphericalValue",
     "deriv_spherical_sl2",
     "legendre",
+    "legendre_rows",
     "legendre_sequence",
     "sl2_chamber_coordinate",
     "sl2_sweep_nodes",
@@ -152,8 +154,9 @@ def _nested_trapezoid(integrand, fold: int, config: QuadratureConfig):
     current = integrand(theta) @ weights
     while True:
         previous, nodes = current, 2 * nodes
-        theta, weights = _folded_grid(nodes, fold)
-        current = 0.5 * previous + integrand(theta[1::2]) @ weights[1::2]
+        m = nodes // fold  # the new midpoints are the odd multiples of the step
+        theta = (2.0 * np.pi / fold) * np.arange(1, m, 2) / m
+        current = 0.5 * previous + integrand(theta) @ np.full(len(theta), 1.0 / m)
         err = abs(current - previous)
         scale = max(1.0, abs(current))
         if err <= config.target * scale:
@@ -208,11 +211,14 @@ def sl2_sweep_nodes(xi_peak: float, t_geo: float, safety: float = 1.3,
 
 def spherical_sl2_sweep(xis: np.ndarray, eta: float, t_geo: float, nodes: int) -> np.ndarray:
     """Fixed-node Mehler-Dirichlet values for many real spectral values; ``nodes``
-    must resolve the largest (``sl2_sweep_nodes``).  Memory: ``len(xis) * nodes / 4``."""
+    must resolve the largest (``sl2_sweep_nodes``).  Memory: ``len(xis) * nodes / 4``.
+    At ``eta == 0`` the sine term vanishes and is not evaluated."""
     theta, weights = _folded_grid(nodes, 4)
     s = 2.0 * t_geo * np.cos(theta)
     amplitude = weights * sl2_mehler_amplitude(t_geo, theta)
     phase = np.outer(np.asarray(xis, dtype=float), s)
+    if eta == 0.0:
+        return np.cos(phase) @ amplitude + 0j
     return (np.cos(phase) @ (amplitude * np.cosh(eta * s))
             - 1j * (np.sin(phase) @ (amplitude * np.sinh(eta * s))))
 
@@ -300,30 +306,54 @@ def spherical_sl3(lam: SpectralParameter, a_log, samples: int = 10_000,
     return SphericalValue(complex(total / samples), samples, stderr)
 
 
-def legendre(n: int, x):
-    """Classical degree-``n`` polynomial on [-1, 1] by the three-term
-    recurrence; the oracle for the compact rank-one spherical functions."""
-    if n < 0:
+def legendre_rows(degrees, x) -> np.ndarray:
+    """``P_n(x)`` on [-1, 1] for each ``n`` in ``degrees``, stacked on a new
+    first axis, from one pass of the three-term recurrence to the largest
+    degree; degrees may repeat and come in any order.  A scalar ``x`` runs on
+    Python floats, an array in three rotating buffers, with the same
+    operations in the same order either way."""
+    degrees = [operator.index(n) for n in degrees]
+    if not degrees:
+        raise ValueError("need at least one degree")
+    if min(degrees) < 0:
         raise ValueError("degree must be nonnegative")
+    top = max(degrees)
     x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = x.copy()
-    for k in range(1, n):
-        p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
-    return p if p.ndim else float(p)
+    if x.ndim == 0:
+        x = float(x)
+        seq = [1.0, x]
+        for k in range(1, top):
+            seq.append(((2 * k + 1) * x * seq[k] - k * seq[k - 1]) / (k + 1))
+        return np.array(seq)[degrees]
+    rows_at = {}
+    for i, n in enumerate(degrees):
+        rows_at.setdefault(n, []).append(i)
+    out = np.empty((len(degrees),) + x.shape)
+    out[rows_at.get(0, [])] = 1.0
+    out[rows_at.get(1, [])] = x
+    p_prev, p, buf = np.ones_like(x), x.copy(), np.empty_like(x)
+    for k in range(1, top):
+        np.multiply(2 * k + 1, x, out=buf)
+        buf *= p
+        p_prev *= k
+        buf -= p_prev
+        buf /= k + 1
+        p_prev, p, buf = p, buf, p_prev
+        for i in rows_at.get(k + 1, ()):
+            out[i] = p
+    return out
+
+
+def legendre(n: int, x):
+    """Classical degree-``n`` polynomial on [-1, 1]; the oracle for the
+    compact rank-one spherical functions."""
+    value = legendre_rows([n], x)[0]
+    return value if value.ndim else float(value)
 
 
 def legendre_sequence(n_max: int, x: float) -> np.ndarray:
     """Values of all degrees 0..n_max at a scalar point."""
-    out = np.empty(n_max + 1)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = x
-    for k in range(1, n_max):
-        out[k + 1] = ((2 * k + 1) * x * out[k] - k * out[k - 1]) / (k + 1)
-    return out
+    return legendre_rows(range(n_max + 1), x)
 
 
 def spherical_compact_su2(

@@ -254,6 +254,55 @@ def test_singular_blowup_growth_and_interior():
     assert report.interior_ratio < 2.0
 
 
+def _legendre_reference(n, x):
+    """The three-term recurrence restarted from degree 0 for one degree."""
+    x = np.asarray(x, dtype=float)
+    p_prev = np.ones_like(x)
+    if n == 0:
+        return p_prev if p_prev.ndim else float(p_prev)
+    p = x.copy()
+    for k in range(1, n):
+        p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
+    return p if p.ndim else float(p)
+
+
+def _per_degree_blowup(thetas, n_list, alpha=0.5, interior_theta=0.3):
+    """Wall and interior quotients with one recurrence per degree: the
+    oracle for the single-pass table."""
+    thetas = np.asarray(sorted(thetas), dtype=float)
+    wall, interior = [], []
+    for n in sorted(int(n) for n in n_list):
+        values = _legendre_reference(n, np.cos(thetas))
+        allowed = thetas >= (n ** -2 if n > 0 else 0.0)
+        quot = np.abs(1.0 - values[allowed]) / thetas[allowed] ** alpha
+        wall.append(float(quot.max()))
+        p_fixed = _legendre_reference(n, math.cos(interior_theta))
+        interior.append(float(abs(1.0 - p_fixed) / interior_theta ** alpha))
+    return wall, interior
+
+
+@pytest.mark.parametrize("thetas", [np.geomspace(1e-8, 0.49, 400), np.geomspace(1e-4, 0.4, 50),
+                                    np.linspace(0.49, 0.01, 37)])
+@pytest.mark.parametrize("degrees", [
+    sorted({int(round(10 ** (1 + 3 * k / 12))) for k in range(13)}),
+    [0, 10], [40, 5, 3, 3, 0], [3, 2000, 7, 2000]])
+def test_singular_blowup_equals_per_degree_oracle(thetas, degrees):
+    report = asy.singular_blowup_check(thetas, degrees)
+    wall, interior = _per_degree_blowup(thetas, degrees)
+    assert repr(report.wall_quotients) == repr(tuple(wall))
+    assert repr(report.interior_quotients) == repr(tuple(interior))
+
+
+@pytest.mark.parametrize("degrees", [[10, -1], [10 ** 7, 1], []])
+def test_singular_blowup_validates_every_degree_before_the_recurrence(monkeypatch, degrees):
+    def no_recurrence(*args):
+        raise AssertionError("recurrence ran before the degrees were checked")
+
+    monkeypatch.setattr(asy, "legendre_rows", no_recurrence)
+    with pytest.raises(ValueError):
+        asy.singular_blowup_check([0.01, 0.1], degrees)
+
+
 def test_singular_blowup_guards():
     with pytest.raises(ValueError):
         asy.singular_blowup_check([0.6], [10])

@@ -334,6 +334,24 @@ def test_statphase_verbs():
     assert len(out.strip().splitlines()) == 4
 
 
+def test_statphase_steps_that_round_alike_give_one_row():
+    # 0.6 and 1.2 both round to t = 1
+    code, out, _ = run("statphase", "--group", "sl2", "--Y", "2",
+                       "--tmin", "0.6", "--tmax", "4")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.strip().splitlines()[1:]] == ["1", "2"]
+    code, out, err = _quiet_run("statphase", "--group", "su2", "--Y", "1",
+                                "--tmin", "0.6", "--tmax", "1.3")
+    assert code == 2 and out == "" and "two dyadic steps" in err
+
+
+def test_spherical_su2_degrees_that_round_alike_give_one_row():
+    code, out, _ = run("spherical", "--group", "su2", "--points", "1.0",
+                       "--tmin", "1", "--tmax", "3", "--tsteps", "6")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.strip().splitlines()[1:]] == ["1", "2", "3"]
+
+
 def test_expsum_verb():
     code, out, _ = run("expsum", "--fx", "1", "--fy", "0", "--ux", "0.7",
                        "--uy", "0.7", "-m", "3", "-N", "50")

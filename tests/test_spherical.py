@@ -215,6 +215,55 @@ def test_folded_sweep_equals_full_turn_mean():
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
+@pytest.mark.parametrize("y", [1.3, -0.7])
+def test_sweep_at_eta_zero_is_real_and_equals_the_two_product_form(y):
+    xis, nodes = np.array([0.5, 9.0, 40.0]), 8192
+    got = sph.spherical_sl2_sweep(xis, 0.0, y, nodes)
+    theta, weights = sph._folded_grid(nodes, 4)
+    s = 2.0 * y * np.cos(theta)
+    amplitude = weights * sph.sl2_mehler_amplitude(y, theta)
+    phase = np.outer(xis, s)
+    want = (np.cos(phase) @ (amplitude * np.cosh(0.0 * s))
+            - 1j * (np.sin(phase) @ (amplitude * np.sinh(0.0 * s))))
+    assert got.dtype == complex and np.all(got.imag == 0.0)
+    assert got.real.tobytes() == want.real.tobytes()
+
+
+def _full_grid_nested_trapezoid(integrand, fold, config):
+    """The doubling loop that slices each level's midpoints from the full
+    folded grid: the oracle for the midpoint-only loop."""
+    nodes = config.n_start
+    theta, weights = sph._folded_grid(nodes, fold)
+    current = integrand(theta) @ weights
+    while True:
+        previous, nodes = current, 2 * nodes
+        theta, weights = sph._folded_grid(nodes, fold)
+        current = 0.5 * previous + integrand(theta[1::2]) @ weights[1::2]
+        err = abs(current - previous)
+        scale = max(1.0, abs(current))
+        if err <= config.target * scale or nodes >= config.n_max:
+            return current, nodes, err
+
+
+@pytest.mark.parametrize("n_start", [64, 1024])
+def test_midpoint_doubling_equals_full_grid_oracle(n_start):
+    config = QuadratureConfig(n_start=n_start, n_max=1 << 18, target=1e-12, fail=1.0)
+    cases = [(4, 2.0 * 1.4 * (1j * 37.0 + 0.3), 1.4), (4, 2.0 * 0.6 * (1j * 300.0), 0.6),
+             (4, 2.0 * 2.1 * (-0.5), 2.1)]
+    for fold, w, y in cases:
+        def integrand(a):
+            return np.cosh(w * np.cos(a)) * sph.sl2_mehler_amplitude(y, a)
+        got = sph._nested_trapezoid(integrand, fold, config)
+        want = _full_grid_nested_trapezoid(integrand, fold, config)
+        assert repr(got) == repr(want)
+    for n, theta in [(0, 1.0), (17, 2.2), (500, 0.4), (1000, 2.9)]:
+        def integrand(phi):
+            return np.exp(n * np.log(np.cos(theta) + 1j * np.sin(theta) * np.cos(phi)))
+        got = sph._nested_trapezoid(integrand, 2, config)
+        want = _full_grid_nested_trapezoid(integrand, 2, config)
+        assert repr(got) == repr(want)
+
+
 @pytest.mark.parametrize("xi,eta,y", [(0.7, 0.2, 0.9), (6.0, -0.4, 1.6), (15.0, 0.0, 0.3),
                                       (3.0, 0.5, -1.2), (0.0, 0.75, 2.0)])
 def test_value_equals_converged_laplace_mean(xi, eta, y):
@@ -342,6 +391,28 @@ def test_legendre_recurrence():
     seq = sph.legendre_sequence(60, 0.41)
     assert seq[60] == pytest.approx(sph.legendre(60, 0.41), abs=1e-14)
     assert np.all(np.abs(seq) <= 1.0 + 1e-12)
+
+
+def test_legendre_rows_match_scipy_and_the_sequence():
+    xs = np.linspace(-1, 1, 41)
+    degrees = [60, 0, 17, 2, 17, 1, 5]  # unsorted, repeated
+    rows = sph.legendre_rows(degrees, xs)
+    assert rows.shape == (len(degrees), len(xs))
+    for n, row in zip(degrees, rows):
+        assert np.allclose(row, eval_legendre(n, xs), rtol=0, atol=1e-12)
+    for x in (0.41, -0.93, math.cos(2.2)):
+        seq = sph.legendre_sequence(60, x)
+        scalar = sph.legendre_rows(degrees, x)
+        array = sph.legendre_rows(degrees, np.array([x, 0.5]))[:, 0]
+        assert scalar.tobytes() == seq[degrees].tobytes() == array.tobytes()
+
+
+@pytest.mark.parametrize("degrees", [[-1, 3], [], [4, -2]])
+def test_legendre_rows_reject_bad_degree_lists(degrees):
+    with pytest.raises(ValueError):
+        sph.legendre_rows(degrees, 0.3)
+    with pytest.raises(ValueError):
+        sph.legendre_rows(degrees, np.array([0.1, 0.2]))
 
 
 def test_compact_integral_examples():
