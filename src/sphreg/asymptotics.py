@@ -75,6 +75,8 @@ def decay_fit(samples: Sequence[tuple[float, float]]) -> DecayFit:
     mags = np.array([s[1] for s in samples], dtype=float)
     if np.any(np.diff(ts) <= 0):
         raise ValueError("abscissas must be strictly increasing")
+    if ts[0] <= 0:
+        raise ValueError("abscissas must be positive")
     if np.any(mags <= 0):
         raise ValueError("magnitudes must be positive")
     x = np.log(ts)

@@ -4,6 +4,9 @@ Verbs: kappa, table, weights, region, iwasawa, kak, spherical, decay,
 holder, statphase, expsum, selftest.  Exit codes: 0 success, 1
 computational failure, 2 usage error.  Numeric output is locale independent
 with '.' as the decimal separator; exact rationals print as p/q.
+
+Each verb imports only the layers it uses, so ``kappa`` loads neither the
+quadrature nor the acceptance modules.
 """
 
 from __future__ import annotations
@@ -14,14 +17,12 @@ import math
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import accept, asymptotics as asy, catalog as cat, liegroup as lg
-from . import rootsys as rs
-from . import spherical as sph
-from .rootsys import Covector, RootSystemError
-from .spherical import QuadratureConfig, QuadratureError, SpectralParameter
+if TYPE_CHECKING:
+    from . import catalog as cat, liegroup as lg, rootsys as rs, spherical as sph
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
@@ -72,15 +73,19 @@ def _parse_complexes(text: str) -> list[complex]:
 
 
 def _build_system(args) -> rs.RootSystem:
+    from . import rootsys as rs
+
     if args.rank is None or args.rank < 1:
         raise CliError("a positive --rank is required")
     try:
         return rs.build_root_system(args.family, args.rank, _parse_mult(args.mult))
-    except RootSystemError as exc:
+    except rs.RootSystemError as exc:
         raise CliError(str(exc)) from exc
 
 
 def _load_catalog(args) -> cat.CatalogFile:
+    from . import catalog as cat
+
     path = args.catalog or os.environ.get("KAPPA_CATALOG") or "default"
     try:
         if path == "default":
@@ -98,12 +103,16 @@ def _load_catalog(args) -> cat.CatalogFile:
 # ---------------------------------------------------------------------------
 
 def cmd_kappa(args) -> int:
+    from . import rootsys as rs
+
     system = _build_system(args)
     print(rs.kappa(system))
     return 0
 
 
 def cmd_table(args) -> int:
+    from . import catalog as cat
+
     catalog = _load_catalog(args)
     rows = cat.kappa_table(catalog)
     mismatch = False
@@ -129,6 +138,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_weights(args) -> int:
+    from . import rootsys as rs
+
     system = _build_system(args)
     weights = rs.fundamental_weights(system)
     for i, weight in enumerate(weights, start=1):
@@ -139,16 +150,20 @@ def cmd_weights(args) -> int:
 
 
 def cmd_region(args) -> int:
+    from . import rootsys as rs
+
     system = _build_system(args)
     coords = _parse_rationals(args.eta)
     if len(coords) != system.rank:
         raise CliError(f"--eta needs {system.rank} coordinates")
-    inside = rs.in_bounded_region(system, Covector(tuple(coords)))
+    inside = rs.in_bounded_region(system, rs.Covector(tuple(coords)))
     print("inside" if inside else "outside")
     return 0
 
 
 def _read_matrix_file(path: str) -> lg.SpecialLinearElement:
+    from . import liegroup as lg
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return lg.read_matrix(handle.read())
@@ -165,6 +180,8 @@ def _print_matrix(name: str, matrix: np.ndarray, digits: int) -> None:
 
 
 def cmd_iwasawa(args) -> int:
+    from . import liegroup as lg
+
     g = _read_matrix_file(args.matrix)
     try:
         fac = lg.iwasawa(g)
@@ -179,6 +196,8 @@ def cmd_iwasawa(args) -> int:
 
 
 def cmd_kak(args) -> int:
+    from . import liegroup as lg
+
     g = _read_matrix_file(args.matrix)
     try:
         fac = lg.kak(g)
@@ -205,14 +224,19 @@ def _spectral_ts(args) -> np.ndarray:
     return np.geomspace(args.tmin, args.tmax, args.tsteps)
 
 
-def _sl2_config(xi_peak: float, y: float) -> QuadratureConfig:
+def _sl2_config(xi_peak: float, y: float) -> sph.QuadratureConfig:
     """Adaptive rank-one rule for spectral values up to ``xi_peak`` at ``Y = y``:
     at most twice the count ``sl2_sweep_nodes`` gives, and at least 8192 nodes."""
-    return QuadratureConfig(n_start=1024, n_max=max(8192, 2 * sph.sl2_sweep_nodes(xi_peak, y)),
-                            target=1e-12, fail=1e-7)
+    from . import spherical as sph
+
+    return sph.QuadratureConfig(n_start=1024,
+                                n_max=max(8192, 2 * sph.sl2_sweep_nodes(xi_peak, y)),
+                                target=1e-12, fail=1e-7)
 
 
 def cmd_spherical(args) -> int:
+    from . import spherical as sph
+
     points = _parse_floats(args.points) if args.points else None
     if args.ygrid:
         try:
@@ -239,7 +263,7 @@ def cmd_spherical(args) -> int:
             for y in points:
                 config = _sl2_config(float(ts[-1]) * abs(xi) + abs(eta) + 1.0, y)
                 for t in ts:
-                    lam = SpectralParameter.rank1(t * xi, eta)
+                    lam = sph.SpectralParameter.rank1(t * xi, eta)
                     value = sph.spherical_sl2(lam, y, config)
                     emit(t, (y,), value.value, value.estimated_error)
         elif args.group == "sl3":
@@ -249,10 +273,12 @@ def cmd_spherical(args) -> int:
                 raise CliError("sl3 needs two --xi and two --eta coordinates")
             if len(points) % 2 != 0:
                 raise CliError("sl3 --points must be Y1,Y2 pairs")
+            if args.samples < 2:
+                raise CliError("sl3 needs --samples >= 2 for a standard error")
             pairs = [(points[i], points[i + 1]) for i in range(0, len(points), 2)]
             for y1, y2 in pairs:
                 for t in ts:
-                    lam = SpectralParameter.rank2((t * xi[0], t * xi[1]), tuple(eta))
+                    lam = sph.SpectralParameter.rank2((t * xi[0], t * xi[1]), tuple(eta))
                     value = sph.spherical_sl3(lam, (y1, y2), samples=args.samples,
                                               seed=args.seed)
                     emit(t, (y1, y2), value.value, value.estimated_error)
@@ -265,9 +291,11 @@ def cmd_spherical(args) -> int:
                     emit(float(n), (y,), complex(value), 0.0)
         else:
             raise CliError(f"unknown group {args.group!r}")
-    except QuadratureError as exc:
+    except sph.QuadratureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return COMPUTE_ERROR
+    except FloatingPointError as exc:
+        raise CliError(f"sl3 value out of float64 range: {exc}", COMPUTE_ERROR) from exc
     except ValueError as exc:  # a spectral value, degree or chamber point out of range
         raise CliError(str(exc)) from exc
     print("\n".join(lines))
@@ -278,7 +306,7 @@ CSV_COLUMNS = ("t", "Y", "re", "im")
 
 
 def _read_csv_rows(path: str) -> list[dict[str, float]]:
-    """Rows of a spherical CSV with numeric fields; the columns in
+    """Rows of a spherical CSV with finite numeric fields; the columns in
     ``CSV_COLUMNS`` are required."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -304,11 +332,15 @@ def _read_csv_rows(path: str) -> list[dict[str, float]]:
             except ValueError:
                 raise CliError(f"{path}: line {number}: non-numeric {name!r} "
                                f"value {text!r}") from None
+            if not math.isfinite(row[name]):
+                raise CliError(f"{path}: line {number}: non-finite {name!r} value {text!r}")
         rows.append(row)
     return rows
 
 
 def cmd_decay(args) -> int:
+    from . import asymptotics as asy
+
     rows = _read_csv_rows(args.input)
     # one fit per chamber point; sl3 rows carry a second coordinate Y2
     names = ["Y", "Y2"] if rows and "Y2" in rows[0] else ["Y"]
@@ -332,6 +364,8 @@ def cmd_decay(args) -> int:
 
 
 def cmd_holder(args) -> int:
+    from . import asymptotics as asy
+
     rows = _read_csv_rows(args.input)
     if rows and "Y2" in rows[0]:
         raise CliError("holder needs one chamber coordinate; the input has a Y2 column")
@@ -340,8 +374,8 @@ def cmd_holder(args) -> int:
     family = {}
     for t in ts:
         sub = sorted(((row["Y"], complex(row["re"], row["im"]))
-                      for row in rows if row["t"] == t))
-        if len(sub) != grid.size:
+                      for row in rows if row["t"] == t), key=lambda pair: pair[0])
+        if [y for y, _ in sub] != grid.tolist():  # each Y exactly once
             raise CliError("input is not a complete t x Y grid")
         family[t] = np.array([abs(v) if args.magnitude else v.real for _, v in sub])
     for alpha in _parse_floats(args.alpha):
@@ -357,6 +391,8 @@ def cmd_holder(args) -> int:
 
 
 def cmd_statphase(args) -> int:
+    from . import asymptotics as asy, spherical as sph
+
     _check_t_range(args)
     ts = []
     t = args.tmin
@@ -375,7 +411,7 @@ def cmd_statphase(args) -> int:
             amplitude = asy.spherical_amplitude_sl2(args.Y)
             config = _sl2_config(ts[-1] * args.xi, args.Y)
             for t in ts:
-                quad = sph.spherical_sl2(SpectralParameter.rank1(t * args.xi), args.Y,
+                quad = sph.spherical_sl2(sph.SpectralParameter.rank1(t * args.xi), args.Y,
                                          config).value
                 lead = asy.leading_term_sl2(args.xi, args.Y, t, amplitude).total
                 lines.append(f"{t},{_fmt(quad.real, digits)},{_fmt(quad.imag, digits)},"
@@ -399,6 +435,8 @@ def cmd_statphase(args) -> int:
 
 
 def cmd_expsum(args) -> int:
+    from . import asymptotics as asy
+
     fx = _parse_complexes(args.fx)
     fy = _parse_complexes(args.fy)
     ux = _parse_floats(args.ux)
@@ -414,6 +452,8 @@ def cmd_expsum(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import accept
+
     only = None
     if args.only:
         try:

@@ -23,6 +23,16 @@ sum, it runs as a float64 BLAS product: each of those is an integer below
 Otherwise it runs in Python integers (``dtype=object``), so the zero test is
 exact for every input.  Covector coordinates are never rounded.
 
+Each constant is computed once, at the level it depends on, and no system
+is hashed on the way.  Those that depend on the multiplicities live on the
+``RootSystem`` instance, made on first use: the pairing kernel (``R G`` in
+float64, the multiplicities, the row bound), ``2 rho`` and the
+doubled-simple-root flags.  Those that depend only on the Gram matrix are
+cached on the ``gram`` tuple, of which the rank ceiling allows a few
+hundred: the root closure, the Weyl group, the Cartan matrix (as an array
+and as Python rows) and the integer inverse ``(det, adj)`` of the Cartan
+matrix.
+
 Supported families: A, B, C, D, BC (non-reduced), G2, F4, E6, E7, E8.
 """
 
@@ -32,8 +42,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -109,9 +119,21 @@ class WeylElement:
                               for row in self.matrix))
 
 
+class _PairingKernel(NamedTuple):
+    weights: np.ndarray  # ``(R G)^T``, one column per positive root, in float64
+    mult: np.ndarray     # int64 multiplicities
+    row_bound: int       # largest absolute row sum of ``R G``
+
+
 @dataclass(frozen=True)
 class RootSystem:
-    """Restricted root system with multiplicities, over exact rationals."""
+    """Restricted root system with multiplicities, over exact rationals.
+
+    The per-system constants below are computed on first use and kept in the
+    instance ``__dict__`` (``cached_property`` writes there directly, past the
+    frozen ``__setattr__``).  They are not fields, so equality and hashing
+    ignore them, and no cache outside the instance keeps it alive.
+    """
 
     family: str
     rank: int
@@ -119,6 +141,33 @@ class RootSystem:
     gram: tuple[tuple[int, ...], ...]
     positive_roots: tuple[PositiveRoot, ...]
     reduced: bool
+
+    @cached_property
+    def _kernel(self) -> _PairingKernel:
+        """The pairing kernel of ``n_of`` and ``n_of_many``, arrays read-only.
+        Root coefficients and Gram entries are at most 6 in absolute value, so
+        under ``MAX_RANK`` each entry of ``R G`` is an integer of at most
+        ``64 * 6 * 6`` and float64 holds it exactly."""
+        coeffs = np.array([r.coeffs for r in self.positive_roots], dtype=np.int64)
+        pairing = coeffs @ np.array(self.gram, dtype=np.int64)
+        weights = pairing.T.astype(np.float64)
+        mult = np.array([r.multiplicity for r in self.positive_roots], dtype=np.int64)
+        for array in (weights, mult):
+            array.setflags(write=False)
+        return _PairingKernel(weights, mult, int(np.abs(pairing).sum(axis=1).max()))
+
+    @cached_property
+    def _two_rho(self) -> tuple[int, ...]:
+        """Sum of positive roots weighted by multiplicities, in integers."""
+        return tuple(sum(column) for column in zip(
+            *([r.multiplicity * c for c in r.coeffs] for r in self.positive_roots)))
+
+    @cached_property
+    def _doubled_simple(self) -> tuple[bool, ...]:
+        """Whether twice each simple root is again a positive root."""
+        coeff_set = {r.coeffs for r in self.positive_roots}
+        return tuple(tuple(2 * int(j == i) for j in range(self.rank)) in coeff_set
+                     for i in range(self.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +262,26 @@ def _gram_int(family: str, rank: int) -> list[list[int]]:
     return g
 
 
-def _cartan_from_gram(gram: Sequence[Sequence[int]]) -> np.ndarray:
-    """Cartan integers c[i][j] = 2<a_i, a_j>/<a_j, a_j>; exact and integral."""
+@lru_cache(maxsize=None)
+def _cartan_from_gram(gram: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Cartan integers c[i][j] = 2<a_i, a_j>/<a_j, a_j>; exact and integral.
+    A read-only int64 array, computed once per Gram matrix."""
     gram = np.array(gram, dtype=np.int64)
     double, diagonal = 2 * gram, gram.diagonal()
     if np.any(double % diagonal):
         raise RootSystemError("non-crystallographic Gram matrix")
-    return double // diagonal
+    cartan = double // diagonal
+    cartan.setflags(write=False)
+    return cartan
 
 
-def _simple_reflections(gram: Sequence[Sequence[int]]) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _cartan_rows(gram: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The Cartan matrix of ``gram`` in Python integers, for the chamber walk."""
+    return tuple(map(tuple, _cartan_from_gram(gram).tolist()))
+
+
+def _simple_reflections(gram: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """Stacked int64 matrices of the simple reflections in simple-root
     coordinates: row ``i`` of ``s_i`` is ``e_i - cartan[:, i]``, its other
     rows are those of the identity."""
@@ -349,14 +408,10 @@ def inner(sys: RootSystem, lam: Covector, mu: Covector) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
-def _pairing_kernel(sys: RootSystem) -> tuple[np.ndarray, np.ndarray, int]:
-    """Integer matrix ``R G`` (one row per positive root), the multiplicities,
-    and the largest absolute row sum of ``R G``."""
-    coeffs = np.array([r.coeffs for r in sys.positive_roots], dtype=np.int64)
-    pairing = coeffs @ np.array(sys.gram, dtype=np.int64)
-    mult = np.array([r.multiplicity for r in sys.positive_roots], dtype=np.int64)
-    return pairing, mult, int(np.abs(pairing).sum(axis=1).max())
+def _pairing_kernel(sys: RootSystem) -> _PairingKernel:
+    """``(R G)^T`` in float64 (one column per positive root), the
+    multiplicities and the largest absolute row sum of ``R G``."""
+    return sys._kernel
 
 
 def _integer_rows(coords, rank: int) -> np.ndarray:
@@ -379,18 +434,42 @@ def _cleared(lam: Covector, rank: int) -> tuple[list[int], int]:
     """Integers ``x`` and the least positive ``scale`` with ``lam = x / scale``."""
     if len(lam.coords) != rank:
         raise ValueError("coordinate length does not match rank")
-    coords = [Fraction(c) for c in lam.coords]
+    # ints and Fractions carry numerator and denominator; floats go through Fraction
+    coords = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in lam.coords]
     scale = math.lcm(*(c.denominator for c in coords))
     return [c.numerator * (scale // c.denominator) for c in coords], scale
+
+
+def _counts(kernel: _PairingKernel, rows, largest: int) -> np.ndarray:
+    """Multiplicity-weighted counts of the roots not orthogonal to each
+    integer row of ``rows`` (an array or nested lists, with largest absolute
+    entry ``largest``).
+
+    While ``largest * row_bound < 2**53`` every product and partial sum of
+    ``rows @ (R G)^T`` is an integer below ``2**53``, so float64 BLAS computes
+    it exactly in any order; otherwise the product runs in Python integers."""
+    if largest * kernel.row_bound < 2 ** 53:
+        # blocks of at most 2**18 multiply-adds, which OpenBLAS runs on one thread;
+        # on a busy two-core host its thread pool took 8 ms per E8 batch, one thread 0.7
+        floats, step = np.asarray(rows, dtype=np.float64), max(1, 2 ** 18 // kernel.weights.size)
+        hits = np.empty((len(floats), len(kernel.mult)), dtype=bool)
+        for start in range(0, len(floats), step):
+            np.not_equal(floats[start:start + step] @ kernel.weights, 0,
+                         out=hits[start:start + step])
+    else:
+        exact = kernel.weights.astype(np.int64).astype(object)
+        hits = np.asarray(rows, dtype=object) @ exact != 0
+    return hits @ kernel.mult
 
 
 def n_of(sys: RootSystem, lam: Covector) -> int:
     """Multiplicity-weighted count of positive roots not orthogonal to ``lam``.
 
     The denominators of ``lam`` are cleared and the integer row goes through
-    the kernel of ``n_of_many``, so the orthogonality test is exact.
+    the two tiers of ``n_of_many``, so the orthogonality test is exact.
     """
-    return int(n_of_many(sys, [_cleared(lam, sys.rank)[0]])[0])
+    x, _ = _cleared(lam, sys.rank)
+    return int(_counts(_pairing_kernel(sys), [x], max(map(abs, x)))[0])
 
 
 def n_of_many(sys: RootSystem, coords) -> np.ndarray:
@@ -403,18 +482,8 @@ def n_of_many(sys: RootSystem, coords) -> np.ndarray:
     otherwise, so the zero test is exact for every input.
     """
     rows = _integer_rows(coords, sys.rank)
-    pairing, mult, row_bound = _pairing_kernel(sys)
     largest = max(int(rows.max()), -int(rows.min())) if rows.size else 0
-    if largest * row_bound < 2 ** 53:
-        # blocks of at most 2**18 multiply-adds, which OpenBLAS runs on one thread;
-        # on a busy two-core host its thread pool took 8 ms per E8 batch, one thread 0.7
-        weights = pairing.T.astype(np.float64)
-        floats, step = rows.astype(np.float64), max(1, 2 ** 18 // weights.size)
-        hits = np.concatenate([floats[start:start + step] @ weights != 0
-                               for start in range(0, max(len(floats), 1), step)])
-    else:
-        hits = (pairing.astype(object) @ rows.astype(object, copy=False).T).T != 0
-    return hits @ mult
+    return _counts(_pairing_kernel(sys), rows, largest)
 
 
 def kappa(sys: RootSystem) -> Fraction:
@@ -438,26 +507,22 @@ def reflect(sys: RootSystem, root: PositiveRoot, lam: Covector) -> Covector:
     return lam - alpha.scale(coeff)
 
 
-def _two_rho(sys: RootSystem) -> list[int]:
-    """Sum of positive roots weighted by multiplicities, in integers."""
-    return [sum(column) for column in
-            zip(*([r.multiplicity * c for c in r.coeffs] for r in sys.positive_roots))]
-
-
 def rho(sys: RootSystem) -> Covector:
     """Half sum of positive roots weighted by multiplicities."""
-    return Covector(tuple(Fraction(t, 2) for t in _two_rho(sys)))
+    return Covector(tuple(Fraction(t, 2) for t in sys._two_rho))
 
 
 @lru_cache(maxsize=None)
-def _doubled_simple(sys: RootSystem) -> tuple[bool, ...]:
-    """Whether twice each simple root is again a positive root."""
-    coeff_set = {r.coeffs for r in sys.positive_roots}
-    out = []
-    for i in range(sys.rank):
-        doubled = tuple(2 * int(j == i) for j in range(sys.rank))
-        out.append(doubled in coeff_set)
-    return tuple(out)
+def _inverse_cartan(gram: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(det, adj)`` with ``cartan @ adj == det * I``, once per Gram matrix:
+    the adjugate is rounded from floating point and the identity proves it
+    exact."""
+    cartan = _cartan_from_gram(gram)
+    det = round(np.linalg.det(cartan))
+    adj = np.rint(det * np.linalg.inv(cartan)).astype(np.int64)
+    if det == 0 or not np.array_equal(cartan @ adj, det * np.eye(len(gram), dtype=np.int64)):
+        raise RootSystemError("no exact integer inverse of the Cartan matrix")
+    return det, tuple(map(tuple, adj.tolist()))
 
 
 def fundamental_weights(sys: RootSystem) -> list[Covector]:
@@ -468,14 +533,10 @@ def fundamental_weights(sys: RootSystem) -> list[Covector]:
     they span over the nonnegative integers indexes the spherical
     representations of the compact dual.
     """
-    cartan = _cartan_from_gram(sys.gram)
-    det = round(np.linalg.det(cartan))
-    adj = np.rint(det * np.linalg.inv(cartan)).astype(np.int64)
-    if det == 0 or not np.array_equal(cartan @ adj, det * np.eye(sys.rank, dtype=np.int64)):
-        raise RootSystemError("no exact integer inverse of the Cartan matrix")
+    det, adj = _inverse_cartan(sys.gram)
     # <w_i, a_j> = ratio_i <a_i, a_i> delta_ij gives w_i = 2 ratio_i (row i of cartan^-1)
     return [Covector(tuple(Fraction(2 * (2 if doubled else 1) * a, det) for a in row))
-            for doubled, row in zip(_doubled_simple(sys), adj.tolist())]
+            for doubled, row in zip(sys._doubled_simple, adj)]
 
 
 def weyl_group(sys: RootSystem, max_rank: int = 4) -> list[WeylElement]:
@@ -499,7 +560,7 @@ def _weyl_elements(gram: tuple[tuple[int, ...], ...]) -> tuple[WeylElement, ...]
     return tuple(sorted(group, key=lambda w: (len(w.word), w.word)))
 
 
-def _chamber_walk(cartan: list[list[int]], x: list[int]) -> list[int]:
+def _chamber_walk(cartan: Sequence[Sequence[int]], x: list[int]) -> list[int]:
     """Reflects the integer coordinates ``x`` in place into the dominant
     chamber, always at the smallest index with a negative coroot pairing,
     and returns the indices in the order applied.
@@ -525,7 +586,7 @@ def dominant_representative(sys: RootSystem, lam: Covector) -> tuple[Covector, W
     ``lam`` onto it, by the integer walk of ``_chamber_walk``."""
     x, scale = _cleared(lam, sys.rank)
     cartan = _cartan_from_gram(sys.gram)
-    steps = _chamber_walk(cartan.tolist(), x)
+    steps = _chamber_walk(_cartan_rows(sys.gram), x)
     matrix = np.eye(sys.rank, dtype=np.int64)
     for i in steps:
         matrix[i] -= cartan[:, i] @ matrix  # row i of s_i is e_i - cartan[:, i]
@@ -542,5 +603,5 @@ def in_bounded_region(sys: RootSystem, eta: Covector) -> bool:
     simple-root coordinates is a sign check: ``scale * 2 rho >= 2 x``.
     """
     x, scale = _cleared(eta, sys.rank)
-    _chamber_walk(_cartan_from_gram(sys.gram).tolist(), x)
-    return all(scale * t >= 2 * c for t, c in zip(_two_rho(sys), x))
+    _chamber_walk(_cartan_rows(sys.gram), x)
+    return all(scale * t >= 2 * c for t, c in zip(sys._two_rho, x))

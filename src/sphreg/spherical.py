@@ -115,6 +115,7 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 SWEEP_NODE_CEILING = 1 << 24  # full-turn nodes; sl2_sweep_nodes raises above it
 T_GEO_MAX = 5.0  # chamber points with |Y| above it raise ValueError
+LEGENDRE_MAX_DEGREE = 1 << 20  # legendre_rows raises above it, before the recurrence
 
 
 def sl2_chamber_coordinate(t_geo: float, theta) -> np.ndarray:
@@ -269,6 +270,7 @@ def deriv_spherical_sl2(
     return -2.0 * coth * d2 + (4.0 / math.sinh(y2) ** 2 + k) * d1
 
 
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def spherical_sl3(lam: SpectralParameter, a_log, samples: int = 10_000,
                   seed: int = 42) -> SphericalValue:
     """Monte Carlo spherical function of the degree-3 special linear group.
@@ -281,10 +283,14 @@ def spherical_sl3(lam: SpectralParameter, a_log, samples: int = 10_000,
     ``|r33| = 1/|r11 r22|``.  Block statistics are merged (Chan, Golub and
     LeVeque, 1979), so memory does not grow with ``samples``.  The error is
     the combined standard error of the real and imaginary parts, not a bound.
+    A non-finite input raises ``ValueError``; one so large that an
+    intermediate leaves the float64 range raises ``FloatingPointError``.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     y1, y2 = float(a_log[0]), float(a_log[1])
+    if not all(map(math.isfinite, (y1, y2, *lam.xi, *lam.eta))):
+        raise ValueError(f"non-finite spectral value {lam} or chamber point ({y1:g}, {y2:g})")
     a = np.exp([y1, y2, -y1 - y2])
     c1, c2 = (x + 1j * e for x, e in zip(lam.xi, lam.eta))
     n, total, m2 = 0, 0j, 0.0  # count, sum and summed squared deviation so far
@@ -306,6 +312,12 @@ def spherical_sl3(lam: SpectralParameter, a_log, samples: int = 10_000,
     return SphericalValue(complex(total / samples), samples, stderr)
 
 
+def _check_top_degree(top: int) -> int:
+    if top > LEGENDRE_MAX_DEGREE:
+        raise ValueError(f"degree {top} above the supported maximum {LEGENDRE_MAX_DEGREE}")
+    return top
+
+
 def legendre_rows(degrees, x) -> np.ndarray:
     """``P_n(x)`` on [-1, 1] for each ``n`` in ``degrees``, stacked on a new
     first axis, from one pass of the three-term recurrence to the largest
@@ -317,7 +329,7 @@ def legendre_rows(degrees, x) -> np.ndarray:
         raise ValueError("need at least one degree")
     if min(degrees) < 0:
         raise ValueError("degree must be nonnegative")
-    top = max(degrees)
+    top = _check_top_degree(max(degrees))
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         x = float(x)
@@ -353,7 +365,7 @@ def legendre(n: int, x):
 
 def legendre_sequence(n_max: int, x: float) -> np.ndarray:
     """Values of all degrees 0..n_max at a scalar point."""
-    return legendre_rows(range(n_max + 1), x)
+    return legendre_rows(range(_check_top_degree(n_max) + 1), x)
 
 
 def spherical_compact_su2(

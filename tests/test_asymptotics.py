@@ -311,3 +311,10 @@ def test_singular_blowup_guards():
     with pytest.raises(ValueError):
         # no approach angle has reached the n^-2 scale
         asy.singular_blowup_check([1e-4], [10])
+
+
+@pytest.mark.parametrize("first", [0.0, -1.0])
+def test_decay_fit_rejects_nonpositive_abscissas(first):
+    samples = [(first, 1.0)] + [(float(t), 1.0 / t) for t in range(1, 9)]
+    with pytest.raises(ValueError, match="abscissas must be positive"):
+        asy.decay_fit(samples)

@@ -3,8 +3,12 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ import pytest
 from sphreg import catalog as cat
 from sphreg import cli
 from sphreg import rootsys as rs
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(*argv):
@@ -410,3 +416,82 @@ def test_expsum_out_of_range_phase_exits_one():
                                 "--uy", "1,-1", "-N", "10")
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "finite" in err
+
+
+def _grid_csv(tmp_path, rows, header="t,Y,re,im,err"):
+    path = tmp_path / "grid.csv"
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def _grid_rows(ts=(1, 2, 4, 8, 16, 32, 64, 128), ys=(0.5, 1.0)):
+    return [f"{t},{y},{1.0 / t},{0.5 / t},0" for t in ts for y in ys]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("verb", ["decay", "holder"])
+def test_non_finite_csv_field_exits_two(tmp_path, verb, value):
+    rows = _grid_rows()
+    rows[3] = rows[3].replace(",0.5,", f",{value},", 1) if verb == "holder" else \
+        ",".join(rows[3].split(",")[:2] + [value] + rows[3].split(",")[3:])
+    argv = [verb, "--input", _grid_csv(tmp_path, rows)] + (
+        ["--alpha", "0.5"] if verb == "holder" else [])
+    code, out, err = _quiet_run(*argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "line 5: non-finite" in err
+
+
+def test_decay_at_nonpositive_t_fails_without_warning(tmp_path):
+    path = _grid_csv(tmp_path, _grid_rows(ts=(-1, 1, 2, 4, 8, 16, 32, 64), ys=(0.5,)))
+    code, out, err = _quiet_run("decay", "--input", path)
+    assert code == 1 and out == ""
+    assert err.strip() == "Y=0.5: error: abscissas must be positive"
+
+
+def test_holder_repeated_grid_point_exits_two(tmp_path):
+    rows = _grid_rows()
+    rows[1] = rows[0]  # (t, Y) = (1, 0.5) twice and (1, 1.0) missing
+    code, out, err = _quiet_run("holder", "--input", _grid_csv(tmp_path, rows),
+                                "--alpha", "0.5")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "complete t x Y grid" in err
+
+
+@pytest.mark.parametrize("options, code, message", [
+    (["--points", "1,inf"], 2, "non-finite"),
+    (["--points", "1,0", "--xi", "nan,0.5"], 2, "non-finite"),
+    (["--points", "400,0"], 1, "out of float64 range"),
+    (["--points", "1,0", "--samples", "1"], 2, "--samples >= 2"),
+])
+def test_spherical_sl3_bad_inputs_exit_with_one_line(options, code, message):
+    got, out, err = _quiet_run("spherical", "--group", "sl3", "--tmin", "1", "--tmax", "2",
+                               "--tsteps", "2", "--samples", "100", *options)
+    assert (got, out) == (code, "")
+    assert len(err.splitlines()) == 1 and message in err
+
+
+def test_statphase_su2_degree_ceiling_exits_two():
+    # the last step is 2**21, past the recurrence's ceiling of 2**20
+    code, out, err = _quiet_run("statphase", "--group", "su2", "--Y", "1", "--tmin", "1",
+                                "--tmax", "2.1e6")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "above the supported maximum" in err
+
+
+def test_kappa_imports_only_the_exact_layer():
+    script = ("import sys\n"
+              "from sphreg import cli\n"
+              "code = cli.main(['kappa', '--family', 'A', '--rank', '2', '--mult', 'all:1'])\n"
+              "print(code, *sorted(m for m in sys.modules if m.startswith('sphreg')))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    kappa, report = done.stdout.splitlines()
+    code, *loaded = report.split()
+    assert (kappa, code) == ("1", "0")
+    assert "sphreg.rootsys" in loaded
+    assert not {"sphreg.accept", "sphreg.spherical", "sphreg.asymptotics", "sphreg.liegroup",
+                "sphreg.catalog"} & set(loaded), loaded

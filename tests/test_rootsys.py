@@ -1,6 +1,8 @@
 """Exact root-system engine: examples, invariants, and property tests."""
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -649,3 +651,74 @@ def test_closure_runs_once_per_gram_over_catalog(monkeypatch):
     finally:
         rs._reduced_closure.cache_clear()
         rs._weyl_elements.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# per-system constants: no hashing of systems, nothing kept alive
+# ---------------------------------------------------------------------------
+
+SPECS = [("B", 2, {"short": 1, "long": 3}), ("BC", 3, {"short": 2, "medium": 3, "long": 1}),
+         ("G2", 2, {"short": 1, "long": 2}), ("F4", 4, {"short": 2, "long": 1}),
+         ("E8", 8, {"all": 1})]
+
+
+def _exact_outputs(system):
+    """Everything the exact layer returns for ``system``, on seeded inputs."""
+    rng = np.random.default_rng(system.rank)
+    rank = system.rank
+    lams = [Covector.make(Fraction(int(p), int(q)) for p, q in
+                          zip(rng.integers(-9, 10, size=rank), rng.integers(1, 9, size=rank)))
+            for _ in range(4)]
+    rows = rng.integers(-9, 10, size=(32, rank)).tolist() + [[2 ** 62] + [0] * (rank - 1)]
+    rho = rs.rho(system)
+    dominant = [rs.dominant_representative(system, lam) for lam in lams]
+    return (rs.kappa(system), rho, rs.fundamental_weights(system),
+            [rs.n_of(system, w) for w in rs.fundamental_weights(system)],
+            [rs.n_of(system, lam) for lam in lams], rs.n_of_many(system, rows).tolist(),
+            [rs.in_bounded_region(system, rho.scale(Fraction(k, 8))) for k in (-9, -8, 5, 8, 9)],
+            [rs.in_bounded_region(system, lam) for lam in lams],
+            [(mu, w.matrix, w.word) for mu, w in dominant])
+
+
+@pytest.mark.parametrize("family,rank,mult", SPECS, ids=[s[0] for s in SPECS])
+def test_exact_layer_never_hashes_a_system(monkeypatch, family, rank, mult):
+    expected = _exact_outputs(build(family, rank, mult))
+    system = build(family, rank, mult)
+
+    def unhashable(self):
+        raise AssertionError("a RootSystem was hashed")
+
+    monkeypatch.setattr(rs.RootSystem, "__hash__", unhashable)
+    with pytest.raises(AssertionError):
+        hash(system)
+    assert _exact_outputs(system) == expected
+    assert _exact_outputs(system) == expected  # again, from the stored constants
+
+
+def test_built_system_is_freed():
+    system = build("F4", 4, {"short": 3, "long": 2})
+    _exact_outputs(system)
+    rs.weyl_group(system)
+    ref = weakref.ref(system)
+    del system
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("system", [B2, BC2, G2, F4, E8], ids=["B2", "BC2", "G2", "F4", "E8"])
+def test_n_of_matches_recount_for_int_fraction_and_float_coordinates(system):
+    row_bound = rs._pairing_kernel(system)[2]
+    # single rows whose largest entry sits just below and just above the
+    # float64 guard, and far past it
+    sizes = [1, 9, (2 ** 53 - 1) // row_bound, -(-2 ** 53 // row_bound), 2 ** 53, 2 ** 60]
+    assert sizes[2] * row_bound < 2 ** 53 <= sizes[3] * row_bound
+    prime = 2 ** 61 - 1
+    for largest in sizes:
+        for row in _straddling_rows(system, largest):
+            expected = _recount(system, row)
+            assert rs.n_of(system, Covector(tuple(row))) == expected, row
+            assert rs.n_of(system, Covector(tuple(Fraction(c, prime) for c in row))) == expected
+            floats = [float(c) for c in row]  # exact below 2**53, rounded above
+            rounded = _recount(system, [int(f) for f in floats])
+            assert rs.n_of(system, Covector(tuple(floats))) == rounded
+            assert rs.n_of(system, Covector(tuple(f / 8 for f in floats))) == rounded

@@ -496,3 +496,26 @@ def test_derivative_guards():
         sph.deriv_spherical_sl2(lam, 1.0, 1.0, 4)
     with pytest.raises(ValueError):
         sph.deriv_spherical_sl2(lam, 1.0, -0.5, 1)
+
+
+def test_legendre_degree_ceiling_raises_before_the_recurrence():
+    top = sph.LEGENDRE_MAX_DEGREE
+    assert sph.legendre_rows([top], 0.5).shape == (1,)
+    for call in (lambda: sph.legendre_rows([0, top + 1], 0.5),
+                 lambda: sph.legendre_sequence(top + 1, 0.5),
+                 lambda: sph.legendre(top + 1, np.array([0.1, 0.2]))):
+        with pytest.raises(ValueError, match="above the supported maximum"):
+            call()
+
+
+@pytest.mark.parametrize("xi, a_log", [((0.5, 0.5), (1.0, math.inf)),
+                                       ((math.nan, 0.5), (1.0, 0.0)),
+                                       ((0.5, 0.5), (math.nan, 0.0))])
+def test_sl3_rejects_non_finite_input(xi, a_log):
+    with pytest.raises(ValueError, match="non-finite"):
+        spherical_sl3(SpectralParameter.rank2(xi), a_log, samples=10)
+
+
+def test_sl3_overflow_raises_instead_of_warning():
+    with pytest.raises(FloatingPointError):
+        spherical_sl3(SpectralParameter.rank2((0.5, 0.5)), (400.0, 0.0), samples=10)
