@@ -385,8 +385,10 @@ def cmd_holder(args) -> int:
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         quotients = " ".join(_fmt(q, 6) for q in report.sup_quotients)
+        # the ratio is infinite when the first member's sup quotient is 0
+        ratio = "unbounded" if math.isinf(report.growth_ratio) else _fmt(report.growth_ratio, 6)
         print(f"alpha={_fmt(alpha, 6)} verdict={report.verdict} "
-              f"growth_ratio={_fmt(report.growth_ratio, 6)} sup_quotients={quotients}")
+              f"growth_ratio={ratio} sup_quotients={quotients}")
     return 0
 
 
@@ -470,8 +472,16 @@ def cmd_selftest(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line, ``sphreg <verb>: error: ...``, and exit 2;
+    the verbs' parsers are of this class too."""
+
+    def error(self, message):
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {' '.join(message.splitlines())}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sphreg",
         description="Regularity invariant of semisimple Lie groups and "
                     "spherical-function asymptotics.",

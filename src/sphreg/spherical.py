@@ -35,7 +35,12 @@ Weideman, "The exponentially convergent trapezoidal rule", SIAM Review 56,
 ``cos 2a`` and the compact one only through ``cos phi``, so the
 full-turn rule on ``N`` nodes equals the rule on a quarter (half) turn with
 ``N / 4`` (``N / 2``) intervals and half-weight endpoints.  Doubling nests:
-each level evaluates only the midpoints of the level before.
+each level adds the midpoints of the level before.  The noncompact values
+know their phase bandwidth in advance (``sl2_sweep_nodes``), so their first
+integrand call covers every level up to half that count (and under 16384
+points) at once.  The levels in it are replayed from strided slices, with
+the sums, stop tests and results of level-by-level doubling, which goes on
+from there.
 """
 
 from __future__ import annotations
@@ -146,18 +151,38 @@ def _folded_grid(nodes: int, fold: int):
     return (2.0 * np.pi / fold) * np.arange(m + 1) / m, weights
 
 
-def _nested_trapezoid(integrand, fold: int, config: QuadratureConfig):
-    """Folded trapezoid rule over doubling levels; each level evaluates
-    ``integrand(angles)`` only at the midpoints of the level before.
+# From 256 KiB (16384 complex values) numpy may evaluate ``scalar * temporary``
+# in place as ``temporary *= scalar``, and a complex product rounds differently
+# in the two operand orders; so an integrand's value at one angle can depend on
+# the length of the array it comes in.  The first block stays shorter than that,
+# as every level it replays is.
+_ELIDE_POINTS = 1 << 14
+
+
+def _nested_trapezoid(integrand, fold: int, config: QuadratureConfig, first: int = 0):
+    """Folded trapezoid rule over doubling levels.  The first call of
+    ``integrand(angles)`` covers the folded grid of the largest level at most
+    ``first`` nodes, held to ``[n_start, n_max // 2]``; the levels up to it are
+    replayed from strided slices of that block, and each later level
+    evaluates only the midpoints of the level before.  Slices are copied
+    contiguous, since a strided operand changes BLAS's summation order: every
+    level's sum, and so the result, is the same for any ``first``.
     Returns (value, full-turn nodes, estimated_error)."""
-    nodes = config.n_start
+    nodes = top = config.n_start
     theta, weights = _folded_grid(nodes, fold)
-    current = integrand(theta) @ weights
+    while 2 * top <= min(first, config.n_max // 2) and 2 * top // fold + 1 < _ELIDE_POINTS:
+        top *= 2
+    block = integrand(theta if top == nodes else _folded_grid(top, fold)[0])
+    current = np.ascontiguousarray(block[::top // nodes]) @ weights
     while True:
         previous, nodes = current, 2 * nodes
         m = nodes // fold  # the new midpoints are the odd multiples of the step
-        theta = (2.0 * np.pi / fold) * np.arange(1, m, 2) / m
-        current = 0.5 * previous + integrand(theta) @ np.full(len(theta), 1.0 / m)
+        if nodes <= top:
+            step = top // nodes
+            values = np.ascontiguousarray(block[step::2 * step])
+        else:
+            values = integrand((2.0 * np.pi / fold) * np.arange(1, m, 2) / m)
+        current = 0.5 * previous + values @ np.full(len(values), 1.0 / m)
         err = abs(current - previous)
         scale = max(1.0, abs(current))
         if err <= config.target * scale:
@@ -179,17 +204,34 @@ def sl2_mehler_amplitude(t_geo, theta) -> np.ndarray:
     return np.sqrt((x1 / np.sinh(x1)) * (x2 / np.sinh(x2)))
 
 
+def _check_finite(lam: SpectralParameter, point: str, *coordinates: float) -> None:
+    if not all(map(math.isfinite, (*coordinates, *lam.xi, *lam.eta))):
+        raise ValueError(f"non-finite spectral value {lam} or chamber point {point}")
+
+
+def _phase_nodes(xi: float, t_geo: float, safety: float = 1.3, floor: int = 64) -> int:
+    """The count rule of ``sl2_sweep_nodes`` without its checks: the least power
+    of two at or above ``max(4 |xi Y| safety, floor)``, or twice
+    ``SWEEP_NODE_CEILING`` where that need is above the ceiling or not finite."""
+    need = max(4.0 * abs(xi) * abs(t_geo) * safety, float(floor))
+    if not need <= SWEEP_NODE_CEILING:
+        return 2 * SWEEP_NODE_CEILING
+    return 1 << int(math.ceil(math.log2(need)))
+
+
 def spherical_sl2(
     lam: SpectralParameter, t_geo: float, config: QuadratureConfig = DEFAULT_CONFIG
 ) -> SphericalValue:
     """Spherical function of the degree-2 special linear group at
     a_Y = diag(e^Y, e^-Y), Y = ``t_geo``, by the Mehler-Dirichlet integral;
-    exact value 1 at the identity."""
+    exact value 1 at the identity.  A non-finite input raises ``ValueError``."""
     if abs(t_geo) > T_GEO_MAX:
         raise ValueError(f"chamber point Y={t_geo:g} outside |Y| <= {T_GEO_MAX:g}")
+    _check_finite(lam, f"Y={t_geo:g}", t_geo)
     w = 2.0 * t_geo * (1j * lam.xi[0] - lam.eta[0])
+    first = _phase_nodes(lam.xi[0], t_geo) // 2
     value, nodes, err = _nested_trapezoid(
-        lambda a: np.cosh(w * np.cos(a)) * sl2_mehler_amplitude(t_geo, a), 4, config)
+        lambda a: np.cosh(w * np.cos(a)) * sl2_mehler_amplitude(t_geo, a), 4, config, first)
     return SphericalValue(complex(value), nodes, float(err))
 
 
@@ -203,11 +245,11 @@ def sl2_sweep_nodes(xi_peak: float, t_geo: float, safety: float = 1.3,
     in ``a``.  A count above ``SWEEP_NODE_CEILING`` raises ``ValueError``."""
     if not (math.isfinite(xi_peak) and math.isfinite(t_geo)):
         raise ValueError(f"non-finite spectral value {xi_peak} or chamber point {t_geo}")
-    need = max(4.0 * abs(xi_peak) * abs(t_geo) * safety, float(floor))
-    if need > SWEEP_NODE_CEILING:
+    nodes = _phase_nodes(xi_peak, t_geo, safety, floor)
+    if nodes > SWEEP_NODE_CEILING:
         raise ValueError(f"spectral value {xi_peak:g} at Y={t_geo:g} needs more than "
                          f"{SWEEP_NODE_CEILING} quadrature nodes")
-    return 1 << int(math.ceil(math.log2(need)))
+    return nodes
 
 
 def spherical_sl2_sweep(xis: np.ndarray, eta: float, t_geo: float, nodes: int) -> np.ndarray:
@@ -244,12 +286,14 @@ def deriv_spherical_sl2(
     the stop test sees the derivative's own scale.  Orders 2 and 3 follow from
     Legendre's equation, with no further quadrature:
     ``phi'' = -2 coth(2Y) phi' + (4 s^2 - 1) phi`` and
-    ``phi''' = -2 coth(2Y) phi'' + (4 csch^2(2Y) + 4 s^2 - 1) phi'``."""
+    ``phi''' = -2 coth(2Y) phi'' + (4 csch^2(2Y) + 4 s^2 - 1) phi'``.
+    A non-finite spectral value raises ``ValueError``."""
     if not 0 <= order <= 3:
         raise ValueError("order must be between 0 and 3")
     if not 0.0 < t_geo <= T_GEO_MAX:
         raise ValueError("geodesic parameter must lie in the open positive chamber")
     scaled = SpectralParameter.rank1(t_scale * lam.xi[0], lam.eta[0])
+    _check_finite(scaled, f"Y={t_geo:g}")
     if order == 0:
         return spherical_sl2(scaled, t_geo, config).value
     s, y2 = 1j * scaled.xi[0] - scaled.eta[0], 2.0 * t_geo
@@ -260,7 +304,8 @@ def deriv_spherical_sl2(
         return prefactor * (amplitude * np.sinh(y2 * s * c) * np.sinh(y2 * c)
                             + 0.5 * (y2 * np.sin(a)) ** 2 * np.cosh(y2 * s * c) / amplitude)
 
-    d1 = complex(_nested_trapezoid(integrand, 4, config)[0])
+    first = _phase_nodes(scaled.xi[0], t_geo) // 2
+    d1 = complex(_nested_trapezoid(integrand, 4, config, first)[0])
     if order == 1:
         return d1
     coth, k = 1.0 / math.tanh(y2), 4.0 * s * s - 1.0
@@ -289,8 +334,7 @@ def spherical_sl3(lam: SpectralParameter, a_log, samples: int = 10_000,
     if samples < 1:
         raise ValueError("samples must be positive")
     y1, y2 = float(a_log[0]), float(a_log[1])
-    if not all(map(math.isfinite, (y1, y2, *lam.xi, *lam.eta))):
-        raise ValueError(f"non-finite spectral value {lam} or chamber point ({y1:g}, {y2:g})")
+    _check_finite(lam, f"({y1:g}, {y2:g})", y1, y2)
     a = np.exp([y1, y2, -y1 - y2])
     c1, c2 = (x + 1j * e for x, e in zip(lam.xi, lam.eta))
     n, total, m2 = 0, 0j, 0.0  # count, sum and summed squared deviation so far

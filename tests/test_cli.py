@@ -495,3 +495,33 @@ def test_kappa_imports_only_the_exact_layer():
     assert "sphreg.rootsys" in loaded
     assert not {"sphreg.accept", "sphreg.spherical", "sphreg.asymptotics", "sphreg.liegroup",
                 "sphreg.catalog"} & set(loaded), loaded
+
+
+def test_holder_prints_unbounded_growth_as_a_word(tmp_path):
+    # the t = 1 member is constant in Y, so its sup quotient is 0 and the
+    # growth ratio infinite
+    path = tmp_path / "flat_first.csv"
+    rows = ["t,Y,re,im"]
+    for t in (1, 2, 4):
+        for y in (0.5, 1.0, 1.5):
+            rows.append(f"{t},{y},{1.0 if t == 1 else y / t},0")
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code, out, err = run("holder", "--input", str(path), "--alpha", "0.5")
+    assert (code, err) == (0, "")
+    assert out.strip() == "alpha=0.5 verdict=growing growth_ratio=unbounded " \
+                          "sup_quotients=0 0.5 0.25"
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["kappa", "--rank"], "sphreg kappa: error: "),
+    (["holder", "--input", "f.csv", "--alpha", "-1,1"], "sphreg holder: error: "),
+    (["kappa", "--family", "Z", "--rank", "2", "--mult", "all:1"], "sphreg kappa: error: "),
+    (["no-such-verb"], "sphreg: error: "),
+])
+def test_usage_errors_print_one_stderr_line(capsys, argv, prefix):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith(prefix), captured.err

@@ -519,3 +519,128 @@ def test_sl3_rejects_non_finite_input(xi, a_log):
 def test_sl3_overflow_raises_instead_of_warning():
     with pytest.raises(FloatingPointError):
         spherical_sl3(SpectralParameter.rank2((0.5, 0.5)), (400.0, 0.0), samples=10)
+
+
+# Adaptive first block: the noncompact values evaluate every level up to a
+# count known in advance in one integrand call and replay the levels from it.
+
+STRIDE_CONFIG = QuadratureConfig(n_start=64, n_max=1 << 18, target=1e-12, fail=1.0)
+
+
+def _integrand_of(monkeypatch, call):
+    """The (integrand, fold) that ``call`` hands to the quadrature kernel."""
+    seen = []
+
+    def capture(integrand, fold, config, first=0):
+        seen.append((integrand, fold))
+        return 0j, 0, 0.0
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sph, "_nested_trapezoid", capture)
+        call()
+    return seen[0]
+
+
+FIRST_BLOCK_CASES = {
+    "sl2 slow": lambda: spherical_sl2(SpectralParameter.rank1(37.0, 0.3), 1.4),
+    "sl2 fast": lambda: spherical_sl2(SpectralParameter.rank1(300.0), 0.6),
+    "sl2 eta": lambda: spherical_sl2(SpectralParameter.rank1(0.0, 0.5), 2.1),
+    "deriv fast": lambda: sph.deriv_spherical_sl2(SpectralParameter.rank1(150.0, -0.2),
+                                                  1.5, 1.3, 1),
+    # its blocks would pass 16384 points if the kernel let them
+    "deriv past elision": lambda: sph.deriv_spherical_sl2(
+        SpectralParameter.rank1(-1650.5, 0.534), 3.0, 3.25, 1),
+    "su2 500": lambda: sph.spherical_compact_su2(500, 0.4),
+    "su2 1000": lambda: sph.spherical_compact_su2(1000, 2.9),
+}
+
+
+@pytest.mark.parametrize("case", FIRST_BLOCK_CASES)
+def test_first_block_equals_full_grid_oracle_for_every_first(monkeypatch, case):
+    integrand, fold = _integrand_of(monkeypatch, FIRST_BLOCK_CASES[case])
+    want = _full_grid_nested_trapezoid(integrand, fold, STRIDE_CONFIG)
+    final = want[1]
+    levels = [STRIDE_CONFIG.n_start << k for k in range(final.bit_length())
+              if STRIDE_CONFIG.n_start << k <= final]
+    firsts = [0, 16, STRIDE_CONFIG.n_start - 4, *levels, 3 * levels[-1] // 2,
+              2 * final, STRIDE_CONFIG.n_max, 8 * STRIDE_CONFIG.n_max]
+    for first in firsts:
+        got = sph._nested_trapezoid(integrand, fold, STRIDE_CONFIG, first)
+        assert repr(got) == repr(want), first
+
+
+def _integrand_sizes(monkeypatch, call, adaptive=True):
+    """Lengths of the angle arrays ``call`` passes to its integrands; with
+    ``adaptive`` False the kernel gets ``first = 0``, the level-by-level loop."""
+    sizes, kernel = [], sph._nested_trapezoid
+
+    def counted(integrand, fold, config, first=0):
+        def integrand_counted(a):
+            sizes.append(len(a))
+            return integrand(a)
+        return kernel(integrand_counted, fold, config, first if adaptive else 0)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sph, "_nested_trapezoid", counted)
+        value = call()
+    return value, sizes
+
+
+BENCH_CONFIG = QuadratureConfig(n_start=64, n_max=1 << 20, target=1e-12, fail=1e-7)
+# (xi, eta, Y) at centres of the quadrature benchmark's grid, final counts 2^9 .. 2^17
+BENCH_POINTS = [(2 ** 7.5, 0.31, 0.6), (2 ** 6.25, -0.12, 1.25), (2 ** 5.25, 0.5, 1.8),
+                (2 ** 10.75, -0.45, 0.6), (2 ** 9.0, 0.08, 1.5), (2 ** 9.25, -0.3, 1.8),
+                (2 ** 11.75, 0.22, 1.25), (2 ** 13.5, -0.5, 1.0)]
+
+
+@pytest.mark.parametrize("xi, eta, y", BENCH_POINTS[:6])
+def test_bench_grid_value_makes_at_most_two_integrand_calls(monkeypatch, xi, eta, y):
+    calls = []
+    amplitude = sph.sl2_mehler_amplitude
+
+    def counted(t_geo, theta):
+        calls.append(len(theta))
+        return amplitude(t_geo, theta)
+
+    monkeypatch.setattr(sph, "sl2_mehler_amplitude", counted)
+    value = spherical_sl2(SpectralParameter.rank1(xi, eta), y, BENCH_CONFIG)
+    assert value.quadrature_nodes >= 1 << 9
+    assert 1 <= len(calls) <= 2, calls
+
+
+@pytest.mark.parametrize("xi, eta, y", BENCH_POINTS)
+def test_integrand_points_equal_the_level_by_level_loop(monkeypatch, xi, eta, y):
+    lam = SpectralParameter.rank1(xi, eta)
+    for call in (lambda: spherical_sl2(lam, y, BENCH_CONFIG),
+                 lambda: sph.deriv_spherical_sl2(lam, 1.0, y, 1, BENCH_CONFIG)):
+        got, sizes = _integrand_sizes(monkeypatch, call)
+        want, loop_sizes = _integrand_sizes(monkeypatch, call, adaptive=False)
+        assert repr(got) == repr(want)
+        assert sum(sizes) == sum(loop_sizes)
+        assert len(sizes) < len(loop_sizes)
+        # the first block holds levels the loop spreads over several calls, so
+        # it can pass the loop's largest array, but not the sum of the loop's
+        # arrays; it stays under 16384 points, below numpy's in-place
+        # evaluation of large temporaries; later calls are the loop's own
+        assert sizes[0] <= min(2 * max(loop_sizes) + 1, sph._ELIDE_POINTS - 1)
+        assert sizes[1:] == loop_sizes[len(loop_sizes) - len(sizes) + 1:]
+
+
+@pytest.mark.parametrize("xi, eta, y", [(math.nan, 0.0, 1.0), (math.inf, 0.0, 1.0),
+                                        (1.0, math.nan, 1.0), (1.0, -math.inf, 1.0),
+                                        (1.0, 0.0, math.nan)])
+def test_value_rejects_non_finite_input_before_quadrature(monkeypatch, xi, eta, y):
+    monkeypatch.setattr(sph, "_nested_trapezoid", None)
+    with pytest.raises(ValueError, match="non-finite"):
+        spherical_sl2(SpectralParameter.rank1(xi, eta), y)
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+@pytest.mark.parametrize("xi, eta, scale", [(math.inf, 0.0, 1.0), (math.nan, 0.2, 1.0),
+                                            (1.0, math.nan, 1.0), (1.0, 0.0, math.inf),
+                                            (1e300, 0.0, 1e10)])
+def test_derivative_rejects_non_finite_input_before_quadrature(monkeypatch, xi, eta, scale,
+                                                               order):
+    monkeypatch.setattr(sph, "_nested_trapezoid", None)
+    with pytest.raises(ValueError, match="non-finite"):
+        sph.deriv_spherical_sl2(SpectralParameter.rank1(xi, eta), scale, 1.0, order)
