@@ -244,14 +244,14 @@ def holder_family(xi: float = HOLDER_XI,
     grid = np.linspace(region[0], region[1], grid_points)
     nodes = {t: sph.sl2_sweep_nodes(t * xi, region[1]) for t in sweep}
     finest = max(nodes.values())
-    theta, _ = sph._folded_grid(finest, 4)
-    weights = {t: sph._folded_grid(n, 4)[1] for t, n in nodes.items()}
+    rule = sph._folded_grid(finest, 4)
+    weights = {t: sph._folded_grid(n, 4).weights for t, n in nodes.items()}
     family = {t: np.empty(grid_points) for t in sweep}
-    block = max(1, (1 << 17) // len(theta))
+    block = max(1, (1 << 17) // len(rule.angles))
     for s in range(0, grid_points, block):
         y = grid[s:s + block][:, None]
-        amplitude = sph.sl2_mehler_amplitude(y, theta)
-        phase = 2.0 * xi * y * np.cos(theta)
+        amplitude = sph._mehler_amplitude(y, rule.sin2_half)
+        phase = 2.0 * xi * y * rule.cos
         for t in sweep:
             stride = finest // nodes[t]
             family[t][s:s + block] = (amplitude[:, ::stride]

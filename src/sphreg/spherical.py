@@ -40,14 +40,22 @@ know their phase bandwidth in advance (``sl2_sweep_nodes``), so their first
 integrand call covers every level up to half that count (and under 16384
 points) at once.  The levels in it are replayed from strided slices, with
 the sums, stop tests and results of level-by-level doubling, which goes on
-from there.
+from there.  Each rule (a level's folded grid, or its midpoints) is built
+once per ``(nodes, fold)``, with its weights and the grid-only factors the
+integrands read (``cos a``, ``sin a``, ``sin^2(a/2)``); its arrays are
+read-only, and rules of at most 16384 points are kept for the process.  The
+fixed-node sweep keeps ``2Y cos a`` and its weighted amplitude for the
+``(Y, nodes)`` of its last call, so a decay fit builds them once.
+A non-finite level estimate raises ``QuadratureError``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -139,51 +147,97 @@ def sl2_chamber_derivatives(t_geo: float, theta, order: int):
     return [0.5 * np.log(d), u1, u2, -4.0 * u1 * u2][:order + 1]
 
 
-def _folded_grid(nodes: int, fold: int):
-    """Angles and weights of the full-turn ``nodes``-point trapezoid rule
-    folded onto [0, 2 pi / fold], for integrands even about 0 and periodic
-    with period 4 pi / fold.  The weights sum to one."""
-    m = nodes // fold
-    if m < 1 or nodes % fold:
-        raise ValueError(f"node count {nodes} is not a positive multiple of {fold}")
-    weights = np.full(m + 1, 1.0 / m)
-    weights[[0, -1]] *= 0.5
-    return (2.0 * np.pi / fold) * np.arange(m + 1) / m, weights
+class _Rule:
+    """A folded trapezoid rule: its angles and weights, and the grid-only
+    factors of the integrands, each computed on first use.  Every array is
+    read-only, since rules are shared."""
+
+    def __init__(self, angles: np.ndarray, weights: np.ndarray):
+        self.angles, self.weights = _read_only(angles), _read_only(weights)
+
+    @cached_property
+    def cos(self) -> np.ndarray:
+        return _read_only(np.cos(self.angles))
+
+    @cached_property
+    def sin(self) -> np.ndarray:
+        return _read_only(np.sin(self.angles))
+
+    @cached_property
+    def sin2_half(self) -> np.ndarray:
+        """``sin^2(a / 2)``, the angle factor of the Mehler-Dirichlet amplitude."""
+        return _read_only(np.sin(0.5 * self.angles) ** 2)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 # From 256 KiB (16384 complex values) numpy may evaluate ``scalar * temporary``
 # in place as ``temporary *= scalar``, and a complex product rounds differently
 # in the two operand orders; so an integrand's value at one angle can depend on
 # the length of the array it comes in.  The first block stays shorter than that,
-# as every level it replays is.
+# as every level it replays is.  Rules of at most this many points are kept.
 _ELIDE_POINTS = 1 << 14
+_RULES: dict[tuple[int, int, bool], _Rule] = {}
+
+
+def _folded_grid(nodes: int, fold: int, midpoints: bool = False) -> _Rule:
+    """The full-turn ``nodes``-point trapezoid rule folded onto
+    [0, 2 pi / fold], for integrands even about 0 and periodic with period
+    4 pi / fold; the weights sum to one.  With ``midpoints``, only its points
+    not in the rule on half as many nodes (the odd-numbered ones)."""
+    key = (operator.index(nodes), fold, midpoints)
+    rule = _RULES.get(key)
+    if rule is None:
+        m = nodes // fold
+        if m < 1 or nodes % fold:
+            raise ValueError(f"node count {nodes} is not a positive multiple of {fold}")
+        if midpoints:
+            angles = (2.0 * np.pi / fold) * np.arange(1, m, 2) / m
+            weights = np.full(len(angles), 1.0 / m)
+        else:
+            weights = np.full(m + 1, 1.0 / m)
+            weights[[0, -1]] *= 0.5
+            angles = (2.0 * np.pi / fold) * np.arange(m + 1) / m
+        rule = _Rule(angles, weights)
+        if len(angles) <= _ELIDE_POINTS:
+            _RULES[key] = rule
+    return rule
 
 
 def _nested_trapezoid(integrand, fold: int, config: QuadratureConfig, first: int = 0):
     """Folded trapezoid rule over doubling levels.  The first call of
-    ``integrand(angles)`` covers the folded grid of the largest level at most
+    ``integrand(rule)`` covers the folded grid of the largest level at most
     ``first`` nodes, held to ``[n_start, n_max // 2]``; the levels up to it are
     replayed from strided slices of that block, and each later level
-    evaluates only the midpoints of the level before.  Slices are copied
+    evaluates only the midpoint rule of the level before.  Slices are copied
     contiguous, since a strided operand changes BLAS's summation order: every
-    level's sum, and so the result, is the same for any ``first``.
+    level's sum, and so the result, is the same for any ``first``; ``.dot``
+    reaches the BLAS dot product that ``@`` does, without the ufunc dispatch
+    that casts the weights per call.  A level whose estimate is not finite
+    raises ``QuadratureError``.
     Returns (value, full-turn nodes, estimated_error)."""
     nodes = top = config.n_start
-    theta, weights = _folded_grid(nodes, fold)
+    weights = _folded_grid(nodes, fold).weights
     while 2 * top <= min(first, config.n_max // 2) and 2 * top // fold + 1 < _ELIDE_POINTS:
         top *= 2
-    block = integrand(theta if top == nodes else _folded_grid(top, fold)[0])
-    current = np.ascontiguousarray(block[::top // nodes]) @ weights
+    block = integrand(_folded_grid(top, fold))
+    current = np.ascontiguousarray(block[::top // nodes]).dot(weights)
     while True:
         previous, nodes = current, 2 * nodes
-        m = nodes // fold  # the new midpoints are the odd multiples of the step
+        rule = _folded_grid(nodes, fold, midpoints=True)
         if nodes <= top:
             step = top // nodes
             values = np.ascontiguousarray(block[step::2 * step])
         else:
-            values = integrand((2.0 * np.pi / fold) * np.arange(1, m, 2) / m)
-        current = 0.5 * previous + values @ np.full(len(values), 1.0 / m)
+            values = integrand(rule)
+        current = 0.5 * previous + values.dot(rule.weights)
         err = abs(current - previous)
+        if not math.isfinite(err):
+            raise QuadratureError(f"trapezoid rule estimate {err} at {nodes} nodes "
+                                  "is not finite")
         scale = max(1.0, abs(current))
         if err <= config.target * scale:
             return current, nodes, err
@@ -198,15 +252,31 @@ def sl2_mehler_amplitude(t_geo, theta) -> np.ndarray:
     """``1 / sqrt(sinhc(x1) sinhc(x2))``, the Mehler-Dirichlet amplitude, with
     ``x1 = Y (1 - cos a) = 2Y sin^2(a/2)`` and ``x2 = 2Y - x1``.  Both are
     clamped at the smallest normal float, so ``x / sinh x`` is 1 at ``x = 0``."""
-    y, tiny = 2.0 * np.abs(t_geo), np.finfo(float).tiny
-    x1 = np.maximum(y * np.sin(0.5 * theta) ** 2, tiny)
-    x2 = np.maximum(y - x1, tiny)
+    return _mehler_amplitude(t_geo, np.sin(0.5 * theta) ** 2)
+
+
+_TINY = np.finfo(float).tiny
+
+
+def _mehler_amplitude(t_geo, sin2_half) -> np.ndarray:
+    """``sl2_mehler_amplitude`` from ``sin2_half = sin^2(a/2)``."""
+    y = 2.0 * np.abs(t_geo)
+    x1 = np.maximum(y * sin2_half, _TINY)
+    x2 = np.maximum(y - x1, _TINY)
     return np.sqrt((x1 / np.sinh(x1)) * (x2 / np.sinh(x2)))
 
 
 def _check_finite(lam: SpectralParameter, point: str, *coordinates: float) -> None:
     if not all(map(math.isfinite, (*coordinates, *lam.xi, *lam.eta))):
         raise ValueError(f"non-finite spectral value {lam} or chamber point {point}")
+
+
+def _check_phase(lam: SpectralParameter, t_geo: float) -> None:
+    """Refuse a rank-one value whose phase ``2 Y (i xi - eta)`` overflows."""
+    y2 = 2.0 * abs(t_geo)
+    if not (math.isfinite(y2 * abs(lam.xi[0])) and math.isfinite(y2 * abs(lam.eta[0]))):
+        raise ValueError(f"phase 2 Y (i xi - eta) overflows at spectral value {lam}, "
+                         f"Y={t_geo:g}")
 
 
 def _phase_nodes(xi: float, t_geo: float, safety: float = 1.3, floor: int = 64) -> int:
@@ -224,14 +294,17 @@ def spherical_sl2(
 ) -> SphericalValue:
     """Spherical function of the degree-2 special linear group at
     a_Y = diag(e^Y, e^-Y), Y = ``t_geo``, by the Mehler-Dirichlet integral;
-    exact value 1 at the identity.  A non-finite input raises ``ValueError``."""
+    exact value 1 at the identity.  A non-finite input, or one whose phase
+    ``2 Y (i xi - eta)`` overflows, raises ``ValueError``."""
     if abs(t_geo) > T_GEO_MAX:
         raise ValueError(f"chamber point Y={t_geo:g} outside |Y| <= {T_GEO_MAX:g}")
     _check_finite(lam, f"Y={t_geo:g}", t_geo)
+    _check_phase(lam, t_geo)
     w = 2.0 * t_geo * (1j * lam.xi[0] - lam.eta[0])
     first = _phase_nodes(lam.xi[0], t_geo) // 2
     value, nodes, err = _nested_trapezoid(
-        lambda a: np.cosh(w * np.cos(a)) * sl2_mehler_amplitude(t_geo, a), 4, config, first)
+        lambda rule: np.cosh(w * rule.cos) * _mehler_amplitude(t_geo, rule.sin2_half),
+        4, config, first)
     return SphericalValue(complex(value), nodes, float(err))
 
 
@@ -252,14 +325,36 @@ def sl2_sweep_nodes(xi_peak: float, t_geo: float, safety: float = 1.3,
     return nodes
 
 
+_SWEEP_FACTORS: dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _sweep_factors(t_geo: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``2Y cos a`` and the weighted amplitude of the ``nodes``-point sweep at
+    ``Y = t_geo``.  Those of the last call are kept, if of at most 2^16
+    points; the key holds the sign of ``Y``, which a zero ``Y`` carries into
+    the result."""
+    key = (t_geo, math.copysign(1.0, t_geo), nodes)
+    factors = _SWEEP_FACTORS.get(key)
+    if factors is None:
+        rule = _folded_grid(nodes, 4)
+        factors = (_read_only(2.0 * t_geo * rule.cos),
+                   _read_only(rule.weights * _mehler_amplitude(t_geo, rule.sin2_half)))
+        _SWEEP_FACTORS.clear()
+        if len(rule.angles) <= 1 << 16:
+            _SWEEP_FACTORS[key] = factors
+    return factors
+
+
 def spherical_sl2_sweep(xis: np.ndarray, eta: float, t_geo: float, nodes: int) -> np.ndarray:
     """Fixed-node Mehler-Dirichlet values for many real spectral values; ``nodes``
     must resolve the largest (``sl2_sweep_nodes``).  Memory: ``len(xis) * nodes / 4``.
-    At ``eta == 0`` the sine term vanishes and is not evaluated."""
-    theta, weights = _folded_grid(nodes, 4)
-    s = 2.0 * t_geo * np.cos(theta)
-    amplitude = weights * sl2_mehler_amplitude(t_geo, theta)
-    phase = np.outer(np.asarray(xis, dtype=float), s)
+    At ``eta == 0`` the sine term vanishes and is not evaluated.  A non-finite
+    input raises ``ValueError``."""
+    xis = np.asarray(xis, dtype=float)
+    if not (math.isfinite(eta) and math.isfinite(t_geo) and np.isfinite(xis).all()):
+        raise ValueError(f"non-finite spectral value or chamber point Y={t_geo:g}")
+    s, amplitude = _sweep_factors(t_geo, nodes)
+    phase = np.outer(xis, s)
     if eta == 0.0:
         return np.cos(phase) @ amplitude + 0j
     return (np.cos(phase) @ (amplitude * np.cosh(eta * s))
@@ -287,22 +382,27 @@ def deriv_spherical_sl2(
     Legendre's equation, with no further quadrature:
     ``phi'' = -2 coth(2Y) phi' + (4 s^2 - 1) phi`` and
     ``phi''' = -2 coth(2Y) phi'' + (4 csch^2(2Y) + 4 s^2 - 1) phi'``.
-    A non-finite spectral value raises ``ValueError``."""
+    A non-finite spectral value, or one whose phase overflows, raises
+    ``ValueError``."""
     if not 0 <= order <= 3:
         raise ValueError("order must be between 0 and 3")
     if not 0.0 < t_geo <= T_GEO_MAX:
         raise ValueError("geodesic parameter must lie in the open positive chamber")
     scaled = SpectralParameter.rank1(t_scale * lam.xi[0], lam.eta[0])
     _check_finite(scaled, f"Y={t_geo:g}")
+    _check_phase(scaled, t_geo)
     if order == 0:
         return spherical_sl2(scaled, t_geo, config).value
     s, y2 = 1j * scaled.xi[0] - scaled.eta[0], 2.0 * t_geo
     prefactor = (2.0 * s - 1.0) / math.sinh(y2)
+    if not cmath.isfinite(prefactor):
+        raise ValueError(f"prefactor (2s - 1) / sinh 2Y overflows at spectral value "
+                         f"{scaled}, Y={t_geo:g}")
 
-    def integrand(a):
-        c, amplitude = np.cos(a), sl2_mehler_amplitude(t_geo, a)
+    def integrand(rule):
+        c, amplitude = rule.cos, _mehler_amplitude(t_geo, rule.sin2_half)
         return prefactor * (amplitude * np.sinh(y2 * s * c) * np.sinh(y2 * c)
-                            + 0.5 * (y2 * np.sin(a)) ** 2 * np.cosh(y2 * s * c) / amplitude)
+                            + 0.5 * (y2 * rule.sin) ** 2 * np.cosh(y2 * s * c) / amplitude)
 
     first = _phase_nodes(scaled.xi[0], t_geo) // 2
     d1 = complex(_nested_trapezoid(integrand, 4, config, first)[0])
@@ -426,7 +526,7 @@ def spherical_compact_su2(
     if not 0.0 < theta < np.pi:
         raise ValueError("theta must lie in the open interval (0, pi)")
     value, _, _ = _nested_trapezoid(
-        lambda phi: np.exp(n * np.log(np.cos(theta) + 1j * np.sin(theta) * np.cos(phi))),
+        lambda rule: np.exp(n * np.log(np.cos(theta) + 1j * np.sin(theta) * rule.cos)),
         2, config)
     if abs(value.imag) > 1e-10:
         raise QuadratureError(f"imaginary part {value.imag:.3e} above tolerance; "

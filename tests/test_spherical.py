@@ -219,7 +219,8 @@ def test_folded_sweep_equals_full_turn_mean():
 def test_sweep_at_eta_zero_is_real_and_equals_the_two_product_form(y):
     xis, nodes = np.array([0.5, 9.0, 40.0]), 8192
     got = sph.spherical_sl2_sweep(xis, 0.0, y, nodes)
-    theta, weights = sph._folded_grid(nodes, 4)
+    rule = sph._folded_grid(nodes, 4)
+    theta, weights = rule.angles, rule.weights
     s = 2.0 * y * np.cos(theta)
     amplitude = weights * sph.sl2_mehler_amplitude(y, theta)
     phase = np.outer(xis, s)
@@ -233,12 +234,13 @@ def _full_grid_nested_trapezoid(integrand, fold, config):
     """The doubling loop that slices each level's midpoints from the full
     folded grid: the oracle for the midpoint-only loop."""
     nodes = config.n_start
-    theta, weights = sph._folded_grid(nodes, fold)
-    current = integrand(theta) @ weights
+    rule = sph._folded_grid(nodes, fold)
+    current = integrand(rule) @ rule.weights
     while True:
         previous, nodes = current, 2 * nodes
-        theta, weights = sph._folded_grid(nodes, fold)
-        current = 0.5 * previous + integrand(theta[1::2]) @ weights[1::2]
+        rule = sph._folded_grid(nodes, fold)
+        midpoints = sph._Rule(rule.angles[1::2], rule.weights[1::2])
+        current = 0.5 * previous + integrand(midpoints) @ midpoints.weights
         err = abs(current - previous)
         scale = max(1.0, abs(current))
         if err <= config.target * scale or nodes >= config.n_max:
@@ -251,13 +253,15 @@ def test_midpoint_doubling_equals_full_grid_oracle(n_start):
     cases = [(4, 2.0 * 1.4 * (1j * 37.0 + 0.3), 1.4), (4, 2.0 * 0.6 * (1j * 300.0), 0.6),
              (4, 2.0 * 2.1 * (-0.5), 2.1)]
     for fold, w, y in cases:
-        def integrand(a):
+        def integrand(rule):
+            a = rule.angles
             return np.cosh(w * np.cos(a)) * sph.sl2_mehler_amplitude(y, a)
         got = sph._nested_trapezoid(integrand, fold, config)
         want = _full_grid_nested_trapezoid(integrand, fold, config)
         assert repr(got) == repr(want)
     for n, theta in [(0, 1.0), (17, 2.2), (500, 0.4), (1000, 2.9)]:
-        def integrand(phi):
+        def integrand(rule):
+            phi = rule.angles
             return np.exp(n * np.log(np.cos(theta) + 1j * np.sin(theta) * np.cos(phi)))
         got = sph._nested_trapezoid(integrand, 2, config)
         want = _full_grid_nested_trapezoid(integrand, 2, config)
@@ -570,14 +574,14 @@ def test_first_block_equals_full_grid_oracle_for_every_first(monkeypatch, case):
 
 
 def _integrand_sizes(monkeypatch, call, adaptive=True):
-    """Lengths of the angle arrays ``call`` passes to its integrands; with
+    """Point counts of the rules ``call`` passes to its integrands; with
     ``adaptive`` False the kernel gets ``first = 0``, the level-by-level loop."""
     sizes, kernel = [], sph._nested_trapezoid
 
     def counted(integrand, fold, config, first=0):
-        def integrand_counted(a):
-            sizes.append(len(a))
-            return integrand(a)
+        def integrand_counted(rule):
+            sizes.append(len(rule.angles))
+            return integrand(rule)
         return kernel(integrand_counted, fold, config, first if adaptive else 0)
 
     with monkeypatch.context() as patch:
@@ -595,15 +599,8 @@ BENCH_POINTS = [(2 ** 7.5, 0.31, 0.6), (2 ** 6.25, -0.12, 1.25), (2 ** 5.25, 0.5
 
 @pytest.mark.parametrize("xi, eta, y", BENCH_POINTS[:6])
 def test_bench_grid_value_makes_at_most_two_integrand_calls(monkeypatch, xi, eta, y):
-    calls = []
-    amplitude = sph.sl2_mehler_amplitude
-
-    def counted(t_geo, theta):
-        calls.append(len(theta))
-        return amplitude(t_geo, theta)
-
-    monkeypatch.setattr(sph, "sl2_mehler_amplitude", counted)
-    value = spherical_sl2(SpectralParameter.rank1(xi, eta), y, BENCH_CONFIG)
+    value, calls = _integrand_sizes(
+        monkeypatch, lambda: spherical_sl2(SpectralParameter.rank1(xi, eta), y, BENCH_CONFIG))
     assert value.quadrature_nodes >= 1 << 9
     assert 1 <= len(calls) <= 2, calls
 
@@ -644,3 +641,131 @@ def test_derivative_rejects_non_finite_input_before_quadrature(monkeypatch, xi, 
     monkeypatch.setattr(sph, "_nested_trapezoid", None)
     with pytest.raises(ValueError, match="non-finite"):
         sph.deriv_spherical_sl2(SpectralParameter.rank1(xi, eta), scale, 1.0, order)
+
+
+@pytest.mark.parametrize("xi, eta", [(1.7e308, 0.0), (-1.7e308, 0.2), (1.0, 1.7e308)])
+def test_overflowing_phase_raises_before_quadrature(monkeypatch, xi, eta):
+    monkeypatch.setattr(sph, "_nested_trapezoid", None)
+    lam = SpectralParameter.rank1(xi, eta)
+    with pytest.raises(ValueError, match="overflows"):
+        spherical_sl2(lam, 4.0)
+    for order in range(4):
+        with pytest.raises(ValueError, match="overflows"):
+            sph.deriv_spherical_sl2(lam, 1.0, 4.0, order)
+
+
+def test_kernel_raises_at_the_first_non_finite_estimate():
+    sizes = []
+
+    def nan_past_256(rule):
+        sizes.append(len(rule.angles))
+        values = np.exp(50j * rule.cos)  # unresolved below 512 nodes
+        return values if len(rule.angles) <= 32 else values * math.nan
+
+    config = QuadratureConfig(n_start=64, n_max=1 << 16, target=1e-12, fail=1.0)
+    with pytest.raises(QuadratureError, match="at 512 nodes is not finite"):
+        sph._nested_trapezoid(nan_past_256, 4, config)
+    # levels 64, 128 and 256 are finite; the 512-node midpoints are NaN
+    assert sizes == [17, 16, 32, 64]
+    with pytest.raises(QuadratureError, match="at 128 nodes is not finite"):
+        sph._nested_trapezoid(lambda rule: np.full(len(rule.angles), math.nan), 4, config)
+
+
+@pytest.mark.parametrize("xis, eta, y", [([1.0, math.nan], 0.0, 1.0), ([math.inf], 0.0, 1.0),
+                                         ([1.0], math.nan, 1.0), ([1.0], 0.0, -math.inf),
+                                         ([1.0], 0.2, math.nan)])
+def test_sweep_rejects_non_finite_input_before_the_cache(monkeypatch, xis, eta, y):
+    monkeypatch.setattr(sph, "_sweep_factors", None)
+    with pytest.raises(ValueError, match="non-finite"):
+        sph.spherical_sl2_sweep(np.array(xis), eta, y, 64)
+
+
+# Rule cache: every rule is built once per (nodes, fold), shared and read-only.
+
+
+@pytest.mark.parametrize("midpoints", [False, True])
+def test_rules_are_read_only_and_shared(monkeypatch, midpoints):
+    monkeypatch.setattr(sph, "_RULES", {})
+    rule = sph._folded_grid(256, 4, midpoints)
+    assert sph._folded_grid(256, 4, midpoints) is rule
+    for field in ("angles", "weights", "cos", "sin", "sin2_half"):
+        array = getattr(rule, field)
+        assert getattr(sph._folded_grid(256, 4, midpoints), field) is array
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+def test_rules_above_the_limit_are_built_but_not_kept(monkeypatch):
+    monkeypatch.setattr(sph, "_RULES", {})
+    limit = sph._ELIDE_POINTS
+    kept = sph._folded_grid(8 * limit, 4, midpoints=True)  # 16384 points
+    assert len(kept.angles) == limit
+    assert sph._folded_grid(8 * limit, 4, midpoints=True) is kept
+    full = sph._folded_grid(4 * limit, 4)  # 16385 points
+    assert len(full.angles) == limit + 1
+    assert sph._folded_grid(4 * limit, 4) is not full
+    bigger = sph._folded_grid(16 * limit, 4, midpoints=True)
+    assert sph._folded_grid(16 * limit, 4, midpoints=True) is not bigger
+    assert all(len(rule.angles) <= limit for rule in sph._RULES.values())
+    assert set(sph._RULES) == {(8 * limit, 4, True)}
+
+
+@pytest.mark.parametrize("nodes, fold", [(66, 4), (2, 4), (0, 2), (9, 2)])
+def test_node_counts_that_do_not_fold_raise_on_every_call(monkeypatch, nodes, fold):
+    monkeypatch.setattr(sph, "_RULES", {})
+    for _ in range(2):
+        for midpoints in (False, True):
+            with pytest.raises(ValueError, match="positive multiple"):
+                sph._folded_grid(nodes, fold, midpoints)
+    assert sph._RULES == {}
+
+
+def _cached_calls():
+    calls = []
+    for xi, eta, y in BENCH_POINTS:
+        lam = SpectralParameter.rank1(xi, eta)
+        calls.append(lambda lam=lam, y=y: spherical_sl2(lam, y, BENCH_CONFIG))
+        calls += [lambda lam=lam, y=y, order=order:
+                  sph.deriv_spherical_sl2(lam, 1.0, y, order, BENCH_CONFIG)
+                  for order in (1, 2, 3)]
+    calls += [lambda n=n, theta=theta: sph.spherical_compact_su2(n, theta)
+              for n, theta in [(0, 1.0), (17, 2.2), (500, 0.4), (1000, 2.9)]]
+    calls.append(lambda: sph.spherical_sl2_sweep(np.array([0.5, 9.0, 40.0]), -0.1, 1.3,
+                                                 8192).tobytes())
+    return calls
+
+
+def test_values_are_the_same_with_cleared_and_warm_caches(monkeypatch):
+    calls = _cached_calls()
+    cold = []
+    for call in calls:
+        monkeypatch.setattr(sph, "_RULES", {})
+        monkeypatch.setattr(sph, "_SWEEP_FACTORS", {})
+        cold.append(repr(call()))
+    for _ in range(2):
+        assert [repr(call()) for call in calls] == cold
+
+
+def test_sweep_factors_are_kept_for_the_last_chamber_point_and_node_count(monkeypatch):
+    monkeypatch.setattr(sph, "_SWEEP_FACTORS", {})
+    xis = np.array([0.5, 9.0])
+    s, amplitude = sph._sweep_factors(1.1, 256)
+    assert not (s.flags.writeable or amplitude.flags.writeable)
+    sph.spherical_sl2_sweep(xis, 0.3, 1.1, 256)
+    assert sph._sweep_factors(1.1, 256)[0] is s
+    assert list(sph._SWEEP_FACTORS) == [(1.1, 1.0, 256)]
+    # the sign of a zero Y is part of the key
+    for y in (0.0, -0.0):
+        sph.spherical_sl2_sweep(xis, 0.3, y, 256)
+        assert list(sph._SWEEP_FACTORS) == [(0.0, math.copysign(1.0, y), 256)]
+    sph.spherical_sl2_sweep(xis, 0.0, 1.1, 1 << 20)  # 2^18 + 1 points: not kept
+    assert sph._SWEEP_FACTORS == {}
+
+
+@pytest.mark.parametrize("xi, y", [(1.0e308, 0.4), (1e200, 1e-200), (1.0, 5e-324)])
+@pytest.mark.parametrize("order", [1, 3])
+def test_derivative_with_overflowing_prefactor_raises_before_quadrature(monkeypatch, xi, y,
+                                                                         order):
+    monkeypatch.setattr(sph, "_nested_trapezoid", None)
+    with pytest.raises(ValueError, match="overflows"):
+        sph.deriv_spherical_sl2(SpectralParameter.rank1(xi), 1.0, y, order)
