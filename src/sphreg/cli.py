@@ -287,8 +287,8 @@ def cmd_spherical(args) -> int:
                 if not 0.0 < y < math.pi:
                     raise CliError("su2 points must lie in (0, pi)")
                 for n in dict.fromkeys(int(round(t)) for t in ts):  # whole, distinct degrees
-                    value = sph.spherical_compact_su2(n, y)
-                    emit(float(n), (y,), complex(value), 0.0)
+                    value = sph._spherical_compact_su2(n, y)
+                    emit(float(n), (y,), value.value, value.estimated_error)
         else:
             raise CliError(f"unknown group {args.group!r}")
     except sph.QuadratureError as exc:

@@ -1,7 +1,8 @@
 """Numerical spherical functions.
 
-Noncompact side: the rank-one circle integral for the degree-2 special
-linear group, and a Monte Carlo rotation-group integral for degree 3.
+Noncompact side: the rank-one Harish-Chandra series, with the circle
+integral as its fallback, for the degree-2 special linear group, and a Monte
+Carlo rotation-group integral for degree 3.
 Compact side: the degree-``n`` spherical functions of the 2-sphere, by the
 classical polynomial recurrence and by their oscillatory circle integral.
 
@@ -14,21 +15,36 @@ pairs with a traceless diagonal ``(h1, h2, h3)`` as
 
 Rank one.  The abelian coordinate of ``a_Y k_theta``, ``a_Y = diag(e^Y, e^-Y)``,
 is ``u = 0.5 log(cosh 2Y + sinh 2Y cos 2theta)`` in closed form.  Laplace's
-integral of ``exp((2i xi - 2 eta - 1) u)`` defines the value, with phase slope
-up to ``2 xi sinh 2Y``.  Values come from the Mehler-Dirichlet form instead
-(DLMF §14.12; the Abel transform of Koornwinder, "Jacobi functions and
-analysis on noncompact semisimple Lie groups", 1984), with slope at most
+integral of ``exp((2i xi - 2 eta - 1) u)`` defines the value
+``phi = P_nu(cosh 2Y)``, ``nu = i xi - eta - 1/2``.  Values come from the
+Harish-Chandra expansion ``phi_lam = c(lam) Phi_lam + c(-lam) Phi_-lam``
+(Helgason, *Groups and Geometric Analysis*, ch. IV), which at rank one is
+``P_nu = tan(nu pi) / pi (Q_nu - Q_{-nu-1})`` (DLMF 14.9) with ``Q_nu(cosh t)
+= sqrt(pi) Gamma(nu + 1) / Gamma(nu + 3/2) e^{-(nu+1) t} F(1/2, nu + 1;
+nu + 3/2; e^{-2t})``, ``t = 2|Y|`` (DLMF 14.3).  For ``|eta| <= 1/2`` every
+term ratio is at most ``z = e^{-4|Y|}``, so the tail after term ``K`` is at
+most ``|a_K| z / (1 - z)``; that bound plus a rounding term, which shows the
+cancellation near the ``tan`` pole at ``xi = eta = 0``, is the value's error.
+The Gamma ratio comes from the shifted ratio expansion (DLMF 5.11), not from
+two log-gammas.  The series needs about ``20 / |Y|`` terms, so a cost model
+weighs them against the quadrature's phase node count.  Every other input,
+and any whose bound misses the target, takes the Mehler-Dirichlet form (DLMF
+§14.12; the Abel transform of Koornwinder, "Jacobi functions and analysis on
+noncompact semisimple Lie groups", 1984), with phase slope at most
 ``2 |xi Y|``: ``phi = (1/pi) int_0^pi cosh((i xi - eta) 2Y cos a) /
 sqrt(sinhc(Y (1 - cos a)) sinhc(Y (1 + cos a))) da``, ``sinhc x = sinh x / x``.
-Derivatives come from the same family (``deriv_spherical_sl2``).  Laplace's
-form remains in ``asymptotics`` and as the tests' oracle.
+Derivatives (``deriv_spherical_sl2``) differentiate the series term by term;
+at small ``Y`` they sum ``F(-nu, nu + 1; 1; -sinh^2 Y)`` instead, and the
+Mehler-Dirichlet family is their fallback.  Laplace's form remains in
+``asymptotics`` and as the tests' oracle.
 
 Rank two.  ``H(a k)`` is closed form too: with ``z1, z2`` the first two columns
 of the Gaussian matrix that ``liegroup.haar_so_n_sample`` turns into ``k`` and
 ``w = z1 x z2``, ``h1 = log(|a z1|/|z1|)``, ``h1 + h2 = log(|a^-1 w|/|w|)`` and
 ``h3 = -(h1 + h2)``; both read one Gaussian stream, so a seed gives the same ``k``.
 
-Quadrature.  Each rank-one circle integral is the trapezoid rule, which
+Quadrature.  The fallback values, the derivatives' fallback, the sweeps and
+the compact values are circle integrals.  Each is the trapezoid rule, which
 converges exponentially for smooth periodic integrands (Trefethen and
 Weideman, "The exponentially convergent trapezoidal rule", SIAM Review 56,
 2014).  The noncompact integrands depend on the angle only through
@@ -103,9 +119,17 @@ class SpectralParameter:
 
 @dataclass(frozen=True)
 class SphericalValue:
+    """A spherical function value and how it was produced.  ``path`` names
+    the method: ``"series"`` (the rank-one Harish-Chandra series; then
+    ``quadrature_nodes`` holds its term count and ``estimated_error`` its
+    tail-plus-rounding bound), ``"trapezoid"`` (a circle integral; the final
+    full-turn node count and the last level difference) or ``"monte-carlo"``
+    (rank two; the sample count and the standard error)."""
+
     value: complex
     quadrature_nodes: int
     estimated_error: float
+    path: str = "monte-carlo"
 
 
 @dataclass(frozen=True)
@@ -123,6 +147,10 @@ class QuadratureConfig:
     n_max: int = 8192
     target: float = 1e-12
     fail: float = 1e-7
+
+    def __post_init__(self):
+        if self.n_start < 4 or self.n_start % 4:
+            raise ValueError(f"n_start {self.n_start} is not a positive multiple of 4")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -289,23 +317,181 @@ def _phase_nodes(xi: float, t_geo: float, safety: float = 1.3, floor: int = 64) 
     return 1 << int(math.ceil(math.log2(need)))
 
 
+# Coefficients of z^-1, z^-3, ..., z^-15 in log(sqrt(z) Gamma(z) / Gamma(z + 1/2)):
+# (-1)^(k+1) (B_{k+1}(0) - B_{k+1}(1/2)) / (k (k + 1)), odd k (DLMF 5.11.8; the
+# even-k coefficients vanish).  From |z| >= 12 the first omitted term is below 1e-19.
+_GAMMA_RATIO_TERMS = (1 / 8, -1 / 192, 1 / 640, -17 / 14336, 31 / 18432, -691 / 180224,
+                      5461 / 425984, -929569 / 15728640)
+_EPS = 2.0 ** -52
+# Cost model, in units of one Mehler-Dirichlet node (about 20 ns): a value by
+# quadrature costs its phase node count plus about 600 for the call and the
+# doubling; a series term costs about 16.  Each Q-series needs about
+# 10 / |Y| terms to reach roundoff, and at eta = 0 only one is summed.
+_SERIES_TERM_COST = 16.0
+_MEHLER_FIXED_COST = 600.0
+_SERIES_TERMS_Y = 10.0
+_SERIES_MAX_TERMS = 4096  # per Q-series; a bound that needs more is reported as inf
+
+
+def _gamma_ratio(z: complex) -> complex:
+    """``Gamma(z) / Gamma(z + 1/2)`` for ``Re z >= 0``, ``z != 0``: shifted up to
+    ``|z| >= 12`` by ``Gamma(z) / Gamma(z + 1/2) = (z + 1/2) / z * Gamma(z + 1) /
+    Gamma(z + 3/2)``, then ``z^-1/2 exp(sum)`` over ``_GAMMA_RATIO_TERMS``.  No
+    log-gamma is formed, whose imaginary part (about ``|z| log |z|``) would
+    round to an absolute error far above the ratio's."""
+    factor = 1.0
+    while abs(z) < 12.0:
+        factor *= (z + 0.5) / z
+        z += 1.0
+    w, total = 1.0 / (z * z), 0.0
+    for c in reversed(_GAMMA_RATIO_TERMS):
+        total = total * w + c
+    return factor * cmath.exp(total / z) / cmath.sqrt(z)
+
+
+def _q_series(b: complex, t: float, order: int) -> tuple[complex, float, float, int]:
+    """``d^order/dY^order`` of ``Q_{b-1}(cosh t) / sqrt(pi)`` at ``t = 2Y``, as
+    ``(sum, rounding weight, tail bound, terms)``.  Term ``k`` of
+    ``Gamma(b) / Gamma(b + 1/2) e^{-bt} F(1/2, b; b + 1/2; e^{-2t})`` is
+    ``a_k e^{-(b + 2k) t}``, and its derivative carries ``(-2 (b + 2k))^order``.
+    With ``Re b >= 0`` and ``z = e^{-2t}``, ``|a_{k+1} / a_k| <= z``, and the
+    ratio of derivative terms ``k + 1`` and ``k`` is at most
+    ``r_k = z (1 + 2 / |b + 2k|)^order``, which does not grow with ``k``; so
+    the tail after term ``k`` is at most ``|term_k| r_k / (1 - r_k)``.  The
+    terms stop once that is below an eighth of an ulp of their absolute sum;
+    for the value, whose ratio bound is ``z`` throughout, the count is known
+    in advance.  The rounding weight bounds ``sum (k + 1) |term_k|``, since
+    term ``k`` carries a few roundings from each step before it."""
+    z = math.exp(-2.0 * t)
+    coefficient = math.sqrt(math.pi) * _gamma_ratio(b) * cmath.exp(-b * t)
+    total, h = 0j, b + 0.5
+    if order == 0:
+        # K terms leave a tail of at most |a_0| z^K / (1 - z), below |a_0| eps / 8
+        count = ((math.log(0.125 * _EPS) + math.log(-math.expm1(-2.0 * t))) / (-2.0 * t)
+                 if t > 0.0 else math.inf)
+        if not count <= _SERIES_MAX_TERMS:
+            return total, math.inf, math.inf, 0
+        count = math.ceil(count)
+        weight = abs(coefficient) / (1.0 - z) ** 2
+        for k in range(count):
+            total += coefficient
+            # b + k keeps the low bits of a small b, which b + 1/2 rounds away
+            coefficient *= (b + k) / (h + k) * (z * (k + 0.5) / (k + 1))
+        return total, weight, abs(coefficient) / (1.0 - z), count
+    weight = magnitude = 0.0
+    for k in range(_SERIES_MAX_TERMS):
+        term, factor, ratio = coefficient, -2.0 * (b + 2 * k), z
+        growth = 1.0 + 2.0 / abs(b + 2 * k)
+        for _ in range(order):  # products, not powers, which raise on overflow
+            term *= factor
+            ratio *= growth
+        size = abs(term)
+        total += term
+        magnitude += size
+        weight += (k + 1) * size
+        if ratio < 1.0 and size * ratio <= 0.125 * _EPS * magnitude * (1.0 - ratio):
+            return total, weight, size * ratio / (1.0 - ratio), k + 1
+        coefficient *= (b + k) / (h + k) * (z * (k + 0.5) / (k + 1))
+    return total, weight, math.inf, _SERIES_MAX_TERMS
+
+
+def _tan_nu_pi(xi: float, eta: float) -> complex:
+    """``tan(nu pi)``, ``nu = i xi - eta - 1/2``, from an argument whose real
+    part is reduced into [-1/4, 1/4] by the period and ``tan(x - pi/2) =
+    -cot x``, so its zeros and poles at ``xi = 0`` are taken at small
+    arguments, where they are accurate."""
+    if abs(eta) <= 0.25:
+        return -1.0 / cmath.tan(math.pi * complex(-eta, xi))
+    return cmath.tan(math.pi * complex(math.copysign(0.5, eta) - eta, xi))
+
+
+def _accepted_series(xi: float, eta: float, t_geo: float, order: int,
+                     config: QuadratureConfig) -> SphericalValue | None:
+    """The Harish-Chandra series where it has its bound and the cost model
+    prefers it, if that bound meets ``config.target`` relative to
+    ``max(1, |value|)``; else None.  It has its bound for ``|eta| <= 1/2``,
+    ``Y != 0`` and ``nu`` off the ``tan`` pole (``xi = eta = 0``) and the
+    Gamma ratios' poles (``xi = 0``, ``eta = +-1/2``).  The cost model weighs
+    its terms (about ``20 / |Y|``, half at ``eta = 0``) against the
+    quadrature's phase node count and fixed cost."""
+    y = abs(t_geo)
+    series = 1.0 if eta == 0.0 else 2.0
+    if not (abs(eta) <= 0.5 and y > 0.0 and (xi != 0.0 or abs(eta) not in (0.0, 0.5))
+            and series * _SERIES_TERM_COST * _SERIES_TERMS_Y
+            <= y * (_MEHLER_FIXED_COST + _phase_nodes(xi, t_geo))):
+        return None
+    value = _harish_chandra_series(xi, eta, t_geo, order)
+    if value.estimated_error <= config.target * max(1.0, abs(value.value)):
+        return value
+    return None
+
+
+def _harish_chandra_series(xi: float, eta: float, t_geo: float,
+                           order: int = 0) -> SphericalValue:
+    """``phi^(order)`` at ``Y = t_geo`` from ``P_nu(cosh t) = tan(nu pi) / pi
+    (Q_nu - Q_{-nu-1})`` (DLMF 14.9), ``nu = i xi - eta - 1/2``, ``t = 2|Y|``,
+    each Q by ``_q_series`` (DLMF 14.3).  The error is the two tails plus a
+    rounding term: 16 ulps of ``|tan(nu pi) / pi|`` times the Q-series'
+    rounding weights, with ``|xi t|`` ulps more for the rounded phase.  At
+    ``eta = 0`` the second series is the conjugate of the first and is not
+    summed, so the value is real.  Requires ``|eta| <= 1/2`` (the ratio bound),
+    ``nu`` off the poles at ``xi = 0`` (``eta = 0, +-1/2``) and, for
+    ``order > 0``, ``Y > 0``.  A value or bound that leaves the float range, or
+    a ``Y`` too small for ``_SERIES_MAX_TERMS``, is reported with an infinite
+    bound."""
+    t = 2.0 * abs(t_geo)
+    try:
+        q, weight, tail, terms = _q_series(complex(0.5 - eta, xi), t, order)
+        if eta == 0.0:
+            difference, weight, tail = 2j * q.imag, 2.0 * weight, 2.0 * tail
+        else:
+            q2, weight2, tail2, terms2 = _q_series(complex(0.5 + eta, -xi), t, order)
+            difference, weight, tail, terms = (q - q2, weight + weight2, tail + tail2,
+                                               terms + terms2)
+        factor = _tan_nu_pi(xi, eta) / math.pi
+        value = factor * difference
+        bound = abs(factor) * (tail + _EPS * (16.0 + abs(xi) * t) * weight)
+    except OverflowError:  # abs() of a complex with finite parts above the float range
+        value, bound, terms = complex(math.nan, math.nan), math.inf, 0
+    if not (cmath.isfinite(value) and math.isfinite(bound)):
+        bound = math.inf
+    return SphericalValue(complex(value), terms, bound, "series")
+
+
 def spherical_sl2(
     lam: SpectralParameter, t_geo: float, config: QuadratureConfig = DEFAULT_CONFIG
 ) -> SphericalValue:
     """Spherical function of the degree-2 special linear group at
-    a_Y = diag(e^Y, e^-Y), Y = ``t_geo``, by the Mehler-Dirichlet integral;
-    exact value 1 at the identity.  A non-finite input, or one whose phase
-    ``2 Y (i xi - eta)`` overflows, raises ``ValueError``."""
+    a_Y = diag(e^Y, e^-Y), Y = ``t_geo``; exact value 1 at the identity.
+
+    Where ``|eta| <= 1/2``, ``Y != 0``, ``nu`` is off the poles at ``xi = 0``
+    and about ``20 / |Y|`` series terms cost less than the quadrature's phase
+    node count, the value is the Harish-Chandra series ``tan(nu pi) / pi
+    (Q_nu - Q_{-nu-1})`` with its tail-plus-rounding bound (path ``"series"``,
+    ``quadrature_nodes`` the term count).  If that bound is above
+    ``config.target`` relative to ``max(1, |value|)``, as near the ``tan``
+    pole, and on every other input, it is the Mehler-Dirichlet integral
+    (``_spherical_sl2_mehler``, path ``"trapezoid"``).  A non-finite
+    input, or one whose phase ``2 Y (i xi - eta)`` overflows, raises
+    ``ValueError``."""
     if abs(t_geo) > T_GEO_MAX:
         raise ValueError(f"chamber point Y={t_geo:g} outside |Y| <= {T_GEO_MAX:g}")
     _check_finite(lam, f"Y={t_geo:g}", t_geo)
     _check_phase(lam, t_geo)
+    series = _accepted_series(lam.xi[0], lam.eta[0], t_geo, 0, config)
+    return series if series is not None else _spherical_sl2_mehler(lam, t_geo, config)
+
+
+def _spherical_sl2_mehler(lam: SpectralParameter, t_geo: float,
+                          config: QuadratureConfig) -> SphericalValue:
+    """``spherical_sl2`` by the Mehler-Dirichlet integral on the folded,
+    nested trapezoid rule, for a checked input."""
     w = 2.0 * t_geo * (1j * lam.xi[0] - lam.eta[0])
     first = _phase_nodes(lam.xi[0], t_geo) // 2
     value, nodes, err = _nested_trapezoid(
         lambda rule: np.cosh(w * rule.cos) * _mehler_amplitude(t_geo, rule.sin2_half),
         4, config, first)
-    return SphericalValue(complex(value), nodes, float(err))
+    return SphericalValue(complex(value), nodes, float(err), "trapezoid")
 
 
 def sl2_sweep_nodes(xi_peak: float, t_geo: float, safety: float = 1.3,
@@ -370,20 +556,25 @@ def deriv_spherical_sl2(
 ) -> complex:
     """Derivative of order ``order`` (0..3) in the geodesic parameter of the
     chamber restriction of the spherical function at spectral value
-    ``t_scale * xi + i eta``.  Order 0 is ``spherical_sl2``.
+    ``t_scale * xi + i eta``.  With ``s = i t_scale xi - eta`` and
+    ``nu = s - 1/2``, one of three paths:
 
-    With ``s = i t_scale xi - eta``, ``nu = s - 1/2``, ``x = cosh 2Y`` and
-    ``c = cos a``, order 1 is DLMF 14.10.5, ``(x^2 - 1) P_nu' = nu (x P_nu -
-    P_{nu-1})``, in Mehler-Dirichlet form: ``phi' = (2 nu / sinh 2Y) (1/pi)
-    int_0^pi [A sinh(2Ysc) sinh(2Yc) + 2Y^2 sin^2 a cosh(2Ysc) / A] da`` with
-    ``A = sl2_mehler_amplitude``; ``A^2 (cosh 2Y - cosh 2Yc) = 2Y^2 sin^2 a``
-    removes the 0/0 at the wall.  The prefactor sits inside the integrand, so
-    the stop test sees the derivative's own scale.  Orders 2 and 3 follow from
-    Legendre's equation, with no further quadrature:
-    ``phi'' = -2 coth(2Y) phi' + (4 s^2 - 1) phi`` and
-    ``phi''' = -2 coth(2Y) phi'' + (4 csch^2(2Y) + 4 s^2 - 1) phi'``.
+    - Small ``Y`` (``|xi| Y <= 1``, ``|eta| Y <= 1`` and ``Y <= 1/2``): orders
+      0-3 from ``phi = F(-nu, nu + 1; 1; -sinh^2 Y)`` (DLMF 14.3), summed to
+      roundoff and chained through ``(sinh^2 Y)' = sinh 2Y``
+      (``_small_y_derivatives``).  No ``coth 2Y`` or ``csch 2Y`` appears, so
+      the limits at ``Y -> 0`` hold.
+    - Elsewhere order 0 is ``spherical_sl2``.  Where the Harish-Chandra
+      series applies (as there), orders 1-3 differentiate it term by term:
+      term ``k`` of each Q-series takes the factor ``(-2 (b + 2k))^order``.
+      Its tail-plus-rounding bound must meet ``config.target`` relative to
+      ``max(1, |value|)``.
+    - Otherwise the Mehler-Dirichlet family (``_deriv_spherical_sl2_mehler``):
+      order 1 by one integral, orders 2 and 3 from Legendre's equation.
+
     A non-finite spectral value, or one whose phase overflows, raises
-    ``ValueError``."""
+    ``ValueError``.  For orders 1-3 so does one whose ``(2s - 1) / sinh 2Y``
+    (the Mehler-Dirichlet prefactor) overflows, on every path."""
     if not 0 <= order <= 3:
         raise ValueError("order must be between 0 and 3")
     if not 0.0 < t_geo <= T_GEO_MAX:
@@ -391,13 +582,81 @@ def deriv_spherical_sl2(
     scaled = SpectralParameter.rank1(t_scale * lam.xi[0], lam.eta[0])
     _check_finite(scaled, f"Y={t_geo:g}")
     _check_phase(scaled, t_geo)
-    if order == 0:
-        return spherical_sl2(scaled, t_geo, config).value
-    s, y2 = 1j * scaled.xi[0] - scaled.eta[0], 2.0 * t_geo
-    prefactor = (2.0 * s - 1.0) / math.sinh(y2)
-    if not cmath.isfinite(prefactor):
+    xi, eta = scaled.xi[0], scaled.eta[0]
+    if order and not cmath.isfinite((2j * xi - 2.0 * eta - 1.0) / math.sinh(2.0 * t_geo)):
         raise ValueError(f"prefactor (2s - 1) / sinh 2Y overflows at spectral value "
                          f"{scaled}, Y={t_geo:g}")
+    if max(abs(xi), abs(eta)) * t_geo <= 1.0 and t_geo <= 0.5:
+        return _small_y_derivatives(complex(-eta, xi), t_geo)[order]
+    if order == 0:
+        return spherical_sl2(scaled, t_geo, config).value
+    series = _accepted_series(xi, eta, t_geo, order, config)
+    if series is not None:
+        return series.value
+    return _deriv_spherical_sl2_mehler(scaled, t_geo, order, config)
+
+
+def _small_y_derivatives(s: complex, t_geo: float) -> list[complex]:
+    """``phi`` and its first three derivatives at ``Y = t_geo`` from
+    ``G(x) = F(-nu, nu + 1; 1; -x) = sum g_k x^k`` at ``x = sinh^2 Y``, where
+    ``g_{k+1} / g_k = (s^2 - (k + 1/2)^2) / (k + 1)^2``.  For ``j >= K`` that
+    ratio is at most ``1 + |s|^2 / (K + 1)^2`` in modulus, so the term ratio of
+    ``G^(m)`` is at most ``r_m = x (1 + |s|^2 / (K + 1)^2) (K + 1) / (K + 1 - m)``.
+    Coefficients are added until, for every ``m <= 3``, the tail bound
+    ``K! / (K - m)! |g_K| x^(K-m) r_m / (1 - r_m)`` is below an eighth of an
+    ulp of the order's first term ``m! |g_m|``.  One Horner pass then gives
+    ``G`` and its first three derivatives.  Last, ``phi' = G' x'``,
+    ``phi'' = G'' x'^2 + G' x''`` and ``phi''' = G''' x'^3 + 3 G'' x' x'' + G' x'''``,
+    with ``x' = sinh 2Y``, ``x'' = 2 cosh 2Y`` and ``x''' = 4 sinh 2Y``."""
+    x, s2 = math.sinh(t_geo) ** 2, s * s
+    coefficients = [1.0 + 0j]
+    for k in range(3):
+        coefficients.append(coefficients[k] * (s2 - (k + 0.5) ** 2) / (k + 1) ** 2)
+    tolerances = [0.125 * _EPS * math.factorial(m) * abs(coefficients[m]) for m in range(4)]
+    powers = [x ** 3, x * x, x, 1.0]  # x^(3-m); x^(K-m) = x^(K-3) x^(3-m)
+    k, x_k = 3, 1.0  # x_k = x^(k-3)
+    while True:
+        size, rho = abs(coefficients[k]) * x_k, x * (1.0 + abs(s2) / (k + 1) ** 2)
+        falling = 1
+        for m in (0, 1, 2, 3):
+            if m:
+                falling *= k + 1 - m
+            r = rho * (k + 1) / (k + 1 - m)
+            if not (r < 1.0 and falling * size * powers[m] * r <= tolerances[m] * (1.0 - r)):
+                break
+        else:  # every order's tail is below its tolerance
+            break
+        coefficients.append(coefficients[k] * (s2 - (k + 0.5) ** 2) / (k + 1) ** 2)
+        k, x_k = k + 1, x_k * x
+    g0 = g1 = g2 = g3 = 0j  # G and its first three derivatives over 1, 1, 2 and 6
+    for c in reversed(coefficients):
+        g3 = g3 * x + g2
+        g2 = g2 * x + g1
+        g1 = g1 * x + g0
+        g0 = g0 * x + c
+    g2, g3 = 2.0 * g2, 6.0 * g3
+    x1, x2, x3 = math.sinh(2.0 * t_geo), 2.0 * math.cosh(2.0 * t_geo), 4.0 * math.sinh(2.0 * t_geo)
+    return [g0, g1 * x1, g2 * x1 * x1 + g1 * x2, g3 * x1 ** 3 + 3.0 * g2 * x1 * x2 + g1 * x3]
+
+
+def _deriv_spherical_sl2_mehler(scaled: SpectralParameter, t_geo: float, order: int,
+                                config: QuadratureConfig) -> complex:
+    """Orders 1-3 of ``deriv_spherical_sl2`` from the Mehler-Dirichlet family,
+    for a checked input at the scaled spectral value.
+
+    With ``x = cosh 2Y`` and ``c = cos a``, order 1 is DLMF 14.10.5,
+    ``(x^2 - 1) P_nu' = nu (x P_nu - P_{nu-1})``, in Mehler-Dirichlet form:
+    ``phi' = (2 nu / sinh 2Y) (1/pi) int_0^pi [A sinh(2Ysc) sinh(2Yc) + 2Y^2
+    sin^2 a cosh(2Ysc) / A] da`` with ``A = sl2_mehler_amplitude``; ``A^2
+    (cosh 2Y - cosh 2Yc) = 2Y^2 sin^2 a`` removes the 0/0 at the wall.  The
+    prefactor sits inside the integrand, so the stop test sees the
+    derivative's own scale.  Orders 2 and 3 follow from Legendre's equation,
+    with no further quadrature: ``phi'' = -2 coth(2Y) phi' + (4 s^2 - 1) phi``
+    and ``phi''' = -2 coth(2Y) phi'' + (4 csch^2(2Y) + 4 s^2 - 1) phi'``.
+    These steps cancel as ``Y -> 0``, where ``deriv_spherical_sl2`` takes the
+    small-``Y`` series instead."""
+    s, y2 = 1j * scaled.xi[0] - scaled.eta[0], 2.0 * t_geo
+    prefactor = (2.0 * s - 1.0) / math.sinh(y2)
 
     def integrand(rule):
         c, amplitude = rule.cos, _mehler_amplitude(t_geo, rule.sin2_half)
@@ -521,14 +780,21 @@ def spherical_compact_su2(
     Powers are accumulated as exp(n log z) to keep large degrees stable; the
     imaginary part of the quadrature must vanish and is asserted to 1e-10.
     """
+    return _spherical_compact_su2(n, theta, config).value.real
+
+
+def _spherical_compact_su2(n: int, theta: float,
+                           config: QuadratureConfig = DEFAULT_CONFIG) -> SphericalValue:
+    """``spherical_compact_su2`` with its final node count and last level
+    difference; the value's imaginary part is dropped after the check."""
     if n < 0 or n > 10_000:
         raise ValueError(f"degree {n} outside the supported range [0, 10000]")
     if not 0.0 < theta < np.pi:
         raise ValueError("theta must lie in the open interval (0, pi)")
-    value, _, _ = _nested_trapezoid(
+    value, nodes, err = _nested_trapezoid(
         lambda rule: np.exp(n * np.log(np.cos(theta) + 1j * np.sin(theta) * rule.cos)),
         2, config)
     if abs(value.imag) > 1e-10:
         raise QuadratureError(f"imaginary part {value.imag:.3e} above tolerance; "
                               "quadrature failed")
-    return float(value.real)
+    return SphericalValue(complex(float(value.real)), nodes, float(err), "trapezoid")

@@ -255,6 +255,24 @@ def test_spherical_su2_and_guards():
     assert code == 2  # no points
 
 
+def test_spherical_su2_prints_the_rule_error():
+    from sphreg import spherical as sph
+
+    code, out, _ = run("spherical", "--group", "su2", "--points", "1.0,2.5",
+                       "--tmin", "4", "--tmax", "700", "--tsteps", "4")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["t", "Y", "re", "im", "err"]
+    errors = []
+    for t, y, re_part, im_part, err in rows[1:]:
+        value = sph._spherical_compact_su2(int(t), float(y))
+        assert float(re_part) == pytest.approx(value.value.real, rel=1e-14)
+        assert float(im_part) == 0.0
+        assert float(err) == float(f"{value.estimated_error:.3g}")
+        errors.append(float(err))
+    assert any(errors) and max(errors) <= 1e-12
+
+
 def test_spherical_out_of_range_inputs_exit_two():
     code, _, err = run("spherical", "--group", "su2", "--points", "1.0",
                        "--tmin", "10", "--tmax", "20000", "--tsteps", "3")

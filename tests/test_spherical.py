@@ -1,7 +1,11 @@
 """Spherical-function numerics against independent oracles."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from sphreg.spherical import (
     spherical_sl3,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 BIG = QuadratureConfig(n_start=1024, n_max=1 << 20, target=1e-12, fail=1e-7)
 
 
@@ -114,7 +119,7 @@ def test_bounded_region_dichotomy():
 def test_quadrature_failure_raises():
     tight = QuadratureConfig(n_start=64, n_max=256, target=1e-12, fail=1e-9)
     with pytest.raises(QuadratureError):
-        spherical_sl2(SpectralParameter.rank1(500.0), 2.0, tight)
+        sph._spherical_sl2_mehler(SpectralParameter.rank1(500.0), 2.0, tight)
 
 
 def test_geodesic_range_guard():
@@ -152,7 +157,7 @@ def _mehler_full_turn(xi, eta, y, nodes):
 @pytest.mark.parametrize("nodes", PINNED_NODES)
 def test_folded_rule_equals_full_turn_mean(nodes):
     for xi, eta, y in [(0.7, 0.2, 0.9), (6.0, -0.4, 1.6), (15.0, 0.0, 0.3), (3.0, 0.5, -1.2)]:
-        got = spherical_sl2(SpectralParameter.rank1(xi, eta), y, _pinned(nodes))
+        got = sph._spherical_sl2_mehler(SpectralParameter.rank1(xi, eta), y, _pinned(nodes))
         assert got.quadrature_nodes == nodes
         assert abs(got.value - _mehler_full_turn(xi, eta, y, nodes)) <= 1e-13
 
@@ -180,8 +185,8 @@ def _laplace_derivatives(xi, eta, y, nodes=1 << 17):
 def test_folded_derivatives_equal_full_turn_mean(nodes):
     for xi, eta, scale, y in [(0.8, 0.1, 3.0, 1.1), (0.5, -0.3, 1.0, 0.6)]:
         want = _mehler_derivative_full_turn(scale * xi, eta, y, nodes)
-        got = sph.deriv_spherical_sl2(SpectralParameter.rank1(xi, eta), scale, y, 1,
-                                      _pinned(nodes))
+        got = sph._deriv_spherical_sl2_mehler(SpectralParameter.rank1(scale * xi, eta), y, 1,
+                                              _pinned(nodes))
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
@@ -545,15 +550,18 @@ def _integrand_of(monkeypatch, call):
     return seen[0]
 
 
+DEFAULT = sph.DEFAULT_CONFIG
 FIRST_BLOCK_CASES = {
-    "sl2 slow": lambda: spherical_sl2(SpectralParameter.rank1(37.0, 0.3), 1.4),
-    "sl2 fast": lambda: spherical_sl2(SpectralParameter.rank1(300.0), 0.6),
-    "sl2 eta": lambda: spherical_sl2(SpectralParameter.rank1(0.0, 0.5), 2.1),
-    "deriv fast": lambda: sph.deriv_spherical_sl2(SpectralParameter.rank1(150.0, -0.2),
-                                                  1.5, 1.3, 1),
+    "sl2 slow": lambda: sph._spherical_sl2_mehler(SpectralParameter.rank1(37.0, 0.3), 1.4,
+                                                  DEFAULT),
+    "sl2 fast": lambda: sph._spherical_sl2_mehler(SpectralParameter.rank1(300.0), 0.6, DEFAULT),
+    "sl2 eta": lambda: sph._spherical_sl2_mehler(SpectralParameter.rank1(0.0, 0.5), 2.1,
+                                                 DEFAULT),
+    "deriv fast": lambda: sph._deriv_spherical_sl2_mehler(
+        SpectralParameter.rank1(1.5 * 150.0, -0.2), 1.3, 1, DEFAULT),
     # its blocks would pass 16384 points if the kernel let them
-    "deriv past elision": lambda: sph.deriv_spherical_sl2(
-        SpectralParameter.rank1(-1650.5, 0.534), 3.0, 3.25, 1),
+    "deriv past elision": lambda: sph._deriv_spherical_sl2_mehler(
+        SpectralParameter.rank1(3.0 * -1650.5, 0.534), 3.25, 1, DEFAULT),
     "su2 500": lambda: sph.spherical_compact_su2(500, 0.4),
     "su2 1000": lambda: sph.spherical_compact_su2(1000, 2.9),
 }
@@ -599,8 +607,8 @@ BENCH_POINTS = [(2 ** 7.5, 0.31, 0.6), (2 ** 6.25, -0.12, 1.25), (2 ** 5.25, 0.5
 
 @pytest.mark.parametrize("xi, eta, y", BENCH_POINTS[:6])
 def test_bench_grid_value_makes_at_most_two_integrand_calls(monkeypatch, xi, eta, y):
-    value, calls = _integrand_sizes(
-        monkeypatch, lambda: spherical_sl2(SpectralParameter.rank1(xi, eta), y, BENCH_CONFIG))
+    value, calls = _integrand_sizes(monkeypatch, lambda: sph._spherical_sl2_mehler(
+        SpectralParameter.rank1(xi, eta), y, BENCH_CONFIG))
     assert value.quadrature_nodes >= 1 << 9
     assert 1 <= len(calls) <= 2, calls
 
@@ -608,8 +616,8 @@ def test_bench_grid_value_makes_at_most_two_integrand_calls(monkeypatch, xi, eta
 @pytest.mark.parametrize("xi, eta, y", BENCH_POINTS)
 def test_integrand_points_equal_the_level_by_level_loop(monkeypatch, xi, eta, y):
     lam = SpectralParameter.rank1(xi, eta)
-    for call in (lambda: spherical_sl2(lam, y, BENCH_CONFIG),
-                 lambda: sph.deriv_spherical_sl2(lam, 1.0, y, 1, BENCH_CONFIG)):
+    for call in (lambda: sph._spherical_sl2_mehler(lam, y, BENCH_CONFIG),
+                 lambda: sph._deriv_spherical_sl2_mehler(lam, y, 1, BENCH_CONFIG)):
         got, sizes = _integrand_sizes(monkeypatch, call)
         want, loop_sizes = _integrand_sizes(monkeypatch, call, adaptive=False)
         assert repr(got) == repr(want)
@@ -769,3 +777,154 @@ def test_derivative_with_overflowing_prefactor_raises_before_quadrature(monkeypa
     monkeypatch.setattr(sph, "_nested_trapezoid", None)
     with pytest.raises(ValueError, match="overflows"):
         sph.deriv_spherical_sl2(SpectralParameter.rank1(xi), 1.0, y, order)
+
+
+# Harish-Chandra series: P_nu = tan(nu pi) / pi (Q_nu - Q_{-nu-1}), with a
+# tail-plus-rounding bound; the Mehler-Dirichlet rule is the fallback.
+
+
+def _legendre_reference(xi, eta, y, order=0):
+    """``d^order/dY^order P_nu(cosh 2Y)`` at ``nu = i xi - eta - 1/2`` by
+    mpmath; ``-0.5 - eta`` is formed in mpmath, as its float rounds away the
+    low bits of ``1/2 - |eta|`` near ``|eta| = 1/2``."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        nu = mpmath.mpc(-0.5, xi) - mpmath.mpf(eta)
+
+        def f(s):
+            return mpmath.legenp(nu, 0, mpmath.cosh(2 * s), type=3)
+
+        y_mp = mpmath.mpf(y)
+        return complex(f(y_mp) if order == 0 else mpmath.diff(f, y_mp, order))
+
+
+_SERIES_RNG = np.random.default_rng(16)
+SERIES_POINTS = [(float(2.0 ** _SERIES_RNG.uniform(-5, 8)), float(_SERIES_RNG.uniform(-0.5, 0.5)),
+                  float(_SERIES_RNG.uniform(0.05, 2.5))) for _ in range(100)]
+
+
+def test_series_matches_the_legendre_function():
+    for xi, eta, y in SERIES_POINTS:
+        got = sph._harish_chandra_series(xi, eta, y)
+        want = _legendre_reference(xi, eta, y)
+        assert got.path == "series"
+        assert abs(got.value - want) <= 1e-13 * max(1.0, abs(want)), (xi, eta, y)
+
+
+# (xi, eta, Y, order): random points, the tan pole's neighbourhood, eta near
+# +-1/2 at small xi (nu near an integer), and derivatives
+BOUND_CASES = [*((xi, eta, y, 0) for xi, eta, y in SERIES_POINTS[:12]),
+               (1e-6, 0.0, 1.0, 0), (1e-3, 1e-7, 0.7, 0), (-2e-4, -3e-5, 2.0, 0),
+               (1e-8, 0.5, 1.0, 0), (3e-5, -0.5, 0.4, 0), (1e-4, 0.49999, 1.5, 0),
+               (3.8e-12, 0.4999999968314562, 1.95, 1), (1.2e-5, 0.49999999143, 1.9, 2),
+               (5.9e-7, 0.4999996426018253, 0.64, 3), (63.5, 0.2, 1.2, 2), (150.0, -0.3, 0.9, 1),
+               (2.0, 0.45, 2.4, 3), (0.3, -0.1, 0.3, 1)]
+
+
+@pytest.mark.parametrize("xi, eta, y, order", BOUND_CASES)
+def test_series_bound_covers_the_error(xi, eta, y, order):
+    got = sph._harish_chandra_series(xi, eta, y, order)
+    want = _legendre_reference(xi, eta, y, order)
+    assert abs(got.value - want) <= got.estimated_error
+
+
+@pytest.mark.parametrize("xi, eta, y", BENCH_POINTS)
+def test_series_matches_the_mehler_rule_on_bench_points(xi, eta, y):
+    got = spherical_sl2(SpectralParameter.rank1(xi, eta), y, BENCH_CONFIG)
+    mehler = sph._spherical_sl2_mehler(SpectralParameter.rank1(xi, eta), y, BENCH_CONFIG)
+    assert (got.path, mehler.path) == ("series", "trapezoid")
+    assert got.quadrature_nodes <= 40  # terms, against 2^9 .. 2^17 nodes
+    assert got.estimated_error <= 1e-13 * max(1.0, abs(got.value))
+    assert abs(got.value - mehler.value) <= 1e-13 * max(1.0, abs(mehler.value))
+
+
+@pytest.mark.parametrize("xi, eta, y, path", [
+    (1.0, 0.75, 1.0, "trapezoid"),  # |eta| > 1/2: no ratio bound
+    (-2.0, -0.6, 2.0, "trapezoid"),
+    (3.0, 0.2, 0.0, "trapezoid"),  # the identity
+    (0.0, 0.0, 1.5, "trapezoid"),  # the tan pole
+    (1e-9, 0.0, 1.5, "trapezoid"),  # next to it the bound fails the target
+    (0.0, 0.5, 1.5, "trapezoid"),  # a pole of one Gamma ratio
+    (0.0, -0.5, 1.5, "trapezoid"),
+    (2.0, 0.5, 1.5, "series"),
+    (2.0, -0.5, 1.5, "series"),
+    (0.5, 0.2, 0.1, "trapezoid"),  # about 200 terms against 64 nodes
+    (2.0 ** 13.75, 0.2, 1.25, "series"),
+    (40.0, 0.0, -1.2, "series"),  # even in Y
+])
+def test_dispatch_takes_the_right_path_and_stays_finite(xi, eta, y, path):
+    got = spherical_sl2(SpectralParameter.rank1(xi, eta), y, BIG)
+    assert got.path == path
+    assert math.isfinite(abs(got.value)) and got.estimated_error <= 1e-12
+    if y == 0.0 or (xi == 0.0 and abs(eta) == 0.5):
+        assert abs(got.value - 1.0) <= 1e-12  # P_0 = P_-1 = 1
+    else:
+        want = sph._spherical_sl2_mehler(SpectralParameter.rank1(xi, eta), y, BIG).value
+        assert abs(got.value - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_series_at_eta_zero_is_real():
+    for xi, y in [(0.3, 1.0), (40.0, 2.0), (1000.0, 4.9)]:
+        got = spherical_sl2(SpectralParameter.rank1(xi), y)
+        assert got.path == "series" and got.value.imag == 0.0
+
+
+@pytest.mark.parametrize("z", [0.5j, 1e-3 + 2j, 0.3 + 7j, 0.9 - 11.5j, 1.0 + 20j, 0.25 + 1e4j])
+def test_gamma_ratio_matches_mpmath(z):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = complex(mpmath.gamma(z) / mpmath.gamma(z + mpmath.mpf(0.5)))
+    # up to 12 shift factors round on the way: about 6 ulps on 2000 random points
+    assert abs(sph._gamma_ratio(z) - want) <= 2e-15 * abs(want)
+
+
+def test_series_derivatives_match_the_mehler_family():
+    for xi, eta, y in [(2.4, 0.1, 1.1), (40.0, -0.3, 0.8), (300.0, 0.5, 2.0)]:
+        for order in (1, 2, 3):
+            got = sph.deriv_spherical_sl2(SpectralParameter.rank1(xi, eta), 1.0, y, order)
+            want = sph._deriv_spherical_sl2_mehler(SpectralParameter.rank1(xi, eta), y, order,
+                                                   BIG)
+            assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (xi, eta, y, order)
+
+
+def test_importing_spherical_pulls_in_neither_scipy_nor_mpmath():
+    script = ("import sys\n"
+              "import sphreg.spherical\n"
+              "print(*sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath'}))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
+
+
+# Small Y: orders 0-3 from F(-nu, nu + 1; 1; -sinh^2 Y), with no coth 2Y step.
+
+
+def test_small_y_derivatives_keep_their_limits():
+    lam = SpectralParameter.rank1(3.0)  # nu (nu + 1) = -9.25
+    assert sph.deriv_spherical_sl2(lam, 1.0, 1e-8, 3) == pytest.approx(5.50375e-6, rel=1e-9)
+    for y in (1e-100, 1e-155, 1e-200):
+        assert sph.deriv_spherical_sl2(lam, 1.0, y, 2) == pytest.approx(-18.5, rel=1e-15)
+        third = sph.deriv_spherical_sl2(lam, 1.0, y, 3)
+        assert math.isfinite(abs(third)) and abs(third) <= 1e-90
+
+
+@pytest.mark.parametrize("y", [0.05, 0.3])
+@pytest.mark.parametrize("xi, eta", [(3.0, 0.0), (1.5, 0.4), (0.7, -0.5)])
+def test_small_y_derivatives_match_the_legendre_function(xi, eta, y):
+    for order in range(4):
+        got = sph.deriv_spherical_sl2(SpectralParameter.rank1(xi, eta), 1.0, y, order)
+        want = _legendre_reference(xi, eta, y, order)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), order
+
+
+def test_values_say_which_path_produced_them():
+    assert spherical_sl3(SpectralParameter.rank2((0.4, 0.7)), (1.0, 0.0),
+                         samples=100).path == "monte-carlo"
+    compact = sph._spherical_compact_su2(40, 1.0)
+    assert compact.path == "trapezoid" and compact.quadrature_nodes >= 64
+    assert compact.value == sph.spherical_compact_su2(40, 1.0)
+    assert 0.0 <= compact.estimated_error <= 1e-12
