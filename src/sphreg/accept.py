@@ -196,15 +196,15 @@ def decay_envelope_fit(xi: float, t_geo: float, t_min: float = 10.0,
 
     The magnitude oscillates with half period pi/(2 xi Y) in the scale, so
     each sample is the maximum over one half-period window (with its true
-    abscissa); windows are spaced to stay disjoint.
+    abscissa); windows are spaced to stay disjoint.  One fixed-node sweep
+    evaluates every window.
     """
     half_period = math.pi / (2.0 * xi * t_geo)
     ratio = max(1.25, 1.0 + 1.1 * half_period / t_min)
     n_targets = max(min(28, int(math.log(t_max / t_min) / math.log(ratio))), 8)
     targets = np.geomspace(t_min, t_max / ratio, n_targets)
-    nodes = sph.sl2_sweep_nodes((targets[-1] + half_period) * xi, t_geo)
     samples = asy.envelope_samples(
-        lambda ts: np.abs(sph.spherical_sl2_sweep(np.asarray(ts) * xi, 0.0, t_geo, nodes)),
+        lambda ts: np.abs(sph.spherical_sl2_sweep(ts * xi, 0.0, t_geo)),
         targets, half_period, points)
     return asy.decay_fit(samples)
 
@@ -236,27 +236,12 @@ def holder_family(xi: float = HOLDER_XI,
                   region: tuple[float, float] = HOLDER_REGION,
                   grid_points: int = HOLDER_GRID_POINTS,
                   sweep: Sequence[float] = HOLDER_SWEEP):
-    """Chamber restrictions of the spherical family on a uniform grid, by
-    fixed-node Mehler-Dirichlet quadrature for each member of the sweep.  The
-    amplitude and the phase per unit scale are evaluated once per block of
-    the grid, on the folded grid of the finest member; node counts are powers
-    of two, so each coarser member takes a strided slice of it."""
+    """Chamber restrictions of the spherical family on a uniform grid: one
+    fixed-node sweep (``spherical.spherical_sl2_sweep``) at the spectral
+    values ``t * xi`` of the sweep, each member at its own node count."""
     grid = np.linspace(region[0], region[1], grid_points)
-    nodes = {t: sph.sl2_sweep_nodes(t * xi, region[1]) for t in sweep}
-    finest = max(nodes.values())
-    rule = sph._folded_grid(finest, 4)
-    weights = {t: sph._folded_grid(n, 4).weights for t, n in nodes.items()}
-    family = {t: np.empty(grid_points) for t in sweep}
-    block = max(1, (1 << 17) // len(rule.angles))
-    for s in range(0, grid_points, block):
-        y = grid[s:s + block][:, None]
-        amplitude = sph._mehler_amplitude(y, rule.sin2_half)
-        phase = 2.0 * xi * y * rule.cos
-        for t in sweep:
-            stride = finest // nodes[t]
-            family[t][s:s + block] = (amplitude[:, ::stride]
-                                      * np.cos(t * phase[:, ::stride])) @ weights[t]
-    return family, grid
+    values = sph.spherical_sl2_sweep(xi * np.asarray(sweep, dtype=float), 0.0, grid)
+    return dict(zip(sweep, values.real.T.copy())), grid
 
 
 def criterion_6_holder_dichotomy() -> CriterionResult:

@@ -100,15 +100,15 @@ def envelope_samples(
 
     For each target abscissa, evaluates ``|f|`` on ``points`` offsets spanning
     one half period and keeps the argmax (with its true abscissa), so the
-    sampled sequence tracks the envelope rather than the oscillation.
+    sampled sequence tracks the envelope rather than the oscillation.  One
+    call of ``evaluate`` takes every window, as the rows of a
+    ``(len(targets), points)`` array, and returns values of that shape.
     """
-    out = []
-    for t in targets:
-        grid = t + np.linspace(0.0, half_period, points)
-        mags = np.abs(evaluate(grid))
-        j = int(np.argmax(mags))
-        out.append((float(grid[j]), float(mags[j])))
-    return out
+    grid = np.add.outer(np.asarray(targets, dtype=float), np.linspace(0.0, half_period, points))
+    mags = np.abs(evaluate(grid))
+    best = np.argmax(mags, axis=1)
+    rows = np.arange(len(grid))
+    return list(zip(grid[rows, best].tolist(), mags[rows, best].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -59,9 +59,13 @@ the sums, stop tests and results of level-by-level doubling, which goes on
 from there.  Each rule (a level's folded grid, or its midpoints) is built
 once per ``(nodes, fold)``, with its weights and the grid-only factors the
 integrands read (``cos a``, ``sin a``, ``sin^2(a/2)``); its arrays are
-read-only, and rules of at most 16384 points are kept for the process.  The
-fixed-node sweep keeps ``2Y cos a`` and its weighted amplitude for the
-``(Y, nodes)`` of its last call, so a decay fit builds them once.
+read-only, and rules of at most 16384 points are kept for the process.
+``spherical_sl2_sweep`` is the one fixed-node kernel, for many spectral
+values at one or many chamber points: each spectral value takes its own
+count from ``sl2_sweep_nodes``, and the amplitude, built once per block of
+chamber points on the finest rule, serves every coarser count through
+strided columns.  It and the adaptive fallback evaluate one integrand,
+``_mehler_integrand``.  Nothing is kept between sweeps.
 A non-finite level estimate raises ``QuadratureError``.
 """
 
@@ -89,7 +93,6 @@ __all__ = [
     "sl2_chamber_coordinate",
     "sl2_sweep_nodes",
     "sl2_chamber_derivatives",
-    "sl2_mehler_amplitude",
     "spherical_compact_su2",
     "spherical_sl2",
     "spherical_sl2_sweep",
@@ -157,6 +160,9 @@ DEFAULT_CONFIG = QuadratureConfig()
 SWEEP_NODE_CEILING = 1 << 24  # full-turn nodes; sl2_sweep_nodes raises above it
 T_GEO_MAX = 5.0  # chamber points with |Y| above it raise ValueError
 LEGENDRE_MAX_DEGREE = 1 << 20  # legendre_rows raises above it, before the recurrence
+_SWEEP_SAFETY = 1.3  # margin of sl2_sweep_nodes over the phase bandwidth
+_SWEEP_FLOOR = 64  # full-turn nodes that resolve the amplitude at any Y
+_SWEEP_BLOCK = 1 << 17  # elements per array of a sweep block, unless one row has more
 
 
 def sl2_chamber_coordinate(t_geo: float, theta) -> np.ndarray:
@@ -276,22 +282,26 @@ def _nested_trapezoid(integrand, fold: int, config: QuadratureConfig, first: int
             return current, nodes, err
 
 
-def sl2_mehler_amplitude(t_geo, theta) -> np.ndarray:
-    """``1 / sqrt(sinhc(x1) sinhc(x2))``, the Mehler-Dirichlet amplitude, with
-    ``x1 = Y (1 - cos a) = 2Y sin^2(a/2)`` and ``x2 = 2Y - x1``.  Both are
-    clamped at the smallest normal float, so ``x / sinh x`` is 1 at ``x = 0``."""
-    return _mehler_amplitude(t_geo, np.sin(0.5 * theta) ** 2)
-
-
 _TINY = np.finfo(float).tiny
 
 
 def _mehler_amplitude(t_geo, sin2_half) -> np.ndarray:
-    """``sl2_mehler_amplitude`` from ``sin2_half = sin^2(a/2)``."""
+    """``1 / sqrt(sinhc(x1) sinhc(x2))``, the Mehler-Dirichlet amplitude, from
+    ``sin2_half = sin^2(a/2)``: ``x1 = Y (1 - cos a) = 2Y sin^2(a/2)`` and
+    ``x2 = 2Y - x1``.  Both are clamped at the smallest normal float, so
+    ``x / sinh x`` is 1 at ``x = 0``."""
     y = 2.0 * np.abs(t_geo)
     x1 = np.maximum(y * sin2_half, _TINY)
     x2 = np.maximum(y - x1, _TINY)
     return np.sqrt((x1 / np.sinh(x1)) * (x2 / np.sinh(x2)))
+
+
+def _mehler_integrand(amplitude, s, xi, eta: float) -> np.ndarray:
+    """``amplitude * cosh((i xi - eta) s)``, the Mehler-Dirichlet integrand at
+    ``s = 2Y cos a``; at ``eta == 0`` it is the real ``amplitude * cos(xi s)``."""
+    if eta == 0.0:
+        return amplitude * np.cos(xi * s)
+    return amplitude * np.cosh((1j * xi - eta) * s)
 
 
 def _check_finite(lam: SpectralParameter, point: str, *coordinates: float) -> None:
@@ -307,11 +317,11 @@ def _check_phase(lam: SpectralParameter, t_geo: float) -> None:
                          f"Y={t_geo:g}")
 
 
-def _phase_nodes(xi: float, t_geo: float, safety: float = 1.3, floor: int = 64) -> int:
+def _phase_nodes(xi: float, t_geo: float) -> int:
     """The count rule of ``sl2_sweep_nodes`` without its checks: the least power
-    of two at or above ``max(4 |xi Y| safety, floor)``, or twice
+    of two at or above ``max(4 |xi Y| _SWEEP_SAFETY, _SWEEP_FLOOR)``, or twice
     ``SWEEP_NODE_CEILING`` where that need is above the ceiling or not finite."""
-    need = max(4.0 * abs(xi) * abs(t_geo) * safety, float(floor))
+    need = max(4.0 * abs(xi) * abs(t_geo) * _SWEEP_SAFETY, float(_SWEEP_FLOOR))
     if not need <= SWEEP_NODE_CEILING:
         return 2 * SWEEP_NODE_CEILING
     return 1 << int(math.ceil(math.log2(need)))
@@ -486,65 +496,65 @@ def _spherical_sl2_mehler(lam: SpectralParameter, t_geo: float,
                           config: QuadratureConfig) -> SphericalValue:
     """``spherical_sl2`` by the Mehler-Dirichlet integral on the folded,
     nested trapezoid rule, for a checked input."""
-    w = 2.0 * t_geo * (1j * lam.xi[0] - lam.eta[0])
-    first = _phase_nodes(lam.xi[0], t_geo) // 2
+    xi, eta = lam.xi[0], lam.eta[0]
     value, nodes, err = _nested_trapezoid(
-        lambda rule: np.cosh(w * rule.cos) * _mehler_amplitude(t_geo, rule.sin2_half),
-        4, config, first)
+        lambda rule: _mehler_integrand(_mehler_amplitude(t_geo, rule.sin2_half),
+                                       2.0 * t_geo * rule.cos, xi, eta),
+        4, config, _phase_nodes(xi, t_geo) // 2)
     return SphericalValue(complex(value), nodes, float(err), "trapezoid")
 
 
-def sl2_sweep_nodes(xi_peak: float, t_geo: float, safety: float = 1.3,
-                    floor: int = 64) -> int:
+def sl2_sweep_nodes(xi_peak: float, t_geo: float) -> int:
     """Power-of-two full-turn node count for the Mehler-Dirichlet integrand at
     spectral values up to ``xi_peak``.  The phase ``2 xi Y cos a`` has Fourier
     modes ``J_n(2 |xi Y|)``, negligible past ``n = 2 |xi Y|``; the ``N``-node
-    trapezoid rule is exact below mode ``N``, and ``safety`` times twice that
-    covers it.  The floor covers the amplitude, of width about ``1 / sqrt(Y)``
-    in ``a``.  A count above ``SWEEP_NODE_CEILING`` raises ``ValueError``."""
+    trapezoid rule is exact below mode ``N``, and ``_SWEEP_SAFETY`` times twice
+    that covers it.  ``_SWEEP_FLOOR`` covers the amplitude, of width about
+    ``1 / sqrt(Y)`` in ``a``.  A count above ``SWEEP_NODE_CEILING`` raises
+    ``ValueError``."""
     if not (math.isfinite(xi_peak) and math.isfinite(t_geo)):
         raise ValueError(f"non-finite spectral value {xi_peak} or chamber point {t_geo}")
-    nodes = _phase_nodes(xi_peak, t_geo, safety, floor)
+    nodes = _phase_nodes(xi_peak, t_geo)
     if nodes > SWEEP_NODE_CEILING:
         raise ValueError(f"spectral value {xi_peak:g} at Y={t_geo:g} needs more than "
                          f"{SWEEP_NODE_CEILING} quadrature nodes")
     return nodes
 
 
-_SWEEP_FACTORS: dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _sweep_factors(t_geo: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """``2Y cos a`` and the weighted amplitude of the ``nodes``-point sweep at
-    ``Y = t_geo``.  Those of the last call are kept, if of at most 2^16
-    points; the key holds the sign of ``Y``, which a zero ``Y`` carries into
-    the result."""
-    key = (t_geo, math.copysign(1.0, t_geo), nodes)
-    factors = _SWEEP_FACTORS.get(key)
-    if factors is None:
-        rule = _folded_grid(nodes, 4)
-        factors = (_read_only(2.0 * t_geo * rule.cos),
-                   _read_only(rule.weights * _mehler_amplitude(t_geo, rule.sin2_half)))
-        _SWEEP_FACTORS.clear()
-        if len(rule.angles) <= 1 << 16:
-            _SWEEP_FACTORS[key] = factors
-    return factors
-
-
-def spherical_sl2_sweep(xis: np.ndarray, eta: float, t_geo: float, nodes: int) -> np.ndarray:
-    """Fixed-node Mehler-Dirichlet values for many real spectral values; ``nodes``
-    must resolve the largest (``sl2_sweep_nodes``).  Memory: ``len(xis) * nodes / 4``.
-    At ``eta == 0`` the sine term vanishes and is not evaluated.  A non-finite
-    input raises ``ValueError``."""
-    xis = np.asarray(xis, dtype=float)
-    if not (math.isfinite(eta) and math.isfinite(t_geo) and np.isfinite(xis).all()):
-        raise ValueError(f"non-finite spectral value or chamber point Y={t_geo:g}")
-    s, amplitude = _sweep_factors(t_geo, nodes)
-    phase = np.outer(xis, s)
-    if eta == 0.0:
-        return np.cos(phase) @ amplitude + 0j
-    return (np.cos(phase) @ (amplitude * np.cosh(eta * s))
-            - 1j * (np.sin(phase) @ (amplitude * np.sinh(eta * s))))
+def spherical_sl2_sweep(xis, eta: float, t_geo) -> np.ndarray:
+    """Fixed-node Mehler-Dirichlet values at the real spectral values ``xis``
+    (any shape) plus ``i eta``, at the chamber points ``t_geo`` (a scalar or a
+    1-D grid); complex, of shape ``shape(t_geo) + shape(xis)``, with an
+    imaginary part of exactly 0 at ``eta == 0``.  Each spectral value takes
+    its own count, ``sl2_sweep_nodes(xi, max |Y|)``.  The amplitude and
+    ``2Y cos a`` are built on the finest of those rules, one block of chamber
+    points at a time with at most ``_SWEEP_BLOCK`` elements per array (a
+    single row may have more); a coarser count reads every ``finest / nodes``-th
+    column, which is its own rule, since counts are powers of two.  A
+    non-finite input or a count above ``SWEEP_NODE_CEILING`` raises
+    ``ValueError`` before any rule is built."""
+    xs, ys = np.asarray(xis, dtype=float), np.asarray(t_geo, dtype=float)
+    if not (math.isfinite(eta) and np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("non-finite spectral value or chamber point in a sweep")
+    y_max, flat = float(np.abs(ys).max(initial=0.0)), xs.ravel().tolist()
+    counts = [sl2_sweep_nodes(xi, y_max) for xi in flat]
+    out = np.empty((ys.size, len(flat)), dtype=complex)
+    finest = max(counts, default=_SWEEP_FLOOR)
+    rules = {nodes: _folded_grid(nodes, 4) for nodes in {finest, *counts}}
+    rule = rules[finest]
+    column = ys.reshape(-1, 1)
+    rows = max(1, _SWEEP_BLOCK // len(rule.angles))
+    for start in range(0, len(column), rows):
+        y = column[start:start + rows]
+        # one assignment each: a tuple assignment would hold the last block's
+        # pair while it builds this one
+        s = 2.0 * y * rule.cos
+        amplitude = _mehler_amplitude(y, rule.sin2_half)
+        for j, (xi, nodes) in enumerate(zip(flat, counts)):
+            stride = finest // nodes
+            out[start:start + rows, j] = _mehler_integrand(
+                amplitude[:, ::stride], s[:, ::stride], xi, eta) @ rules[nodes].weights
+    return out.reshape(ys.shape + xs.shape)
 
 
 def deriv_spherical_sl2(
@@ -647,10 +657,10 @@ def _deriv_spherical_sl2_mehler(scaled: SpectralParameter, t_geo: float, order: 
     With ``x = cosh 2Y`` and ``c = cos a``, order 1 is DLMF 14.10.5,
     ``(x^2 - 1) P_nu' = nu (x P_nu - P_{nu-1})``, in Mehler-Dirichlet form:
     ``phi' = (2 nu / sinh 2Y) (1/pi) int_0^pi [A sinh(2Ysc) sinh(2Yc) + 2Y^2
-    sin^2 a cosh(2Ysc) / A] da`` with ``A = sl2_mehler_amplitude``; ``A^2
-    (cosh 2Y - cosh 2Yc) = 2Y^2 sin^2 a`` removes the 0/0 at the wall.  The
-    prefactor sits inside the integrand, so the stop test sees the
-    derivative's own scale.  Orders 2 and 3 follow from Legendre's equation,
+    sin^2 a cosh(2Ysc) / A] da`` with ``A`` the amplitude of
+    ``_mehler_amplitude``; ``A^2 (cosh 2Y - cosh 2Yc) = 2Y^2 sin^2 a`` removes
+    the 0/0 at the wall.  The prefactor sits inside the integrand, so the stop
+    test sees the derivative's own scale.  Orders 2 and 3 follow from Legendre's equation,
     with no further quadrature: ``phi'' = -2 coth(2Y) phi' + (4 s^2 - 1) phi``
     and ``phi''' = -2 coth(2Y) phi'' + (4 csch^2(2Y) + 4 s^2 - 1) phi'``.
     These steps cancel as ``Y -> 0``, where ``deriv_spherical_sl2`` takes the

@@ -54,6 +54,18 @@ def test_holder_family_equals_full_turn_quadrature():
         assert np.max(np.abs(values - want)) <= 1e-13
 
 
+def test_decay_envelope_fit_makes_one_sweep_call(monkeypatch):
+    shapes, sweep = [], sph.spherical_sl2_sweep
+
+    def counted(xis, eta, t_geo):
+        shapes.append(np.shape(xis))
+        return sweep(xis, eta, t_geo)
+
+    monkeypatch.setattr(sph, "spherical_sl2_sweep", counted)
+    fit = accept.decay_envelope_fit(1.0, 1.0)
+    assert shapes == [(len(fit.samples), 8)]
+
+
 def test_budget_overrun_is_reported_apart_from_the_maths():
     t0 = time.perf_counter() - 10.0
     over = accept._result(2, "x", True, "checks", t0, budget=5.0)

@@ -38,6 +38,24 @@ def test_decay_fit_input_validation():
         asy.decay_fit([(float(t), -1.0 if t == 3 else 1.0) for t in range(1, 9)])
 
 
+def test_envelope_samples_equal_the_per_window_loop():
+    calls = []
+
+    def toy(t):
+        calls.append(np.shape(t))
+        return np.cos(3.0 * t) / np.sqrt(t)
+
+    targets, half_period = np.geomspace(1.0, 50.0, 12), math.pi / 3.0
+    want = []
+    for t in targets:
+        window = t + np.linspace(0.0, half_period, 8)
+        mags = np.abs(np.cos(3.0 * window) / np.sqrt(window))
+        j = int(np.argmax(mags))
+        want.append((float(window[j]), float(mags[j])))
+    assert asy.envelope_samples(toy, targets, half_period, 8) == want
+    assert calls == [(12, 8)]
+
+
 def test_legendre_envelope_slope():
     from sphreg.accept import legendre_envelope_fit
     fit = legendre_envelope_fit()

@@ -57,8 +57,8 @@ def test_against_legendre_function_oracle():
     mpmath.mp.dps = 25
     for c, eta, y in [(0.5, 0.0, 1.0), (2.0, 0.0, 0.7), (1.3, 0.2, 1.5)]:
         got = spherical_sl2(SpectralParameter.rank1(c, eta), y).value
-        nu = 1j * (c + 1j * eta) - 0.5
-        want = complex(mpmath.legenp(mpmath.mpc(nu), 0, mpmath.cosh(2 * y)))
+        nu = mpmath.mpc(-0.5, c) - mpmath.mpf(eta)
+        want = complex(mpmath.legenp(nu, 0, mpmath.cosh(2 * y)))
         assert abs(got - want) <= 1e-10
 
 
@@ -68,8 +68,8 @@ def test_large_chamber_points_against_legendre_function(xi, eta, y):
     # at large Y the node count grows like |xi Y|; with Laplace's form it grows like xi e^{2Y}
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
-        want = complex(mpmath.legenp(mpmath.mpc(-0.5 - eta, xi), 0, mpmath.cosh(2 * y),
-                                     type=3))
+        want = complex(mpmath.legenp(mpmath.mpc(-0.5, xi) - mpmath.mpf(eta), 0,
+                                     mpmath.cosh(2 * y), type=3))
     got = spherical_sl2(SpectralParameter.rank1(xi, eta), y, BIG)
     assert abs(got.value - want) <= 1e-13 * max(1.0, abs(want))
     assert got.estimated_error <= 1e-12
@@ -213,26 +213,37 @@ def test_folded_compact_integral_equals_full_turn_mean(nodes):
 
 
 def test_folded_sweep_equals_full_turn_mean():
-    nodes = 8192
-    xis = np.array([0.5, 9.0, 40.0])
-    want = _mehler_full_turn(xis, -0.1, 1.3, nodes)
-    got = sph.spherical_sl2_sweep(xis, -0.1, 1.3, nodes)
-    assert np.max(np.abs(got - want)) <= 1e-13
+    # every spectral value at its own count (64, 512 and 1024 here), on a grid
+    # with signed zeros and negative chamber points
+    xis = np.array([[0.5, 9.0], [40.0, -150.0]])
+    ys = np.array([1.3, 0.0, -0.0, -0.7, 0.2])
+    for eta in (0.0, -0.1):
+        got = sph.spherical_sl2_sweep(xis, eta, ys)
+        assert got.shape == (5, 2, 2) and got.dtype == complex
+        if eta == 0.0:
+            assert np.all(got.imag == 0.0)
+        for index in np.ndindex(xis.shape):
+            nodes = sph.sl2_sweep_nodes(xis[index], 1.3)
+            for y, value in zip(ys, got[(slice(None),) + index]):
+                assert abs(value - _mehler_full_turn(xis[index], eta, y, nodes)) <= 1e-13
+        scalar = sph.spherical_sl2_sweep(xis, eta, 1.3)
+        assert scalar.shape == (2, 2)
+        assert np.max(np.abs(scalar - got[0])) <= 1e-14
 
 
 @pytest.mark.parametrize("y", [1.3, -0.7])
 def test_sweep_at_eta_zero_is_real_and_equals_the_two_product_form(y):
-    xis, nodes = np.array([0.5, 9.0, 40.0]), 8192
-    got = sph.spherical_sl2_sweep(xis, 0.0, y, nodes)
-    rule = sph._folded_grid(nodes, 4)
-    theta, weights = rule.angles, rule.weights
-    s = 2.0 * y * np.cos(theta)
-    amplitude = weights * sph.sl2_mehler_amplitude(y, theta)
-    phase = np.outer(xis, s)
-    want = (np.cos(phase) @ (amplitude * np.cosh(0.0 * s))
-            - 1j * (np.sin(phase) @ (amplitude * np.sinh(0.0 * s))))
+    # the real cos(xi s) at eta = 0 against the general form's two products
+    xis = np.array([0.5, 9.0, 40.0])
+    got = sph.spherical_sl2_sweep(xis, 0.0, y)
     assert got.dtype == complex and np.all(got.imag == 0.0)
-    assert got.real.tobytes() == want.real.tobytes()
+    for xi, value in zip(xis, got):
+        rule = sph._folded_grid(sph.sl2_sweep_nodes(xi, y), 4)
+        s = 2.0 * y * rule.cos
+        amplitude = rule.weights * sph._mehler_amplitude(y, rule.sin2_half)
+        want = (np.cos(xi * s) @ (amplitude * np.cosh(0.0 * s))
+                - 1j * (np.sin(xi * s) @ (amplitude * np.sinh(0.0 * s))))
+        assert abs(value - want) <= 1e-15
 
 
 def _full_grid_nested_trapezoid(integrand, fold, config):
@@ -260,7 +271,7 @@ def test_midpoint_doubling_equals_full_grid_oracle(n_start):
     for fold, w, y in cases:
         def integrand(rule):
             a = rule.angles
-            return np.cosh(w * np.cos(a)) * sph.sl2_mehler_amplitude(y, a)
+            return np.cosh(w * np.cos(a)) * sph._mehler_amplitude(y, np.sin(0.5 * a) ** 2)
         got = sph._nested_trapezoid(integrand, fold, config)
         want = _full_grid_nested_trapezoid(integrand, fold, config)
         assert repr(got) == repr(want)
@@ -286,13 +297,11 @@ def test_value_equals_converged_laplace_mean(xi, eta, y):
 def test_node_counts_must_fold():
     with pytest.raises(ValueError):
         spherical_sl2(SpectralParameter.rank1(1.0), 1.0, QuadratureConfig(n_start=66))
-    with pytest.raises(ValueError):
-        sph.spherical_sl2_sweep(np.array([1.0]), 0.0, 1.0, 2)
 
 
 def test_sweep_matches_single_evaluations():
     xis = np.array([3.0, 17.0, 40.0])
-    swept = sph.spherical_sl2_sweep(xis, 0.0, 1.2, sph.sl2_sweep_nodes(40.0, 1.2))
+    swept = sph.spherical_sl2_sweep(xis, 0.0, 1.2)
     for xi, value in zip(xis, swept):
         single = spherical_sl2(SpectralParameter.rank1(xi), 1.2, BIG).value
         assert abs(value - single) <= 1e-9
@@ -479,7 +488,7 @@ def test_derivatives_against_legendre_function(xi, eta, y, rtol):
     # Laplace's form of the derivatives stopped on roundoff at large Y
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
-        nu = mpmath.mpc(-0.5 - eta, xi)
+        nu = mpmath.mpc(-0.5, xi) - mpmath.mpf(eta)
         y_mp = mpmath.mpf(y)
         wants = [complex(mpmath.diff(lambda s: mpmath.legenp(nu, 0, mpmath.cosh(2 * s), type=3),
                                      y_mp, order)) for order in (1, 2, 3)]
@@ -683,9 +692,20 @@ def test_kernel_raises_at_the_first_non_finite_estimate():
                                          ([1.0], math.nan, 1.0), ([1.0], 0.0, -math.inf),
                                          ([1.0], 0.2, math.nan)])
 def test_sweep_rejects_non_finite_input_before_the_cache(monkeypatch, xis, eta, y):
-    monkeypatch.setattr(sph, "_sweep_factors", None)
+    monkeypatch.setattr(sph, "_folded_grid", _refuse_rules)
     with pytest.raises(ValueError, match="non-finite"):
-        sph.spherical_sl2_sweep(np.array(xis), eta, y, 64)
+        sph.spherical_sl2_sweep(np.array(xis), eta, y)
+
+
+def _refuse_rules(*args):
+    raise AssertionError("a rule was built")
+
+
+@pytest.mark.parametrize("xis, y", [([1.0, 1e6], 4.0), (2.0, [0.5, 1e300])])
+def test_sweep_rejects_counts_above_the_ceiling_before_any_rule(monkeypatch, xis, y):
+    monkeypatch.setattr(sph, "_folded_grid", _refuse_rules)
+    with pytest.raises(ValueError, match="quadrature nodes"):
+        sph.spherical_sl2_sweep(xis, 0.0, y)
 
 
 # Rule cache: every rule is built once per (nodes, fold), shared and read-only.
@@ -738,8 +758,8 @@ def _cached_calls():
                   for order in (1, 2, 3)]
     calls += [lambda n=n, theta=theta: sph.spherical_compact_su2(n, theta)
               for n, theta in [(0, 1.0), (17, 2.2), (500, 0.4), (1000, 2.9)]]
-    calls.append(lambda: sph.spherical_sl2_sweep(np.array([0.5, 9.0, 40.0]), -0.1, 1.3,
-                                                 8192).tobytes())
+    calls.append(lambda: sph.spherical_sl2_sweep(np.array([0.5, 9.0, 40.0]), -0.1,
+                                                 np.array([1.3, 0.2])).tobytes())
     return calls
 
 
@@ -748,26 +768,9 @@ def test_values_are_the_same_with_cleared_and_warm_caches(monkeypatch):
     cold = []
     for call in calls:
         monkeypatch.setattr(sph, "_RULES", {})
-        monkeypatch.setattr(sph, "_SWEEP_FACTORS", {})
         cold.append(repr(call()))
     for _ in range(2):
         assert [repr(call()) for call in calls] == cold
-
-
-def test_sweep_factors_are_kept_for_the_last_chamber_point_and_node_count(monkeypatch):
-    monkeypatch.setattr(sph, "_SWEEP_FACTORS", {})
-    xis = np.array([0.5, 9.0])
-    s, amplitude = sph._sweep_factors(1.1, 256)
-    assert not (s.flags.writeable or amplitude.flags.writeable)
-    sph.spherical_sl2_sweep(xis, 0.3, 1.1, 256)
-    assert sph._sweep_factors(1.1, 256)[0] is s
-    assert list(sph._SWEEP_FACTORS) == [(1.1, 1.0, 256)]
-    # the sign of a zero Y is part of the key
-    for y in (0.0, -0.0):
-        sph.spherical_sl2_sweep(xis, 0.3, y, 256)
-        assert list(sph._SWEEP_FACTORS) == [(0.0, math.copysign(1.0, y), 256)]
-    sph.spherical_sl2_sweep(xis, 0.0, 1.1, 1 << 20)  # 2^18 + 1 points: not kept
-    assert sph._SWEEP_FACTORS == {}
 
 
 @pytest.mark.parametrize("xi, y", [(1.0e308, 0.4), (1e200, 1e-200), (1.0, 5e-324)])
