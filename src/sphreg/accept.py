@@ -42,11 +42,27 @@ __all__ = ["CriterionResult", "compute_fixtures", "load_fixtures", "run_all"]
 
 @dataclass(frozen=True)
 class CriterionResult:
+    """A criterion's outcome: ``maths`` is the verdict of its checks and
+    ``within_budget`` whether it finished inside its time budget; it
+    ``passed`` if both hold."""
+
     index: int
     name: str
-    passed: bool
+    maths: bool
+    within_budget: bool
     detail: str
     seconds: float
+
+    @property
+    def passed(self) -> bool:
+        return self.maths and self.within_budget
+
+    @property
+    def failure(self) -> str:
+        """What failed: ``"maths"``, ``"budget"``, ``"maths and budget"``, or
+        ``""`` if nothing did."""
+        return " and ".join(part for part, ok in (("maths", self.maths),
+                                                  ("budget", self.within_budget)) if not ok)
 
 
 def load_fixtures() -> dict:
@@ -54,15 +70,15 @@ def load_fixtures() -> dict:
     return json.loads(text)
 
 
-def _result(index: int, name: str, passed: bool, detail: str, t0: float,
+def _result(index: int, name: str, maths: bool, detail: str, t0: float,
             budget: float = math.inf) -> CriterionResult:
-    """A criterion that overruns its time ``budget`` fails, and its detail then
-    says whether the mathematics passed."""
+    """A criterion that takes its time ``budget`` or longer fails on the
+    budget, whatever ``maths`` says, and its detail then says both."""
     seconds = time.perf_counter() - t0
-    if seconds >= budget:
-        detail = f"maths {'ok' if passed else 'failed'}; {budget:g} s budget exceeded; {detail}"
-        passed = False
-    return CriterionResult(index, name, bool(passed), detail, seconds)
+    within_budget = seconds < budget
+    if not within_budget:
+        detail = f"maths {'ok' if maths else 'failed'}; {budget:g} s budget exceeded; {detail}"
+    return CriterionResult(index, name, bool(maths), within_budget, detail, seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +212,8 @@ def decay_envelope_fit(xi: float, t_geo: float, t_min: float = 10.0,
 
     The magnitude oscillates with half period pi/(2 xi Y) in the scale, so
     each sample is the maximum over one half-period window (with its true
-    abscissa); windows are spaced to stay disjoint.  One fixed-node sweep
-    evaluates every window.
+    abscissa); windows are spaced to stay disjoint.  One sweep call
+    (``spherical.spherical_sl2_sweep``) evaluates every window.
     """
     half_period = math.pi / (2.0 * xi * t_geo)
     ratio = max(1.25, 1.0 + 1.1 * half_period / t_min)
@@ -237,8 +253,8 @@ def holder_family(xi: float = HOLDER_XI,
                   grid_points: int = HOLDER_GRID_POINTS,
                   sweep: Sequence[float] = HOLDER_SWEEP):
     """Chamber restrictions of the spherical family on a uniform grid: one
-    fixed-node sweep (``spherical.spherical_sl2_sweep``) at the spectral
-    values ``t * xi`` of the sweep, each member at its own node count."""
+    sweep call (``spherical.spherical_sl2_sweep``) at the spectral values
+    ``t * xi`` of the sweep."""
     grid = np.linspace(region[0], region[1], grid_points)
     values = sph.spherical_sl2_sweep(xi * np.asarray(sweep, dtype=float), 0.0, grid)
     return dict(zip(sweep, values.real.T.copy())), grid
@@ -411,7 +427,7 @@ def run_all(only: Iterable[int] | None = None,
         result = criterion()
         results.append(result)
         if progress is not None:
-            status = "pass" if result.passed else "FAIL"
+            status = "pass" if result.passed else f"FAIL: {result.failure}"
             progress(f"criterion {result.index:2d} [{status}] {result.name}: "
                      f"{result.detail} ({result.seconds:.1f}s)")
     return results

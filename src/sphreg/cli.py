@@ -465,6 +465,8 @@ def cmd_selftest(args) -> int:
     results = accept.run_all(only=only, progress=print)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
+    for r in failed:
+        print(f"criterion {r.index} failed: {r.failure}")
     return COMPUTE_ERROR if failed else 0
 
 

@@ -27,10 +27,14 @@ most ``|a_K| z / (1 - z)``; that bound plus a rounding term, which shows the
 cancellation near the ``tan`` pole at ``xi = eta = 0``, is the value's error.
 The Gamma ratio comes from the shifted ratio expansion (DLMF 5.11), not from
 two log-gammas.  The series needs about ``20 / |Y|`` terms, so a cost model
-weighs them against the quadrature's phase node count.  Every other input,
-and any whose bound misses the target, takes the Mehler-Dirichlet form (DLMF
-§14.12; the Abel transform of Koornwinder, "Jacobi functions and analysis on
-noncompact semisimple Lie groups", 1984), with phase slope at most
+weighs them against the quadrature's phase node count.  ``spherical_sl2_sweep``
+sums the same series for a grid of chamber points and spectral values at
+once: the products of the term ratios without their ``z`` do not depend on
+``Y``, so they are formed once per spectral value, and each chamber point
+takes one Horner pass in ``z``.  Every other input, and any whose bound
+misses the target, takes the Mehler-Dirichlet form (DLMF §14.12; the Abel
+transform of Koornwinder, "Jacobi functions and analysis on noncompact
+semisimple Lie groups", 1984), with phase slope at most
 ``2 |xi Y|``: ``phi = (1/pi) int_0^pi cosh((i xi - eta) 2Y cos a) /
 sqrt(sinhc(Y (1 - cos a)) sinhc(Y (1 + cos a))) da``, ``sinhc x = sinh x / x``.
 Derivatives (``deriv_spherical_sl2``) differentiate the series term by term;
@@ -43,13 +47,13 @@ of the Gaussian matrix that ``liegroup.haar_so_n_sample`` turns into ``k`` and
 ``w = z1 x z2``, ``h1 = log(|a z1|/|z1|)``, ``h1 + h2 = log(|a^-1 w|/|w|)`` and
 ``h3 = -(h1 + h2)``; both read one Gaussian stream, so a seed gives the same ``k``.
 
-Quadrature.  The fallback values, the derivatives' fallback, the sweeps and
-the compact values are circle integrals.  Each is the trapezoid rule, which
-converges exponentially for smooth periodic integrands (Trefethen and
-Weideman, "The exponentially convergent trapezoidal rule", SIAM Review 56,
-2014).  The noncompact integrands depend on the angle only through
-``cos 2a`` and the compact one only through ``cos phi``, so the
-full-turn rule on ``N`` nodes equals the rule on a quarter (half) turn with
+Quadrature.  The fallback values, the derivatives' fallback, the sweeps'
+fallback and the compact values are circle integrals.  Each is the
+trapezoid rule, which converges exponentially for smooth periodic
+integrands (Trefethen and Weideman, "The exponentially convergent
+trapezoidal rule", SIAM Review 56, 2014).  The noncompact integrands depend
+on the angle only through ``cos 2a`` and the compact one only through
+``cos phi``, so the full-turn rule on ``N`` nodes equals the rule on a quarter (half) turn with
 ``N / 4`` (``N / 2``) intervals and half-weight endpoints.  Doubling nests:
 each level adds the midpoints of the level before.  The noncompact values
 know their phase bandwidth in advance (``sl2_sweep_nodes``), so their first
@@ -60,12 +64,13 @@ from there.  Each rule (a level's folded grid, or its midpoints) is built
 once per ``(nodes, fold)``, with its weights and the grid-only factors the
 integrands read (``cos a``, ``sin a``, ``sin^2(a/2)``); its arrays are
 read-only, and rules of at most 16384 points are kept for the process.
-``spherical_sl2_sweep`` is the one fixed-node kernel, for many spectral
-values at one or many chamber points: each spectral value takes its own
-count from ``sl2_sweep_nodes``, and the amplitude, built once per block of
-chamber points on the finest rule, serves every coarser count through
-strided columns.  It and the adaptive fallback evaluate one integrand,
-``_mehler_integrand``.  Nothing is kept between sweeps.
+The sweep's fallback (``_mehler_sweep``) is the one fixed-node rule: each
+spectral value takes its own count from ``sl2_sweep_nodes`` at the grid's
+largest ``|Y|``, and the amplitude, built once per block of chamber points on
+the finest rule, serves every coarser count through strided columns; only
+the blocks and spectral values with a fallback point are evaluated.  It and
+the adaptive fallback evaluate one integrand, ``_mehler_integrand``.
+Nothing is kept between sweeps.
 A non-finite level estimate raises ``QuadratureError``.
 """
 
@@ -305,8 +310,11 @@ def _mehler_integrand(amplitude, s, xi, eta: float) -> np.ndarray:
 
 
 def _check_finite(lam: SpectralParameter, point: str, *coordinates: float) -> None:
+    """Refuse a non-finite spectral value or chamber point; ``point`` is the
+    format of the coordinates in the message, filled only when it raises."""
     if not all(map(math.isfinite, (*coordinates, *lam.xi, *lam.eta))):
-        raise ValueError(f"non-finite spectral value {lam} or chamber point {point}")
+        raise ValueError(f"non-finite spectral value {lam} or chamber point "
+                         f"{point.format(*coordinates)}")
 
 
 def _check_phase(lam: SpectralParameter, t_geo: float) -> None:
@@ -333,6 +341,8 @@ def _phase_nodes(xi: float, t_geo: float) -> int:
 _GAMMA_RATIO_TERMS = (1 / 8, -1 / 192, 1 / 640, -17 / 14336, 31 / 18432, -691 / 180224,
                       5461 / 425984, -929569 / 15728640)
 _EPS = 2.0 ** -52
+_LOG_TAIL = math.log(0.125 * _EPS)  # a Q-series' tail is summed below eps / 8 of |a_0|
+_SQRT_PI = math.sqrt(math.pi)
 # Cost model, in units of one Mehler-Dirichlet node (about 20 ns): a value by
 # quadrature costs its phase node count plus about 600 for the call and the
 # doubling; a series term costs about 16.  Each Q-series needs about
@@ -343,20 +353,64 @@ _SERIES_TERMS_Y = 10.0
 _SERIES_MAX_TERMS = 4096  # per Q-series; a bound that needs more is reported as inf
 
 
-def _gamma_ratio(z: complex) -> complex:
+def _gamma_ratio(z):
     """``Gamma(z) / Gamma(z + 1/2)`` for ``Re z >= 0``, ``z != 0``: shifted up to
     ``|z| >= 12`` by ``Gamma(z) / Gamma(z + 1/2) = (z + 1/2) / z * Gamma(z + 1) /
     Gamma(z + 3/2)``, then ``z^-1/2 exp(sum)`` over ``_GAMMA_RATIO_TERMS``.  No
     log-gamma is formed, whose imaginary part (about ``|z| log |z|``) would
-    round to an absolute error far above the ratio's."""
-    factor = 1.0
-    while abs(z) < 12.0:
-        factor *= (z + 0.5) / z
-        z += 1.0
+    round to an absolute error far above the ratio's.  ``z`` is a complex or
+    a complex array, whose entries each take the shifts a scalar would."""
+    if isinstance(z, np.ndarray):
+        xp, z, factor = np, z.copy(), np.ones_like(z)
+        while (small := np.abs(z) < 12.0).any():
+            factor[small] *= (z[small] + 0.5) / z[small]
+            z[small] += 1.0
+    else:
+        xp, factor = cmath, 1.0
+        while abs(z) < 12.0:
+            factor *= (z + 0.5) / z
+            z += 1.0
     w, total = 1.0 / (z * z), 0.0
     for c in reversed(_GAMMA_RATIO_TERMS):
         total = total * w + c
-    return factor * cmath.exp(total / z) / cmath.sqrt(z)
+    return factor * xp.exp(total / z) / xp.sqrt(z)
+
+
+def _value_terms(t):
+    """Terms of an order-0 Q-series at ``t = 2|Y| > 0`` (a float or an
+    array), not yet rounded up: ``K`` terms leave a tail of at most
+    ``|a_0| z^K / (1 - z)``, ``z = e^{-2t}``, and this ``K`` puts it below
+    ``|a_0| eps / 8``."""
+    xp = np if isinstance(t, np.ndarray) else math
+    return (_LOG_TAIL + xp.log(-xp.expm1(-2.0 * t))) / (-2.0 * t)
+
+
+def _value_weight_and_tail(first, last, z):
+    """Rounding weight and tail bound of an order-0 Q-series summed to term
+    ``K``, from ``first = |a_0|`` and ``last = |a_K|``: every term ratio is at
+    most ``z``, so ``sum (k + 1) |a_k| <= |a_0| / (1 - z)^2`` and the terms from
+    ``K`` on add up to at most ``|a_K| / (1 - z)``.  Floats or arrays."""
+    return first / (1.0 - z) ** 2, last / (1.0 - z)
+
+
+def _series_bound(factor, tail, weight, xi, t):
+    """The error bound of ``_harish_chandra_series``: the Q-series' tails plus
+    16 ulps of ``|tan(nu pi) / pi|`` times their rounding weights, with
+    ``|xi t|`` ulps more for the rounded phase.  Floats or arrays."""
+    return abs(factor) * (tail + _EPS * (16.0 + abs(xi) * t) * weight)
+
+
+def _series_applies(xi, eta: float, y, nodes):
+    """Whether ``_accepted_series`` tries the series at ``|Y| = y``: ``|eta| <=
+    1/2`` (the ratio bound), ``y > 0``, ``nu`` off the ``tan`` pole (``xi = eta =
+    0``) and the Gamma ratios' poles (``xi = 0``, ``eta = +-1/2``), and a cost
+    model that weighs its terms (about ``20 / y``, half at ``eta = 0``) against
+    the quadrature's phase node count ``nodes`` and fixed cost.  Elementwise
+    on arrays ``xi``, ``y`` and ``nodes``."""
+    series = 1.0 if eta == 0.0 else 2.0
+    return ((abs(eta) <= 0.5) & (y > 0.0) & ((xi != 0.0) | (abs(eta) not in (0.0, 0.5)))
+            & (series * _SERIES_TERM_COST * _SERIES_TERMS_Y
+               <= y * (_MEHLER_FIXED_COST + nodes)))
 
 
 def _q_series(b: complex, t: float, order: int) -> tuple[complex, float, float, int]:
@@ -373,21 +427,19 @@ def _q_series(b: complex, t: float, order: int) -> tuple[complex, float, float, 
     in advance.  The rounding weight bounds ``sum (k + 1) |term_k|``, since
     term ``k`` carries a few roundings from each step before it."""
     z = math.exp(-2.0 * t)
-    coefficient = math.sqrt(math.pi) * _gamma_ratio(b) * cmath.exp(-b * t)
+    coefficient = _SQRT_PI * _gamma_ratio(b) * cmath.exp(-b * t)
     total, h = 0j, b + 0.5
     if order == 0:
-        # K terms leave a tail of at most |a_0| z^K / (1 - z), below |a_0| eps / 8
-        count = ((math.log(0.125 * _EPS) + math.log(-math.expm1(-2.0 * t))) / (-2.0 * t)
-                 if t > 0.0 else math.inf)
+        count = _value_terms(t) if t > 0.0 else math.inf
         if not count <= _SERIES_MAX_TERMS:
             return total, math.inf, math.inf, 0
-        count = math.ceil(count)
-        weight = abs(coefficient) / (1.0 - z) ** 2
+        count, first = math.ceil(count), abs(coefficient)
         for k in range(count):
             total += coefficient
             # b + k keeps the low bits of a small b, which b + 1/2 rounds away
             coefficient *= (b + k) / (h + k) * (z * (k + 0.5) / (k + 1))
-        return total, weight, abs(coefficient) / (1.0 - z), count
+        weight, tail = _value_weight_and_tail(first, abs(coefficient), z)
+        return total, weight, tail, count
     weight = magnitude = 0.0
     for k in range(_SERIES_MAX_TERMS):
         term, factor, ratio = coefficient, -2.0 * (b + 2 * k), z
@@ -405,30 +457,29 @@ def _q_series(b: complex, t: float, order: int) -> tuple[complex, float, float, 
     return total, weight, math.inf, _SERIES_MAX_TERMS
 
 
-def _tan_nu_pi(xi: float, eta: float) -> complex:
+def _tan_nu_pi(xi, eta: float):
     """``tan(nu pi)``, ``nu = i xi - eta - 1/2``, from an argument whose real
     part is reduced into [-1/4, 1/4] by the period and ``tan(x - pi/2) =
     -cot x``, so its zeros and poles at ``xi = 0`` are taken at small
-    arguments, where they are accurate."""
-    if abs(eta) <= 0.25:
-        return -1.0 / cmath.tan(math.pi * complex(-eta, xi))
-    return cmath.tan(math.pi * complex(math.copysign(0.5, eta) - eta, xi))
+    arguments, where they are accurate.  ``xi`` is a float or an array."""
+    cot = abs(eta) <= 0.25
+    real = -eta if cot else math.copysign(0.5, eta) - eta
+    if isinstance(xi, np.ndarray):
+        tan = np.tan(math.pi * (real + 1j * xi))
+    else:
+        tan = cmath.tan(math.pi * complex(real, xi))
+    return -1.0 / tan if cot else tan
 
 
 def _accepted_series(xi: float, eta: float, t_geo: float, order: int,
                      config: QuadratureConfig) -> SphericalValue | None:
-    """The Harish-Chandra series where it has its bound and the cost model
-    prefers it, if that bound meets ``config.target`` relative to
-    ``max(1, |value|)``; else None.  It has its bound for ``|eta| <= 1/2``,
-    ``Y != 0`` and ``nu`` off the ``tan`` pole (``xi = eta = 0``) and the
-    Gamma ratios' poles (``xi = 0``, ``eta = +-1/2``).  The cost model weighs
-    its terms (about ``20 / |Y|``, half at ``eta = 0``) against the
-    quadrature's phase node count and fixed cost."""
+    """The Harish-Chandra series where ``_series_applies``, if its bound meets
+    ``config.target`` relative to ``max(1, |value|)``; else None.  More nodes
+    only favour the series, so the floor count settles most points without
+    ``_phase_nodes``."""
     y = abs(t_geo)
-    series = 1.0 if eta == 0.0 else 2.0
-    if not (abs(eta) <= 0.5 and y > 0.0 and (xi != 0.0 or abs(eta) not in (0.0, 0.5))
-            and series * _SERIES_TERM_COST * _SERIES_TERMS_Y
-            <= y * (_MEHLER_FIXED_COST + _phase_nodes(xi, t_geo))):
+    if not (_series_applies(xi, eta, y, _SWEEP_FLOOR)
+            or _series_applies(xi, eta, y, _phase_nodes(xi, t_geo))):
         return None
     value = _harish_chandra_series(xi, eta, t_geo, order)
     if value.estimated_error <= config.target * max(1.0, abs(value.value)):
@@ -460,7 +511,7 @@ def _harish_chandra_series(xi: float, eta: float, t_geo: float,
                                                terms + terms2)
         factor = _tan_nu_pi(xi, eta) / math.pi
         value = factor * difference
-        bound = abs(factor) * (tail + _EPS * (16.0 + abs(xi) * t) * weight)
+        bound = _series_bound(factor, tail, weight, xi, t)
     except OverflowError:  # abs() of a complex with finite parts above the float range
         value, bound, terms = complex(math.nan, math.nan), math.inf, 0
     if not (cmath.isfinite(value) and math.isfinite(bound)):
@@ -486,7 +537,7 @@ def spherical_sl2(
     ``ValueError``."""
     if abs(t_geo) > T_GEO_MAX:
         raise ValueError(f"chamber point Y={t_geo:g} outside |Y| <= {T_GEO_MAX:g}")
-    _check_finite(lam, f"Y={t_geo:g}", t_geo)
+    _check_finite(lam, "Y={:g}", t_geo)
     _check_phase(lam, t_geo)
     series = _accepted_series(lam.xi[0], lam.eta[0], t_geo, 0, config)
     return series if series is not None else _spherical_sl2_mehler(lam, t_geo, config)
@@ -522,39 +573,132 @@ def sl2_sweep_nodes(xi_peak: float, t_geo: float) -> int:
 
 
 def spherical_sl2_sweep(xis, eta: float, t_geo) -> np.ndarray:
-    """Fixed-node Mehler-Dirichlet values at the real spectral values ``xis``
-    (any shape) plus ``i eta``, at the chamber points ``t_geo`` (a scalar or a
-    1-D grid); complex, of shape ``shape(t_geo) + shape(xis)``, with an
-    imaginary part of exactly 0 at ``eta == 0``.  Each spectral value takes
-    its own count, ``sl2_sweep_nodes(xi, max |Y|)``.  The amplitude and
-    ``2Y cos a`` are built on the finest of those rules, one block of chamber
-    points at a time with at most ``_SWEEP_BLOCK`` elements per array (a
-    single row may have more); a coarser count reads every ``finest / nodes``-th
-    column, which is its own rule, since counts are powers of two.  A
+    """Values at the real spectral values ``xis`` (any shape) plus ``i eta``, at
+    the chamber points ``t_geo`` (a scalar or a 1-D grid); complex, of shape
+    ``shape(t_geo) + shape(xis)``, with an imaginary part of exactly 0 at
+    ``eta == 0``.  A point takes the Harish-Chandra series where
+    ``spherical_sl2`` would (``_series_applies``, and a bound within
+    ``DEFAULT_CONFIG.target``), summed for the whole grid at once
+    (``_harish_chandra_sweep``).  Every other point (``Y = 0``, ``|eta| > 1/2``,
+    the poles at ``xi = 0``, small ``|Y|`` by the cost model, or a bound above
+    the target) takes the fixed-node Mehler-Dirichlet rule at its spectral
+    value's count ``sl2_sweep_nodes(xi, max |Y|)`` (``_mehler_sweep``).  A
     non-finite input or a count above ``SWEEP_NODE_CEILING`` raises
-    ``ValueError`` before any rule is built."""
+    ``ValueError`` before any work."""
     xs, ys = np.asarray(xis, dtype=float), np.asarray(t_geo, dtype=float)
     if not (math.isfinite(eta) and np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError("non-finite spectral value or chamber point in a sweep")
-    y_max, flat = float(np.abs(ys).max(initial=0.0)), xs.ravel().tolist()
-    counts = [sl2_sweep_nodes(xi, y_max) for xi in flat]
-    out = np.empty((ys.size, len(flat)), dtype=complex)
-    finest = max(counts, default=_SWEEP_FLOOR)
-    rules = {nodes: _folded_grid(nodes, 4) for nodes in {finest, *counts}}
-    rule = rules[finest]
+    # the count grows with |xi|, so the largest is the one to check
+    sl2_sweep_nodes(float(np.abs(xs).max(initial=0.0)), float(np.abs(ys).max(initial=0.0)))
+    row, column = xs.ravel(), ys.ravel()
+    out = np.empty((column.size, row.size), dtype=complex)
+    series = _series_applies(row, eta, np.abs(column)[:, None], _phase_node_grid(row, column))
+    rows, cols = series.any(axis=1), series.any(axis=0)
+    if rows.any():
+        grid = np.ix_(rows, cols)
+        values, bounds = _harish_chandra_sweep(row[cols], eta, column[rows])
+        series[grid] &= bounds <= DEFAULT_CONFIG.target * np.maximum(1.0, np.abs(values))
+        out[grid] = values
+    _mehler_sweep(out, row, eta, column, ~series)
+    return out.reshape(ys.shape + xs.shape)
+
+
+def _phase_node_grid(xis: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``_phase_nodes(xi, Y)`` at every point of the grid ``ys x xis``, as
+    floats, by the same operations; every need must be at most
+    ``SWEEP_NODE_CEILING``, as the sweep's count check makes it."""
+    need = np.maximum(4.0 * np.abs(xis) * np.abs(ys)[:, None] * _SWEEP_SAFETY,
+                      float(_SWEEP_FLOOR))
+    return np.ldexp(1.0, np.ceil(np.log2(need)).astype(int))
+
+
+@np.errstate(all="ignore")
+def _harish_chandra_sweep(xis: np.ndarray, eta: float,
+                          ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_harish_chandra_series`` at order 0 on the grid ``ys x xis`` (both
+    1-D): the values (real at ``eta == 0``) and their bounds, each of shape
+    ``(len(ys), len(xis))``, under the scalar's requirements.  Term ``k`` of a
+    Q-series is ``a_0 c_k z^k``, ``z = e^{-4|Y|}``, where ``c_k``, the product of
+    the term ratios without their ``z``, does not depend on ``Y``: so the
+    ``c_k`` are one cumulative product per spectral value, and each row sums
+    its ``_value_terms`` of them by Horner's rule in ``z``, from the rows with
+    the most terms down.  Every term ratio is still at most ``z``, so the
+    weight, the tail and the bound are the scalar's.  A value or bound that
+    is not finite, or a row that needs more than ``_SERIES_MAX_TERMS``, has
+    an infinite bound."""
+    t = 2.0 * np.abs(ys)
+    z = np.exp(-2.0 * t)
+    terms = np.ceil(_value_terms(t))
+    terms = np.where(terms <= _SERIES_MAX_TERMS, terms, 0).astype(int)
+    b = (0.5 - eta) + 1j * xis
+    if eta != 0.0:  # Q_nu and Q_{-nu-1}; at eta == 0 the second is the conjugate
+        b = np.concatenate([b, (0.5 + eta) - 1j * xis])
+    first = _SQRT_PI * _gamma_ratio(b) * np.exp(-b * t[:, None])
+    ks = np.arange(terms.max(initial=0))
+    ratios = (b + ks[:, None]) / (b + 0.5 + ks[:, None]) * ((ks + 0.5) / (ks + 1))[:, None]
+    coefficients = np.ones((len(ks) + 1, len(b)), dtype=complex)
+    np.cumprod(ratios, axis=0, out=coefficients[1:])
+    order = np.argsort(-terms, kind="stable")
+    rows = np.searchsorted(-terms[order], -ks, side="left")  # rows with more than k terms
+    sums = np.zeros((len(t), len(b)), dtype=complex)
+    # complex times real z, and complex plus complex, on the real views
+    real_sums, real_coefficients = sums.view(float), coefficients.view(float)
+    z_sorted = z[order, None]
+    for k in reversed(ks):
+        real_sums[:rows[k]] *= z_sorted[:rows[k]]
+        real_sums[:rows[k]] += real_coefficients[k]
+    q = np.empty_like(sums)
+    q[order] = sums
+    q *= first
+    last = abs(first) * abs(coefficients[terms]) * z[:, None] ** terms[:, None]
+    weight, tail = _value_weight_and_tail(abs(first), last, z[:, None])
+    n = len(xis)
+    factor = _tan_nu_pi(xis, eta) / math.pi
+    if eta == 0.0:  # factor (i f) times the difference (2i Im q)
+        values = -2.0 * factor.imag * q.imag
+        weight, tail = 2.0 * weight, 2.0 * tail
+    else:
+        values = factor * (q[:, :n] - q[:, n:])
+        weight, tail = weight[:, :n] + weight[:, n:], tail[:, :n] + tail[:, n:]
+    bounds = _series_bound(factor, tail, weight, xis, t[:, None])
+    finite = np.isfinite(values) & np.isfinite(bounds) & (terms > 0)[:, None]
+    return values, np.where(finite, bounds, np.inf)
+
+
+def _mehler_sweep(out: np.ndarray, xis: np.ndarray, eta: float, ys: np.ndarray,
+                  wanted: np.ndarray) -> None:
+    """Fixed-node Mehler-Dirichlet values into ``out[wanted]``; ``out`` and
+    ``wanted`` have shape ``(len(ys), len(xis))``, both grids 1-D, and each
+    spectral value takes its own count, ``sl2_sweep_nodes(xi, max |Y|)``.  The
+    amplitude and ``2Y cos a`` are built on the finest of the counts, that of
+    the largest ``|xi|``, one block of chamber points at a time with at most
+    ``_SWEEP_BLOCK`` elements per array (a single row may have more); a
+    coarser count reads every ``finest / nodes``-th column, which is its own
+    rule, since counts are powers of two.  Blocks and spectral values with no
+    wanted point are skipped, and a block's values do not depend on which of
+    its points are wanted."""
+    y_max = float(np.abs(ys).max(initial=0.0))
+    finest = sl2_sweep_nodes(float(np.abs(xis).max(initial=0.0)), y_max)
+    rule = _folded_grid(finest, 4)
     column = ys.reshape(-1, 1)
     rows = max(1, _SWEEP_BLOCK // len(rule.angles))
     for start in range(0, len(column), rows):
+        block = wanted[start:start + rows]
+        needed = np.flatnonzero(block.any(axis=0))
+        if not needed.size:
+            continue
         y = column[start:start + rows]
         # one assignment each: a tuple assignment would hold the last block's
         # pair while it builds this one
         s = 2.0 * y * rule.cos
         amplitude = _mehler_amplitude(y, rule.sin2_half)
-        for j, (xi, nodes) in enumerate(zip(flat, counts)):
+        for j in needed.tolist():
+            xi = float(xis[j])
+            nodes = sl2_sweep_nodes(xi, y_max)
             stride = finest // nodes
-            out[start:start + rows, j] = _mehler_integrand(
-                amplitude[:, ::stride], s[:, ::stride], xi, eta) @ rules[nodes].weights
-    return out.reshape(ys.shape + xs.shape)
+            values = _mehler_integrand(amplitude[:, ::stride], s[:, ::stride], xi,
+                                       eta) @ _folded_grid(nodes, 4).weights
+            np.copyto(out[start:start + rows, j], values, where=block[:, j])
 
 
 def deriv_spherical_sl2(
@@ -590,7 +734,7 @@ def deriv_spherical_sl2(
     if not 0.0 < t_geo <= T_GEO_MAX:
         raise ValueError("geodesic parameter must lie in the open positive chamber")
     scaled = SpectralParameter.rank1(t_scale * lam.xi[0], lam.eta[0])
-    _check_finite(scaled, f"Y={t_geo:g}")
+    _check_finite(scaled, "Y={:g}", t_geo)
     _check_phase(scaled, t_geo)
     xi, eta = scaled.xi[0], scaled.eta[0]
     if order and not cmath.isfinite((2j * xi - 2.0 * eta - 1.0) / math.sinh(2.0 * t_geo)):
@@ -703,7 +847,7 @@ def spherical_sl3(lam: SpectralParameter, a_log, samples: int = 10_000,
     if samples < 1:
         raise ValueError("samples must be positive")
     y1, y2 = float(a_log[0]), float(a_log[1])
-    _check_finite(lam, f"({y1:g}, {y2:g})", y1, y2)
+    _check_finite(lam, "({:g}, {:g})", y1, y2)
     a = np.exp([y1, y2, -y1 - y2])
     c1, c2 = (x + 1j * e for x, e in zip(lam.xi, lam.eta))
     n, total, m2 = 0, 0j, 0.0  # count, sum and summed squared deviation so far

@@ -70,7 +70,13 @@ def test_budget_overrun_is_reported_apart_from_the_maths():
     t0 = time.perf_counter() - 10.0
     over = accept._result(2, "x", True, "checks", t0, budget=5.0)
     assert not over.passed and over.detail.startswith("maths ok; 5 s budget exceeded")
+    assert (over.maths, over.within_budget, over.failure) == (True, False, "budget")
     both = accept._result(2, "x", False, "checks", t0, budget=5.0)
     assert not both.passed and both.detail.startswith("maths failed;")
+    assert (both.maths, both.within_budget, both.failure) == (False, False, "maths and budget")
     within = accept._result(2, "x", True, "checks", t0, budget=60.0)
     assert within.passed and within.detail == "checks"
+    assert (within.maths, within.within_budget, within.failure) == (True, True, "")
+    wrong = accept._result(2, "x", False, "checks", t0, budget=60.0)
+    assert not wrong.passed and wrong.detail == "checks"
+    assert (wrong.maths, wrong.within_budget, wrong.failure) == (False, True, "maths")

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -391,6 +392,25 @@ def test_selftest_single_fast_criterion():
     assert code == 0
     assert "criterion 10 [pass]" in out
     assert "1/1 criteria passed" in out
+
+
+@pytest.mark.parametrize("maths, budget, failure", [
+    (True, math.inf, ""), (False, math.inf, "maths"), (True, 0.0, "budget"),
+    (False, 0.0, "maths and budget")])
+def test_selftest_says_whether_the_maths_or_the_budget_failed(monkeypatch, maths, budget,
+                                                              failure):
+    from sphreg import accept
+
+    def criterion():
+        return accept._result(10, "stub", maths, "checks", time.perf_counter(), budget=budget)
+
+    monkeypatch.setattr(accept, "_CRITERIA", (criterion,))
+    code, out, _ = run("selftest")
+    if failure:
+        assert code == 1 and "0/1 criteria passed" in out
+        assert f"[FAIL: {failure}]" in out and f"criterion 10 failed: {failure}\n" in out
+    else:
+        assert code == 0 and "1/1 criteria passed" in out and "failed" not in out
 
 
 def _quiet_run(*argv):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_legendre
 
+from sphreg import accept
 from sphreg import liegroup as lg
 from sphreg import spherical as sph
 from sphreg.spherical import (
@@ -212,13 +213,22 @@ def test_folded_compact_integral_equals_full_turn_mean(nodes):
         assert abs(got - want.real) <= 1e-13
 
 
+def _mehler_at_every_point(xis, eta, t_geo):
+    """The sweep's fixed-node Mehler-Dirichlet rule at every point, shaped as
+    ``spherical_sl2_sweep`` shapes its values."""
+    xs, ys = np.asarray(xis, dtype=float), np.asarray(t_geo, dtype=float)
+    out = np.empty((ys.size, xs.size), dtype=complex)
+    sph._mehler_sweep(out, xs.ravel(), eta, ys.ravel(), np.ones(out.shape, dtype=bool))
+    return out.reshape(ys.shape + xs.shape)
+
+
 def test_folded_sweep_equals_full_turn_mean():
     # every spectral value at its own count (64, 512 and 1024 here), on a grid
     # with signed zeros and negative chamber points
     xis = np.array([[0.5, 9.0], [40.0, -150.0]])
     ys = np.array([1.3, 0.0, -0.0, -0.7, 0.2])
     for eta in (0.0, -0.1):
-        got = sph.spherical_sl2_sweep(xis, eta, ys)
+        got = _mehler_at_every_point(xis, eta, ys)
         assert got.shape == (5, 2, 2) and got.dtype == complex
         if eta == 0.0:
             assert np.all(got.imag == 0.0)
@@ -226,7 +236,7 @@ def test_folded_sweep_equals_full_turn_mean():
             nodes = sph.sl2_sweep_nodes(xis[index], 1.3)
             for y, value in zip(ys, got[(slice(None),) + index]):
                 assert abs(value - _mehler_full_turn(xis[index], eta, y, nodes)) <= 1e-13
-        scalar = sph.spherical_sl2_sweep(xis, eta, 1.3)
+        scalar = _mehler_at_every_point(xis, eta, 1.3)
         assert scalar.shape == (2, 2)
         assert np.max(np.abs(scalar - got[0])) <= 1e-14
 
@@ -235,7 +245,7 @@ def test_folded_sweep_equals_full_turn_mean():
 def test_sweep_at_eta_zero_is_real_and_equals_the_two_product_form(y):
     # the real cos(xi s) at eta = 0 against the general form's two products
     xis = np.array([0.5, 9.0, 40.0])
-    got = sph.spherical_sl2_sweep(xis, 0.0, y)
+    got = _mehler_at_every_point(xis, 0.0, y)
     assert got.dtype == complex and np.all(got.imag == 0.0)
     for xi, value in zip(xis, got):
         rule = sph._folded_grid(sph.sl2_sweep_nodes(xi, y), 4)
@@ -931,3 +941,86 @@ def test_values_say_which_path_produced_them():
     assert compact.path == "trapezoid" and compact.quadrature_nodes >= 64
     assert compact.value == sph.spherical_compact_su2(40, 1.0)
     assert 0.0 <= compact.estimated_error <= 1e-12
+
+
+# The sweep: the Harish-Chandra series summed on the whole grid where
+# spherical_sl2 would take it, the fixed-node Mehler-Dirichlet rule elsewhere.
+
+_SWEEP_RNG = np.random.default_rng(18)
+SWEEP_ETAS = (0.0, 0.5, -0.5, 0.31, -0.45)
+SWEEP_XIS = 2.0 ** _SWEEP_RNG.uniform(-5, 8, 5) * _SWEEP_RNG.choice([-1.0, 1.0], 5)
+SWEEP_YS = _SWEEP_RNG.uniform(0.05, 2.5, 4) * _SWEEP_RNG.choice([-1.0, 1.0], 4)
+
+
+@pytest.mark.parametrize("eta", SWEEP_ETAS)
+def test_series_sweep_matches_the_legendre_function_within_its_bound(eta):
+    values, bounds = sph._harish_chandra_sweep(SWEEP_XIS, eta, SWEEP_YS)
+    assert values.shape == bounds.shape == (len(SWEEP_YS), len(SWEEP_XIS))
+    assert np.all(bounds <= 1e-13)
+    if eta == 0.0:
+        assert values.dtype == float
+    for (i, j), value in np.ndenumerate(values):
+        want = _legendre_reference(SWEEP_XIS[j], eta, SWEEP_YS[i])
+        assert abs(value - want) <= bounds[i, j], (SWEEP_XIS[j], eta, SWEEP_YS[i])
+
+
+@pytest.mark.parametrize("eta", SWEEP_ETAS)
+def test_sweep_matches_the_scalar_values_within_both_bounds(eta):
+    got = sph.spherical_sl2_sweep(SWEEP_XIS, eta, SWEEP_YS)
+    _, bounds = sph._harish_chandra_sweep(SWEEP_XIS, eta, SWEEP_YS)
+    for (i, j), value in np.ndenumerate(got):
+        single = spherical_sl2(SpectralParameter.rank1(SWEEP_XIS[j], eta), SWEEP_YS[i])
+        if single.path == "series":
+            assert abs(value - single.value) <= bounds[i, j] + single.estimated_error
+        else:  # small Y by the cost model: both are the Mehler-Dirichlet rule
+            assert abs(value - single.value) <= 1e-12
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.5, -0.5, 0.2, 0.75, -1.2])
+def test_sweep_fallback_points_equal_the_mehler_rule_to_the_bit(eta):
+    # Y = 0 and small Y by the cost model, |eta| > 1/2, the poles at xi = 0
+    xis = np.array([[0.0, 0.5, 3.0], [40.0, -7.0, 1e-9]])
+    ys = np.array([0.0, -0.0, 0.05, 0.2, -0.25, 0.6, 1.7])
+    got = sph.spherical_sl2_sweep(xis, eta, ys)
+    assert got.shape == (7, 2, 3) and got.dtype == complex
+    if eta == 0.0:
+        assert np.all(got.imag == 0.0)
+    mehler = _mehler_at_every_point(xis, eta, ys)
+    paths = np.array([[spherical_sl2(SpectralParameter.rank1(xi, eta), y).path
+                       for xi in xis.ravel()] for y in ys]).reshape(got.shape)
+    fallback = paths == "trapezoid"
+    assert fallback[:2].all() and fallback[2, 0, 1]  # Y = 0; xi = 0.5 at Y = 0.05
+    assert fallback[:, 0, 0].all() == (eta in (0.0, 0.5, -0.5) or abs(eta) > 0.5)
+    assert fallback.all() == (abs(eta) > 0.5)
+    assert got[fallback].tobytes() == mehler[fallback].tobytes()
+
+
+def _need_just_above(k):
+    """The least spectral value whose phase node need at Y = 1 is above 2^k."""
+    xi = 2.0 ** k / (4.0 * sph._SWEEP_SAFETY)
+    while 4.0 * xi * sph._SWEEP_SAFETY <= 2.0 ** k:
+        xi = math.nextafter(xi, math.inf)
+    return xi
+
+
+def test_phase_node_grid_equals_the_scalar_count():
+    # with needs a few ulps above a power of two, whose log2 may round to the
+    # integer below
+    xis = np.array([0.0, 0.3, 7.0, 123.4, 2.0 ** 10 / 5.2])
+    ys = np.array([0.0, 1e-3, 0.77, 1.0, 4.9])
+    edges = np.array([_need_just_above(k) for k in (7, 12, 20)])
+    for xi_grid, y_grid in [(xis, ys), (edges, np.array([1.0, -1.0]))]:
+        got = sph._phase_node_grid(xi_grid, y_grid)
+        want = [[sph._phase_nodes(xi, y) for xi in xi_grid] for y in y_grid]
+        assert got.tolist() == want
+
+
+def test_holder_family_and_decay_fit_need_no_mehler_rule(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the Mehler-Dirichlet integrand was evaluated")
+
+    monkeypatch.setattr(sph, "_mehler_integrand", refuse)
+    family, grid = accept.holder_family()
+    assert len(family) == len(accept.HOLDER_SWEEP) and len(grid) == accept.HOLDER_GRID_POINTS
+    fit = accept.decay_envelope_fit(1.0, 1.0)
+    assert abs(fit.slope + 0.5) <= 0.05
