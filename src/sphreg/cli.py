@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from . import catalog as cat, liegroup as lg, rootsys as rs, spherical as sph
+    from . import catalog as cat, liegroup as lg, rootsys as rs
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
@@ -224,16 +224,6 @@ def _spectral_ts(args) -> np.ndarray:
     return np.geomspace(args.tmin, args.tmax, args.tsteps)
 
 
-def _sl2_config(xi_peak: float, y: float) -> sph.QuadratureConfig:
-    """Adaptive rank-one rule for spectral values up to ``xi_peak`` at ``Y = y``:
-    at most twice the count ``sl2_sweep_nodes`` gives, and at least 8192 nodes."""
-    from . import spherical as sph
-
-    return sph.QuadratureConfig(n_start=1024,
-                                n_max=max(8192, 2 * sph.sl2_sweep_nodes(xi_peak, y)),
-                                target=1e-12, fail=1e-7)
-
-
 def cmd_spherical(args) -> int:
     from . import spherical as sph
 
@@ -261,7 +251,7 @@ def cmd_spherical(args) -> int:
             xi = _parse_floats(args.xi)[0] if args.xi else 0.5
             eta = _parse_floats(args.eta)[0] if args.eta else 0.0
             for y in points:
-                config = _sl2_config(float(ts[-1]) * abs(xi) + abs(eta) + 1.0, y)
+                config = sph._mehler_config(float(ts[-1]) * abs(xi) + abs(eta) + 1.0, y)
                 for t in ts:
                     lam = sph.SpectralParameter.rank1(t * xi, eta)
                     value = sph.spherical_sl2(lam, y, config)
@@ -411,7 +401,7 @@ def cmd_statphase(args) -> int:
     try:
         if args.group == "sl2":
             amplitude = asy.spherical_amplitude_sl2(args.Y)
-            config = _sl2_config(ts[-1] * args.xi, args.Y)
+            config = sph._mehler_config(ts[-1] * args.xi, args.Y)
             for t in ts:
                 quad = sph.spherical_sl2(sph.SpectralParameter.rank1(t * args.xi), args.Y,
                                          config).value

@@ -29,10 +29,11 @@ The Gamma ratio comes from the shifted ratio expansion (DLMF 5.11), not from
 two log-gammas.  The series needs about ``20 / |Y|`` terms, so a cost model
 weighs them against the quadrature's phase node count.  ``spherical_sl2_sweep``
 sums the same series for a grid of chamber points and spectral values at
-once: the products of the term ratios without their ``z`` do not depend on
-``Y``, so they are formed once per spectral value, and each chamber point
-takes one Horner pass in ``z``.  Every other input, and any whose bound
-misses the target, takes the Mehler-Dirichlet form (DLMF §14.12; the Abel
+once, with no cost model, since a vectorised term costs almost nothing: the
+products of the term ratios without their ``z`` do not depend on ``Y``, so
+they are formed once per spectral value, and each chamber point takes one
+Horner pass in ``z``.  Every other input, and any whose bound misses the
+target, takes the Mehler-Dirichlet form (DLMF §14.12; the Abel
 transform of Koornwinder, "Jacobi functions and analysis on noncompact
 semisimple Lie groups", 1984), with phase slope at most
 ``2 |xi Y|``: ``phi = (1/pi) int_0^pi cosh((i xi - eta) 2Y cos a) /
@@ -47,30 +48,21 @@ of the Gaussian matrix that ``liegroup.haar_so_n_sample`` turns into ``k`` and
 ``w = z1 x z2``, ``h1 = log(|a z1|/|z1|)``, ``h1 + h2 = log(|a^-1 w|/|w|)`` and
 ``h3 = -(h1 + h2)``; both read one Gaussian stream, so a seed gives the same ``k``.
 
-Quadrature.  The fallback values, the derivatives' fallback, the sweeps'
-fallback and the compact values are circle integrals.  Each is the
-trapezoid rule, which converges exponentially for smooth periodic
-integrands (Trefethen and Weideman, "The exponentially convergent
-trapezoidal rule", SIAM Review 56, 2014).  The noncompact integrands depend
-on the angle only through ``cos 2a`` and the compact one only through
-``cos phi``, so the full-turn rule on ``N`` nodes equals the rule on a quarter (half) turn with
-``N / 4`` (``N / 2``) intervals and half-weight endpoints.  Doubling nests:
-each level adds the midpoints of the level before.  The noncompact values
-know their phase bandwidth in advance (``sl2_sweep_nodes``), so their first
-integrand call covers every level up to half that count (and under 16384
-points) at once.  The levels in it are replayed from strided slices, with
-the sums, stop tests and results of level-by-level doubling, which goes on
-from there.  Each rule (a level's folded grid, or its midpoints) is built
-once per ``(nodes, fold)``, with its weights and the grid-only factors the
-integrands read (``cos a``, ``sin a``, ``sin^2(a/2)``); its arrays are
-read-only, and rules of at most 16384 points are kept for the process.
-The sweep's fallback (``_mehler_sweep``) is the one fixed-node rule: each
-spectral value takes its own count from ``sl2_sweep_nodes`` at the grid's
-largest ``|Y|``, and the amplitude, built once per block of chamber points on
-the finest rule, serves every coarser count through strided columns; only
-the blocks and spectral values with a fallback point are evaluated.  It and
-the adaptive fallback evaluate one integrand, ``_mehler_integrand``.
-Nothing is kept between sweeps.
+Quadrature.  The fallback values, the derivatives' fallback and the compact
+values are circle integrals.  Each is the trapezoid rule, which converges
+exponentially for smooth periodic integrands (Trefethen and Weideman, "The
+exponentially convergent trapezoidal rule", SIAM Review 56, 2014).  The
+noncompact integrands depend on the angle only through ``cos 2a`` and the
+compact one only through ``cos phi``, so the full-turn rule on ``N`` nodes
+equals the rule on a quarter (half) turn with ``N / 4`` (``N / 2``)
+intervals and half-weight endpoints.  Doubling nests: each level evaluates
+only the midpoints of the level before (``_nested_trapezoid``).  Each rule
+(a level's folded grid, or its midpoints) is built once per ``(nodes,
+fold)``, with its weights and the grid-only factors the integrands read
+(``cos a``, ``sin a``, ``sin^2(a/2)``); its arrays are read-only, and rules
+of at most 16384 points are kept for the process.  A sweep point that
+misses the series takes the adaptive value itself, ``_spherical_sl2_mehler``
+under ``_mehler_config``, the rule the command line uses.
 A non-finite level estimate raises ``QuadratureError``.
 """
 
@@ -167,7 +159,6 @@ T_GEO_MAX = 5.0  # chamber points with |Y| above it raise ValueError
 LEGENDRE_MAX_DEGREE = 1 << 20  # legendre_rows raises above it, before the recurrence
 _SWEEP_SAFETY = 1.3  # margin of sl2_sweep_nodes over the phase bandwidth
 _SWEEP_FLOOR = 64  # full-turn nodes that resolve the amplitude at any Y
-_SWEEP_BLOCK = 1 << 17  # elements per array of a sweep block, unless one row has more
 
 
 def sl2_chamber_coordinate(t_geo: float, theta) -> np.ndarray:
@@ -213,11 +204,8 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-# From 256 KiB (16384 complex values) numpy may evaluate ``scalar * temporary``
-# in place as ``temporary *= scalar``, and a complex product rounds differently
-# in the two operand orders; so an integrand's value at one angle can depend on
-# the length of the array it comes in.  The first block stays shorter than that,
-# as every level it replays is.  Rules of at most this many points are kept.
+# Rules of at most this many points (256 KiB of complex values) are kept for
+# the process; a larger one is built at each use.
 _ELIDE_POINTS = 1 << 14
 _RULES: dict[tuple[int, int, bool], _Rule] = {}
 
@@ -246,33 +234,22 @@ def _folded_grid(nodes: int, fold: int, midpoints: bool = False) -> _Rule:
     return rule
 
 
-def _nested_trapezoid(integrand, fold: int, config: QuadratureConfig, first: int = 0):
-    """Folded trapezoid rule over doubling levels.  The first call of
-    ``integrand(rule)`` covers the folded grid of the largest level at most
-    ``first`` nodes, held to ``[n_start, n_max // 2]``; the levels up to it are
-    replayed from strided slices of that block, and each later level
-    evaluates only the midpoint rule of the level before.  Slices are copied
-    contiguous, since a strided operand changes BLAS's summation order: every
-    level's sum, and so the result, is the same for any ``first``; ``.dot``
-    reaches the BLAS dot product that ``@`` does, without the ufunc dispatch
-    that casts the weights per call.  A level whose estimate is not finite
-    raises ``QuadratureError``.
+def _nested_trapezoid(integrand, fold: int, config: QuadratureConfig):
+    """Folded trapezoid rule over doubling levels: ``integrand(rule)`` on the
+    folded grid of ``config.n_start`` nodes, then on the midpoint rule of each
+    next level, added to half the level before, until two levels agree to
+    ``config.target`` or ``config.n_max`` is reached.  ``.dot`` reaches the
+    BLAS dot product that ``@`` does, without the ufunc dispatch that casts
+    the weights per call.  A level whose estimate is not finite raises
+    ``QuadratureError``.
     Returns (value, full-turn nodes, estimated_error)."""
-    nodes = top = config.n_start
-    weights = _folded_grid(nodes, fold).weights
-    while 2 * top <= min(first, config.n_max // 2) and 2 * top // fold + 1 < _ELIDE_POINTS:
-        top *= 2
-    block = integrand(_folded_grid(top, fold))
-    current = np.ascontiguousarray(block[::top // nodes]).dot(weights)
+    nodes = config.n_start
+    rule = _folded_grid(nodes, fold)
+    current = integrand(rule).dot(rule.weights)
     while True:
         previous, nodes = current, 2 * nodes
         rule = _folded_grid(nodes, fold, midpoints=True)
-        if nodes <= top:
-            step = top // nodes
-            values = np.ascontiguousarray(block[step::2 * step])
-        else:
-            values = integrand(rule)
-        current = 0.5 * previous + values.dot(rule.weights)
+        current = 0.5 * previous + integrand(rule).dot(rule.weights)
         err = abs(current - previous)
         if not math.isfinite(err):
             raise QuadratureError(f"trapezoid rule estimate {err} at {nodes} nodes "
@@ -332,7 +309,8 @@ def _phase_nodes(xi: float, t_geo: float) -> int:
     need = max(4.0 * abs(xi) * abs(t_geo) * _SWEEP_SAFETY, float(_SWEEP_FLOOR))
     if not need <= SWEEP_NODE_CEILING:
         return 2 * SWEEP_NODE_CEILING
-    return 1 << int(math.ceil(math.log2(need)))
+    mantissa, exponent = math.frexp(need)  # need = mantissa 2^exponent, 1/2 <= mantissa < 1
+    return 1 << (exponent - 1 if mantissa == 0.5 else exponent)
 
 
 # Coefficients of z^-1, z^-3, ..., z^-15 in log(sqrt(z) Gamma(z) / Gamma(z + 1/2)):
@@ -351,6 +329,7 @@ _SERIES_TERM_COST = 16.0
 _MEHLER_FIXED_COST = 600.0
 _SERIES_TERMS_Y = 10.0
 _SERIES_MAX_TERMS = 4096  # per Q-series; a bound that needs more is reported as inf
+_SERIES_BLOCK = 1 << 20  # elements per array of a series sweep's block of spectral values
 
 
 def _gamma_ratio(z):
@@ -400,17 +379,12 @@ def _series_bound(factor, tail, weight, xi, t):
     return abs(factor) * (tail + _EPS * (16.0 + abs(xi) * t) * weight)
 
 
-def _series_applies(xi, eta: float, y, nodes):
-    """Whether ``_accepted_series`` tries the series at ``|Y| = y``: ``|eta| <=
-    1/2`` (the ratio bound), ``y > 0``, ``nu`` off the ``tan`` pole (``xi = eta =
-    0``) and the Gamma ratios' poles (``xi = 0``, ``eta = +-1/2``), and a cost
-    model that weighs its terms (about ``20 / y``, half at ``eta = 0``) against
-    the quadrature's phase node count ``nodes`` and fixed cost.  Elementwise
-    on arrays ``xi``, ``y`` and ``nodes``."""
-    series = 1.0 if eta == 0.0 else 2.0
-    return ((abs(eta) <= 0.5) & (y > 0.0) & ((xi != 0.0) | (abs(eta) not in (0.0, 0.5)))
-            & (series * _SERIES_TERM_COST * _SERIES_TERMS_Y
-               <= y * (_MEHLER_FIXED_COST + nodes)))
+def _series_valid(xi, eta: float, y):
+    """Whether the series and its bound hold at ``|Y| = y``: ``|eta| <= 1/2``
+    (the ratio bound), ``y > 0``, and ``nu`` off the ``tan`` pole (``xi = eta
+    = 0``) and the Gamma ratios' poles (``xi = 0``, ``eta = +-1/2``).
+    Elementwise on arrays ``xi`` and ``y``."""
+    return (abs(eta) <= 0.5) & (y > 0.0) & ((xi != 0.0) | (abs(eta) not in (0.0, 0.5)))
 
 
 def _q_series(b: complex, t: float, order: int) -> tuple[complex, float, float, int]:
@@ -473,13 +447,18 @@ def _tan_nu_pi(xi, eta: float):
 
 def _accepted_series(xi: float, eta: float, t_geo: float, order: int,
                      config: QuadratureConfig) -> SphericalValue | None:
-    """The Harish-Chandra series where ``_series_applies``, if its bound meets
-    ``config.target`` relative to ``max(1, |value|)``; else None.  More nodes
-    only favour the series, so the floor count settles most points without
-    ``_phase_nodes``."""
+    """The Harish-Chandra series where ``_series_valid`` and a cost model
+    favour it, if its bound meets ``config.target`` relative to ``max(1,
+    |value|)``; else None.  The model weighs the series' terms (about
+    ``20 / |Y|``, half at ``eta = 0``) against the quadrature's phase node
+    count and fixed cost.  More nodes only favour the series, so the floor
+    count settles most points without ``_phase_nodes``."""
     y = abs(t_geo)
-    if not (_series_applies(xi, eta, y, _SWEEP_FLOOR)
-            or _series_applies(xi, eta, y, _phase_nodes(xi, t_geo))):
+    if not _series_valid(xi, eta, y):
+        return None
+    cost = (1.0 if eta == 0.0 else 2.0) * _SERIES_TERM_COST * _SERIES_TERMS_Y
+    if (cost > y * (_MEHLER_FIXED_COST + _SWEEP_FLOOR)
+            and cost > y * (_MEHLER_FIXED_COST + _phase_nodes(xi, t_geo))):
         return None
     value = _harish_chandra_series(xi, eta, t_geo, order)
     if value.estimated_error <= config.target * max(1.0, abs(value.value)):
@@ -551,7 +530,7 @@ def _spherical_sl2_mehler(lam: SpectralParameter, t_geo: float,
     value, nodes, err = _nested_trapezoid(
         lambda rule: _mehler_integrand(_mehler_amplitude(t_geo, rule.sin2_half),
                                        2.0 * t_geo * rule.cos, xi, eta),
-        4, config, _phase_nodes(xi, t_geo) // 2)
+        4, config)
     return SphericalValue(complex(value), nodes, float(err), "trapezoid")
 
 
@@ -572,44 +551,47 @@ def sl2_sweep_nodes(xi_peak: float, t_geo: float) -> int:
     return nodes
 
 
+def _mehler_config(xi: float, y: float) -> QuadratureConfig:
+    """Adaptive rank-one rule for spectral values up to ``xi`` at ``Y = y``:
+    at most twice the count ``sl2_sweep_nodes`` gives, and at least 8192 nodes."""
+    return QuadratureConfig(n_start=1024, n_max=max(8192, 2 * sl2_sweep_nodes(xi, y)),
+                            target=1e-12, fail=1e-7)
+
+
 def spherical_sl2_sweep(xis, eta: float, t_geo) -> np.ndarray:
     """Values at the real spectral values ``xis`` (any shape) plus ``i eta``, at
     the chamber points ``t_geo`` (a scalar or a 1-D grid); complex, of shape
     ``shape(t_geo) + shape(xis)``, with an imaginary part of exactly 0 at
-    ``eta == 0``.  A point takes the Harish-Chandra series where
-    ``spherical_sl2`` would (``_series_applies``, and a bound within
-    ``DEFAULT_CONFIG.target``), summed for the whole grid at once
-    (``_harish_chandra_sweep``).  Every other point (``Y = 0``, ``|eta| > 1/2``,
-    the poles at ``xi = 0``, small ``|Y|`` by the cost model, or a bound above
-    the target) takes the fixed-node Mehler-Dirichlet rule at its spectral
-    value's count ``sl2_sweep_nodes(xi, max |Y|)`` (``_mehler_sweep``).  A
-    non-finite input or a count above ``SWEEP_NODE_CEILING`` raises
-    ``ValueError`` before any work."""
+    ``eta == 0``.  Where the series is valid (``_series_valid``: ``|eta| <=
+    1/2``, ``Y != 0``, off the poles at ``xi = 0``) it is summed for the whole
+    grid at once (``_harish_chandra_sweep``), and a point takes it if its
+    bound is within ``DEFAULT_CONFIG.target``.  Every other point takes the
+    adaptive Mehler-Dirichlet value ``_spherical_sl2_mehler`` under
+    ``_mehler_config(xi, Y)``.  A non-finite input, a count above
+    ``SWEEP_NODE_CEILING`` or a chamber point with ``|Y| > T_GEO_MAX`` raises
+    ``ValueError`` before any value is computed."""
     xs, ys = np.asarray(xis, dtype=float), np.asarray(t_geo, dtype=float)
     if not (math.isfinite(eta) and np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError("non-finite spectral value or chamber point in a sweep")
     # the count grows with |xi|, so the largest is the one to check
-    sl2_sweep_nodes(float(np.abs(xs).max(initial=0.0)), float(np.abs(ys).max(initial=0.0)))
+    y_max = float(np.abs(ys).max(initial=0.0))
+    sl2_sweep_nodes(float(np.abs(xs).max(initial=0.0)), y_max)
+    if y_max > T_GEO_MAX:
+        raise ValueError(f"chamber point |Y|={y_max:g} outside |Y| <= {T_GEO_MAX:g}")
     row, column = xs.ravel(), ys.ravel()
     out = np.empty((column.size, row.size), dtype=complex)
-    series = _series_applies(row, eta, np.abs(column)[:, None], _phase_node_grid(row, column))
+    series = _series_valid(row, eta, np.abs(column)[:, None])
     rows, cols = series.any(axis=1), series.any(axis=0)
     if rows.any():
         grid = np.ix_(rows, cols)
         values, bounds = _harish_chandra_sweep(row[cols], eta, column[rows])
         series[grid] &= bounds <= DEFAULT_CONFIG.target * np.maximum(1.0, np.abs(values))
         out[grid] = values
-    _mehler_sweep(out, row, eta, column, ~series)
+    for i, j in zip(*np.nonzero(~series)):
+        xi, y = float(row[j]), float(column[i])
+        out[i, j] = _spherical_sl2_mehler(SpectralParameter.rank1(xi, eta), y,
+                                          _mehler_config(xi, y)).value
     return out.reshape(ys.shape + xs.shape)
-
-
-def _phase_node_grid(xis: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """``_phase_nodes(xi, Y)`` at every point of the grid ``ys x xis``, as
-    floats, by the same operations; every need must be at most
-    ``SWEEP_NODE_CEILING``, as the sweep's count check makes it."""
-    need = np.maximum(4.0 * np.abs(xis) * np.abs(ys)[:, None] * _SWEEP_SAFETY,
-                      float(_SWEEP_FLOOR))
-    return np.ldexp(1.0, np.ceil(np.log2(need)).astype(int))
 
 
 @np.errstate(all="ignore")
@@ -625,11 +607,18 @@ def _harish_chandra_sweep(xis: np.ndarray, eta: float,
     the most terms down.  Every term ratio is still at most ``z``, so the
     weight, the tail and the bound are the scalar's.  A value or bound that
     is not finite, or a row that needs more than ``_SERIES_MAX_TERMS``, has
-    an infinite bound."""
+    an infinite bound.  Spectral values are taken a block at a time, with
+    about ``_SERIES_BLOCK`` elements per array, so memory stays bounded
+    however many terms the smallest ``|Y|`` needs."""
     t = 2.0 * np.abs(ys)
     z = np.exp(-2.0 * t)
     terms = np.ceil(_value_terms(t))
     terms = np.where(terms <= _SERIES_MAX_TERMS, terms, 0).astype(int)
+    step = max(1, _SERIES_BLOCK // (2 * (terms.max(initial=0) + 1 + len(ys))))
+    if len(xis) > step:
+        blocks = [_harish_chandra_sweep(xis[i:i + step], eta, ys)
+                  for i in range(0, len(xis), step)]
+        return tuple(np.concatenate(parts, axis=1) for parts in zip(*blocks))
     b = (0.5 - eta) + 1j * xis
     if eta != 0.0:  # Q_nu and Q_{-nu-1}; at eta == 0 the second is the conjugate
         b = np.concatenate([b, (0.5 + eta) - 1j * xis])
@@ -663,42 +652,6 @@ def _harish_chandra_sweep(xis: np.ndarray, eta: float,
     bounds = _series_bound(factor, tail, weight, xis, t[:, None])
     finite = np.isfinite(values) & np.isfinite(bounds) & (terms > 0)[:, None]
     return values, np.where(finite, bounds, np.inf)
-
-
-def _mehler_sweep(out: np.ndarray, xis: np.ndarray, eta: float, ys: np.ndarray,
-                  wanted: np.ndarray) -> None:
-    """Fixed-node Mehler-Dirichlet values into ``out[wanted]``; ``out`` and
-    ``wanted`` have shape ``(len(ys), len(xis))``, both grids 1-D, and each
-    spectral value takes its own count, ``sl2_sweep_nodes(xi, max |Y|)``.  The
-    amplitude and ``2Y cos a`` are built on the finest of the counts, that of
-    the largest ``|xi|``, one block of chamber points at a time with at most
-    ``_SWEEP_BLOCK`` elements per array (a single row may have more); a
-    coarser count reads every ``finest / nodes``-th column, which is its own
-    rule, since counts are powers of two.  Blocks and spectral values with no
-    wanted point are skipped, and a block's values do not depend on which of
-    its points are wanted."""
-    y_max = float(np.abs(ys).max(initial=0.0))
-    finest = sl2_sweep_nodes(float(np.abs(xis).max(initial=0.0)), y_max)
-    rule = _folded_grid(finest, 4)
-    column = ys.reshape(-1, 1)
-    rows = max(1, _SWEEP_BLOCK // len(rule.angles))
-    for start in range(0, len(column), rows):
-        block = wanted[start:start + rows]
-        needed = np.flatnonzero(block.any(axis=0))
-        if not needed.size:
-            continue
-        y = column[start:start + rows]
-        # one assignment each: a tuple assignment would hold the last block's
-        # pair while it builds this one
-        s = 2.0 * y * rule.cos
-        amplitude = _mehler_amplitude(y, rule.sin2_half)
-        for j in needed.tolist():
-            xi = float(xis[j])
-            nodes = sl2_sweep_nodes(xi, y_max)
-            stride = finest // nodes
-            values = _mehler_integrand(amplitude[:, ::stride], s[:, ::stride], xi,
-                                       eta) @ _folded_grid(nodes, 4).weights
-            np.copyto(out[start:start + rows, j], values, where=block[:, j])
 
 
 def deriv_spherical_sl2(
@@ -817,8 +770,7 @@ def _deriv_spherical_sl2_mehler(scaled: SpectralParameter, t_geo: float, order: 
         return prefactor * (amplitude * np.sinh(y2 * s * c) * np.sinh(y2 * c)
                             + 0.5 * (y2 * rule.sin) ** 2 * np.cosh(y2 * s * c) / amplitude)
 
-    first = _phase_nodes(scaled.xi[0], t_geo) // 2
-    d1 = complex(_nested_trapezoid(integrand, 4, config, first)[0])
+    d1 = complex(_nested_trapezoid(integrand, 4, config)[0])
     if order == 1:
         return d1
     coth, k = 1.0 / math.tanh(y2), 4.0 * s * s - 1.0

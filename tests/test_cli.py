@@ -1,6 +1,8 @@
 """Command-line interface: verbs, formats, exit codes, determinism."""
 
+import ast
 import csv
+import importlib
 import io
 import math
 import os
@@ -563,3 +565,21 @@ def test_usage_errors_print_one_stderr_line(capsys, argv, prefix):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith(prefix), captured.err
+
+
+def test_every_module_attribute_the_cli_reaches_exists():
+    # each verb imports its layers inside the function, so a renamed helper,
+    # often a private one that no other test names, would fail only when its
+    # verb runs
+    tree = ast.parse((ROOT / "src" / "sphreg" / "cli.py").read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name: importlib.import_module(f"sphreg.{alias.name}")
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+               for alias in node.names}
+    reached = {(node.value.id, node.attr) for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in modules}
+    missing = sorted(f"{alias}.{name}" for alias, name in reached
+                     if not hasattr(modules[alias], name))
+    assert {("sph", "_mehler_config"), ("sph", "_spherical_compact_su2")} <= reached
+    assert missing == []

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -213,46 +214,40 @@ def test_folded_compact_integral_equals_full_turn_mean(nodes):
         assert abs(got - want.real) <= 1e-13
 
 
-def _mehler_at_every_point(xis, eta, t_geo):
-    """The sweep's fixed-node Mehler-Dirichlet rule at every point, shaped as
-    ``spherical_sl2_sweep`` shapes its values."""
-    xs, ys = np.asarray(xis, dtype=float), np.asarray(t_geo, dtype=float)
-    out = np.empty((ys.size, xs.size), dtype=complex)
-    sph._mehler_sweep(out, xs.ravel(), eta, ys.ravel(), np.ones(out.shape, dtype=bool))
-    return out.reshape(ys.shape + xs.shape)
-
-
 def test_folded_sweep_equals_full_turn_mean():
-    # every spectral value at its own count (64, 512 and 1024 here), on a grid
-    # with signed zeros and negative chamber points
+    # series and fallback points alike, on a grid with signed zeros and
+    # negative chamber points, against the full-turn mean at 2^14 nodes
     xis = np.array([[0.5, 9.0], [40.0, -150.0]])
     ys = np.array([1.3, 0.0, -0.0, -0.7, 0.2])
-    for eta in (0.0, -0.1):
-        got = _mehler_at_every_point(xis, eta, ys)
+    for eta in (0.0, -0.1, 0.75):
+        got = sph.spherical_sl2_sweep(xis, eta, ys)
         assert got.shape == (5, 2, 2) and got.dtype == complex
         if eta == 0.0:
             assert np.all(got.imag == 0.0)
         for index in np.ndindex(xis.shape):
-            nodes = sph.sl2_sweep_nodes(xis[index], 1.3)
             for y, value in zip(ys, got[(slice(None),) + index]):
-                assert abs(value - _mehler_full_turn(xis[index], eta, y, nodes)) <= 1e-13
-        scalar = _mehler_at_every_point(xis, eta, 1.3)
-        assert scalar.shape == (2, 2)
-        assert np.max(np.abs(scalar - got[0])) <= 1e-14
+                want = _mehler_full_turn(xis[index], eta, y, 1 << 14)
+                assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), (index, y, eta)
+        scalar = sph.spherical_sl2_sweep(xis, eta, 1.3)
+        assert scalar.shape == (2, 2) and scalar.dtype == complex
+        assert scalar.tobytes() == got[0].tobytes()
 
 
 @pytest.mark.parametrize("y", [1.3, -0.7])
 def test_sweep_at_eta_zero_is_real_and_equals_the_two_product_form(y):
-    # the real cos(xi s) at eta = 0 against the general form's two products
-    xis = np.array([0.5, 9.0, 40.0])
-    got = _mehler_at_every_point(xis, 0.0, y)
+    # the pole at xi = 0 and the tan pole's neighbourhood fall back to the
+    # Mehler-Dirichlet rule, whose real cos(xi s) at eta = 0 is checked
+    # against the general form's two products
+    xis = np.array([0.0, 1e-9, -1e-12])
+    got = sph.spherical_sl2_sweep(xis, 0.0, y)
     assert got.dtype == complex and np.all(got.imag == 0.0)
     for xi, value in zip(xis, got):
-        rule = sph._folded_grid(sph.sl2_sweep_nodes(xi, y), 4)
-        s = 2.0 * y * rule.cos
-        amplitude = rule.weights * sph._mehler_amplitude(y, rule.sin2_half)
-        want = (np.cos(xi * s) @ (amplitude * np.cosh(0.0 * s))
-                - 1j * (np.sin(xi * s) @ (amplitude * np.sinh(0.0 * s))))
+        def two_products(rule, xi=xi):
+            s = 2.0 * y * rule.cos
+            amplitude = sph._mehler_amplitude(y, rule.sin2_half)
+            return (np.cos(xi * s) * (amplitude * np.cosh(0.0 * s))
+                    - 1j * (np.sin(xi * s) * (amplitude * np.sinh(0.0 * s))))
+        want = sph._nested_trapezoid(two_products, 4, sph._mehler_config(xi, y))[0]
         assert abs(value - want) <= 1e-15
 
 
@@ -549,73 +544,7 @@ def test_sl3_overflow_raises_instead_of_warning():
         spherical_sl3(SpectralParameter.rank2((0.5, 0.5)), (400.0, 0.0), samples=10)
 
 
-# Adaptive first block: the noncompact values evaluate every level up to a
-# count known in advance in one integrand call and replay the levels from it.
-
-STRIDE_CONFIG = QuadratureConfig(n_start=64, n_max=1 << 18, target=1e-12, fail=1.0)
-
-
-def _integrand_of(monkeypatch, call):
-    """The (integrand, fold) that ``call`` hands to the quadrature kernel."""
-    seen = []
-
-    def capture(integrand, fold, config, first=0):
-        seen.append((integrand, fold))
-        return 0j, 0, 0.0
-
-    with monkeypatch.context() as patch:
-        patch.setattr(sph, "_nested_trapezoid", capture)
-        call()
-    return seen[0]
-
-
-DEFAULT = sph.DEFAULT_CONFIG
-FIRST_BLOCK_CASES = {
-    "sl2 slow": lambda: sph._spherical_sl2_mehler(SpectralParameter.rank1(37.0, 0.3), 1.4,
-                                                  DEFAULT),
-    "sl2 fast": lambda: sph._spherical_sl2_mehler(SpectralParameter.rank1(300.0), 0.6, DEFAULT),
-    "sl2 eta": lambda: sph._spherical_sl2_mehler(SpectralParameter.rank1(0.0, 0.5), 2.1,
-                                                 DEFAULT),
-    "deriv fast": lambda: sph._deriv_spherical_sl2_mehler(
-        SpectralParameter.rank1(1.5 * 150.0, -0.2), 1.3, 1, DEFAULT),
-    # its blocks would pass 16384 points if the kernel let them
-    "deriv past elision": lambda: sph._deriv_spherical_sl2_mehler(
-        SpectralParameter.rank1(3.0 * -1650.5, 0.534), 3.25, 1, DEFAULT),
-    "su2 500": lambda: sph.spherical_compact_su2(500, 0.4),
-    "su2 1000": lambda: sph.spherical_compact_su2(1000, 2.9),
-}
-
-
-@pytest.mark.parametrize("case", FIRST_BLOCK_CASES)
-def test_first_block_equals_full_grid_oracle_for_every_first(monkeypatch, case):
-    integrand, fold = _integrand_of(monkeypatch, FIRST_BLOCK_CASES[case])
-    want = _full_grid_nested_trapezoid(integrand, fold, STRIDE_CONFIG)
-    final = want[1]
-    levels = [STRIDE_CONFIG.n_start << k for k in range(final.bit_length())
-              if STRIDE_CONFIG.n_start << k <= final]
-    firsts = [0, 16, STRIDE_CONFIG.n_start - 4, *levels, 3 * levels[-1] // 2,
-              2 * final, STRIDE_CONFIG.n_max, 8 * STRIDE_CONFIG.n_max]
-    for first in firsts:
-        got = sph._nested_trapezoid(integrand, fold, STRIDE_CONFIG, first)
-        assert repr(got) == repr(want), first
-
-
-def _integrand_sizes(monkeypatch, call, adaptive=True):
-    """Point counts of the rules ``call`` passes to its integrands; with
-    ``adaptive`` False the kernel gets ``first = 0``, the level-by-level loop."""
-    sizes, kernel = [], sph._nested_trapezoid
-
-    def counted(integrand, fold, config, first=0):
-        def integrand_counted(rule):
-            sizes.append(len(rule.angles))
-            return integrand(rule)
-        return kernel(integrand_counted, fold, config, first if adaptive else 0)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(sph, "_nested_trapezoid", counted)
-        value = call()
-    return value, sizes
-
+# The quadrature benchmark's rule, and points of its grid.
 
 BENCH_CONFIG = QuadratureConfig(n_start=64, n_max=1 << 20, target=1e-12, fail=1e-7)
 # (xi, eta, Y) at centres of the quadrature benchmark's grid, final counts 2^9 .. 2^17
@@ -624,30 +553,31 @@ BENCH_POINTS = [(2 ** 7.5, 0.31, 0.6), (2 ** 6.25, -0.12, 1.25), (2 ** 5.25, 0.5
                 (2 ** 11.75, 0.22, 1.25), (2 ** 13.5, -0.5, 1.0)]
 
 
-@pytest.mark.parametrize("xi, eta, y", BENCH_POINTS[:6])
-def test_bench_grid_value_makes_at_most_two_integrand_calls(monkeypatch, xi, eta, y):
-    value, calls = _integrand_sizes(monkeypatch, lambda: sph._spherical_sl2_mehler(
-        SpectralParameter.rank1(xi, eta), y, BENCH_CONFIG))
-    assert value.quadrature_nodes >= 1 << 9
-    assert 1 <= len(calls) <= 2, calls
-
-
 @pytest.mark.parametrize("xi, eta, y", BENCH_POINTS)
 def test_integrand_points_equal_the_level_by_level_loop(monkeypatch, xi, eta, y):
+    # each integrand call gets one level, the n_start grid and then each
+    # doubling's midpoints, and the result is the full-grid oracle's
     lam = SpectralParameter.rank1(xi, eta)
+    kernel = sph._nested_trapezoid
     for call in (lambda: sph._spherical_sl2_mehler(lam, y, BENCH_CONFIG),
                  lambda: sph._deriv_spherical_sl2_mehler(lam, y, 1, BENCH_CONFIG)):
-        got, sizes = _integrand_sizes(monkeypatch, call)
-        want, loop_sizes = _integrand_sizes(monkeypatch, call, adaptive=False)
-        assert repr(got) == repr(want)
-        assert sum(sizes) == sum(loop_sizes)
-        assert len(sizes) < len(loop_sizes)
-        # the first block holds levels the loop spreads over several calls, so
-        # it can pass the loop's largest array, but not the sum of the loop's
-        # arrays; it stays under 16384 points, below numpy's in-place
-        # evaluation of large temporaries; later calls are the loop's own
-        assert sizes[0] <= min(2 * max(loop_sizes) + 1, sph._ELIDE_POINTS - 1)
-        assert sizes[1:] == loop_sizes[len(loop_sizes) - len(sizes) + 1:]
+        sizes, runs = [], []
+
+        def recorded(integrand, fold, config):
+            def counted(rule):
+                sizes.append(len(rule.angles))
+                return integrand(rule)
+            runs.append((integrand, fold, config, kernel(counted, fold, config)))
+            return runs[-1][-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sph, "_nested_trapezoid", recorded)
+            call()
+        [(integrand, fold, config, got)] = runs
+        assert repr(got) == repr(_full_grid_nested_trapezoid(integrand, fold, config))
+        doublings = range(1, (got[1] // config.n_start).bit_length())
+        assert got[1] >= 1 << 9
+        assert sizes == [config.n_start // 4 + 1] + [config.n_start << k >> 3 for k in doublings]
 
 
 @pytest.mark.parametrize("xi, eta, y", [(math.nan, 0.0, 1.0), (math.inf, 0.0, 1.0),
@@ -943,8 +873,8 @@ def test_values_say_which_path_produced_them():
     assert 0.0 <= compact.estimated_error <= 1e-12
 
 
-# The sweep: the Harish-Chandra series summed on the whole grid where
-# spherical_sl2 would take it, the fixed-node Mehler-Dirichlet rule elsewhere.
+# The sweep: the Harish-Chandra series summed on the whole grid wherever it
+# is valid, spherical_sl2's own Mehler-Dirichlet fallback elsewhere.
 
 _SWEEP_RNG = np.random.default_rng(18)
 SWEEP_ETAS = (0.0, 0.5, -0.5, 0.31, -0.45)
@@ -964,6 +894,31 @@ def test_series_sweep_matches_the_legendre_function_within_its_bound(eta):
         assert abs(value - want) <= bounds[i, j], (SWEEP_XIS[j], eta, SWEEP_YS[i])
 
 
+@pytest.mark.parametrize("eta", [0.0, -0.3])
+def test_series_sweep_blocks_change_values_by_roundoff_only(monkeypatch, eta):
+    # about 2900 terms at Y = 0.003: one spectral value per block against all
+    # in one; numpy's complex products may round differently in arrays of
+    # other lengths
+    xis = np.concatenate([SWEEP_XIS, [0.5, 40.0]])
+    ys = np.concatenate([SWEEP_YS, [0.003, -0.3]])
+    values, bounds = sph._harish_chandra_sweep(xis, eta, ys)
+    monkeypatch.setattr(sph, "_SERIES_BLOCK", 1)
+    block_values, block_bounds = sph._harish_chandra_sweep(xis, eta, ys)
+    np.testing.assert_allclose(block_values, values, rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(block_bounds, bounds, rtol=1e-14, atol=0.0)
+
+
+def test_series_sweep_memory_stays_bounded_at_small_y():
+    # 2906 terms for 400 spectral values: about 19 MB per term array in one block
+    tracemalloc.start()
+    try:
+        sph._harish_chandra_sweep(np.linspace(0.5, 200.0, 400), 0.0, np.array([0.003, 1.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 << 20, peak
+
+
 @pytest.mark.parametrize("eta", SWEEP_ETAS)
 def test_sweep_matches_the_scalar_values_within_both_bounds(eta):
     got = sph.spherical_sl2_sweep(SWEEP_XIS, eta, SWEEP_YS)
@@ -972,27 +927,66 @@ def test_sweep_matches_the_scalar_values_within_both_bounds(eta):
         single = spherical_sl2(SpectralParameter.rank1(SWEEP_XIS[j], eta), SWEEP_YS[i])
         if single.path == "series":
             assert abs(value - single.value) <= bounds[i, j] + single.estimated_error
-        else:  # small Y by the cost model: both are the Mehler-Dirichlet rule
+        else:  # small Y: the scalar's cost model chose the Mehler-Dirichlet rule
             assert abs(value - single.value) <= 1e-12
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.5, -0.5, 0.2, 0.75, -1.2])
-def test_sweep_fallback_points_equal_the_mehler_rule_to_the_bit(eta):
-    # Y = 0 and small Y by the cost model, |eta| > 1/2, the poles at xi = 0
+def test_sweep_fallback_points_equal_the_mehler_rule_to_the_bit(monkeypatch, eta):
+    # Y = +-0, |eta| > 1/2, the poles at xi = 0 and bounds above the target
+    # (next to the tan pole at eta = 0) take spherical_sl2's own fallback
     xis = np.array([[0.0, 0.5, 3.0], [40.0, -7.0, 1e-9]])
     ys = np.array([0.0, -0.0, 0.05, 0.2, -0.25, 0.6, 1.7])
+    calls, mehler = [], sph._spherical_sl2_mehler
+
+    def recorded(lam, y, config):
+        calls.append((lam.xi[0], y))
+        assert config == sph._mehler_config(lam.xi[0], y)
+        return mehler(lam, y, config)
+
+    monkeypatch.setattr(sph, "_spherical_sl2_mehler", recorded)
     got = sph.spherical_sl2_sweep(xis, eta, ys)
     assert got.shape == (7, 2, 3) and got.dtype == complex
     if eta == 0.0:
         assert np.all(got.imag == 0.0)
-    mehler = _mehler_at_every_point(xis, eta, ys)
-    paths = np.array([[spherical_sl2(SpectralParameter.rank1(xi, eta), y).path
-                       for xi in xis.ravel()] for y in ys]).reshape(got.shape)
-    fallback = paths == "trapezoid"
-    assert fallback[:2].all() and fallback[2, 0, 1]  # Y = 0; xi = 0.5 at Y = 0.05
-    assert fallback[:, 0, 0].all() == (eta in (0.0, 0.5, -0.5) or abs(eta) > 0.5)
-    assert fallback.all() == (abs(eta) > 0.5)
-    assert got[fallback].tobytes() == mehler[fallback].tobytes()
+    x, y = np.broadcast_arrays(xis, ys[:, None, None])
+    values, bounds = sph._harish_chandra_sweep(xis.ravel(), eta, ys)
+    missed = (bounds > sph.DEFAULT_CONFIG.target
+              * np.maximum(1.0, np.abs(values))).reshape(got.shape)
+    assert missed[2:, 1, 2].all() == (eta == 0.0)  # xi = 1e-9 by the tan pole
+    fallback = (y == 0.0) | (abs(eta) > 0.5) | ((x == 0.0) & (abs(eta) in (0.0, 0.5))) | missed
+    assert fallback[:2].all() and fallback.all() == (abs(eta) > 0.5)
+    assert sorted(calls) == sorted(zip(x[fallback].tolist(), y[fallback].tolist()))
+    for index in zip(*np.nonzero(fallback)):
+        want = mehler(SpectralParameter.rank1(x[index], eta), y[index],
+                      sph._mehler_config(x[index], y[index])).value
+        assert repr(complex(got[index])) == repr(want), index
+
+
+def test_sweep_takes_the_series_where_the_scalar_cost_model_would_not(monkeypatch):
+    # about 400 terms against 64 nodes: spherical_sl2 integrates, the sweep sums
+    assert spherical_sl2(SpectralParameter.rank1(0.5), 0.05).path == "trapezoid"
+    want = _legendre_reference(0.5, 0.0, 0.05)
+    monkeypatch.setattr(sph, "_spherical_sl2_mehler", _refuse)
+    monkeypatch.setattr(sph, "_mehler_integrand", _refuse)
+    got = sph.spherical_sl2_sweep(np.array([0.5]), 0.0, np.array([0.05, -0.05]))
+    assert np.all(np.abs(got - want) <= 1e-13)
+
+
+def test_sweep_rejects_chamber_points_out_of_range_before_any_value(monkeypatch):
+    # the fallback's sinh would overflow at Y = 400 and return 0
+    monkeypatch.setattr(sph, "_harish_chandra_sweep", _refuse)
+    monkeypatch.setattr(sph, "_spherical_sl2_mehler", _refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="outside"):
+            sph.spherical_sl2_sweep([0.0, 2.0], 0.75, [4.0, 400.0])
+        with pytest.raises(ValueError, match="outside"):
+            sph.spherical_sl2_sweep(1.0, 0.0, -5.5)
+
+
+def _refuse(*args):
+    raise AssertionError("called")
 
 
 def _need_just_above(k):
@@ -1003,16 +997,14 @@ def _need_just_above(k):
     return xi
 
 
-def test_phase_node_grid_equals_the_scalar_count():
-    # with needs a few ulps above a power of two, whose log2 may round to the
-    # integer below
-    xis = np.array([0.0, 0.3, 7.0, 123.4, 2.0 ** 10 / 5.2])
-    ys = np.array([0.0, 1e-3, 0.77, 1.0, 4.9])
-    edges = np.array([_need_just_above(k) for k in (7, 12, 20)])
-    for xi_grid, y_grid in [(xis, ys), (edges, np.array([1.0, -1.0]))]:
-        got = sph._phase_node_grid(xi_grid, y_grid)
-        want = [[sph._phase_nodes(xi, y) for xi in xi_grid] for y in y_grid]
-        assert got.tolist() == want
+def test_phase_nodes_are_the_least_power_of_two_at_or_above_the_need():
+    # needs a few ulps above 2^k, whose log2 rounds to k
+    for k in (7, 12, 20):
+        xi = _need_just_above(k)
+        below = math.nextafter(xi, 0.0)
+        for y in (1.0, -1.0):
+            assert sph._phase_nodes(xi, y) == sph.sl2_sweep_nodes(xi, y) == 2 << k
+            assert sph._phase_nodes(below, y) == sph.sl2_sweep_nodes(below, y) == 1 << k
 
 
 def test_holder_family_and_decay_fit_need_no_mehler_rule(monkeypatch):
