@@ -371,7 +371,7 @@ def singular_blowup_check(
 
     wall = []
     interior = []
-    # one recurrence pass; the last column is the interior angle
+    # one table for every degree; the last column is the interior angle
     table = legendre_rows(degrees, np.append(np.cos(thetas), math.cos(interior_theta)))
     for row, scale in zip(table, scales):
         allowed = thetas >= scale

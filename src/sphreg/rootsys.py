@@ -47,6 +47,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _ONE_THREAD_MADDS
+
 __all__ = [
     "Covector",
     "PositiveRoot",
@@ -449,9 +451,9 @@ def _counts(kernel: _PairingKernel, rows, largest: int) -> np.ndarray:
     ``rows @ (R G)^T`` is an integer below ``2**53``, so float64 BLAS computes
     it exactly in any order; otherwise the product runs in Python integers."""
     if largest * kernel.row_bound < 2 ** 53:
-        # blocks of at most 2**18 multiply-adds, which OpenBLAS runs on one thread;
-        # on a busy two-core host its thread pool took 8 ms per E8 batch, one thread 0.7
-        floats, step = np.asarray(rows, dtype=np.float64), max(1, 2 ** 18 // kernel.weights.size)
+        # blocks that OpenBLAS runs on the calling thread
+        floats = np.asarray(rows, dtype=np.float64)
+        step = max(1, _ONE_THREAD_MADDS // kernel.weights.size)
         hits = np.empty((len(floats), len(kernel.mult)), dtype=bool)
         for start in range(0, len(floats), step):
             np.not_equal(floats[start:start + step] @ kernel.weights, 0,

@@ -4,7 +4,7 @@ Noncompact side: the rank-one Harish-Chandra series, with the circle
 integral as its fallback, for the degree-2 special linear group, and a Monte
 Carlo rotation-group integral for degree 3.
 Compact side: the degree-``n`` spherical functions of the 2-sphere, by the
-classical polynomial recurrence and by their oscillatory circle integral.
+Legendre polynomials and by their oscillatory circle integral.
 
 Spectral parameters are in simple-root coordinates, as in
 ``rootsys.Covector``.  At rank one ``c`` stands for ``c * alpha`` with
@@ -76,6 +76,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _ONE_THREAD_MADDS
 from .liegroup import _gaussian_blocks
 
 __all__ = [
@@ -156,7 +157,8 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 SWEEP_NODE_CEILING = 1 << 24  # full-turn nodes; sl2_sweep_nodes raises above it
 T_GEO_MAX = 5.0  # chamber points with |Y| above it raise ValueError
-LEGENDRE_MAX_DEGREE = 1 << 20  # legendre_rows raises above it, before the recurrence
+LEGENDRE_MAX_DEGREE = 1 << 20  # legendre_rows and legendre_sequence raise above it, up front
+_LEGENDRE_BLOCK = 64  # terms per block of legendre_rows, a power of two
 _SWEEP_SAFETY = 1.3  # margin of sl2_sweep_nodes over the phase bandwidth
 _SWEEP_FLOOR = 64  # full-turn nodes that resolve the amplitude at any Y
 
@@ -767,8 +769,10 @@ def _deriv_spherical_sl2_mehler(scaled: SpectralParameter, t_geo: float, order: 
 
     def integrand(rule):
         c, amplitude = rule.cos, _mehler_amplitude(t_geo, rule.sin2_half)
-        return prefactor * (amplitude * np.sinh(y2 * s * c) * np.sinh(y2 * c)
-                            + 0.5 * (y2 * rule.sin) ** 2 * np.cosh(y2 * s * c) / amplitude)
+        # array first: numpy turns a long ``prefactor * array`` into ``array *=
+        # prefactor``, which rounds differently, so a value would depend on the length
+        return (amplitude * np.sinh(y2 * s * c) * np.sinh(y2 * c)
+                + 0.5 * (y2 * rule.sin) ** 2 * np.cosh(y2 * s * c) / amplitude) * prefactor
 
     d1 = complex(_nested_trapezoid(integrand, 4, config)[0])
     if order == 1:
@@ -827,42 +831,78 @@ def _check_top_degree(top: int) -> int:
     return top
 
 
+def _legendre_points(x) -> np.ndarray:
+    """``x`` as a float array, refused unless every entry lies in [-1, 1]."""
+    x = np.asarray(x, dtype=float)
+    outside = ~(np.abs(x) <= 1.0)  # NaN compares false
+    if outside.any():
+        raise ValueError(f"Legendre point {x[outside].flat[0]!r} outside [-1, 1]")
+    return x
+
+
 def legendre_rows(degrees, x) -> np.ndarray:
-    """``P_n(x)`` on [-1, 1] for each ``n`` in ``degrees``, stacked on a new
-    first axis, from one pass of the three-term recurrence to the largest
-    degree; degrees may repeat and come in any order.  A scalar ``x`` runs on
-    Python floats, an array in three rotating buffers, with the same
-    operations in the same order either way."""
+    """``P_n(x)`` for each ``n`` in ``degrees`` (any order, repeats allowed)
+    at each point of ``x`` (a scalar is a 0-d array), stacked on a new first
+    axis.  A point outside [-1, 1] or not finite raises ``ValueError``.
+
+    With ``|x| = cos t`` and ``P_n(-x) = (-1)^n P_n(x)``, this is the
+    Fourier-Legendre sum (DLMF §18.5) ``P_n(cos t) = sum_k a_k a_{n-k}
+    cos((n - 2k) t)``, ``a_k = C(2k, k) / 4^k``, whose positive coefficients
+    sum to 1, so no step amplifies earlier rounding as the three-term
+    recurrence does near ``x = 1``.  Folded, it is ``Re[e^{i (n - 2h) t}
+    sum_{q <= h} 2 a_{h-q} a_{n-h+q} e^{2iqt}]``, ``h = n // 2``, with the
+    ``q = 0`` term of an even degree halved.  Each block of ``_LEGENDRE_BLOCK``
+    terms (fewer when every ``h`` is smaller) is one real product of the live
+    degrees' coefficients against a table of ``2 e^{2ijt}``, times the phase
+    ``e^{2i q0 t}``.  The table is built once per chunk of points, from the exact
+    angles ``2^m t`` by doubling, and its last row steps the phase.
+    Products keep within ``_ONE_THREAD_MADDS`` multiply-adds by splitting
+    the points.  ``P_0`` is exactly 1 and ``P_1`` exactly ``x``."""
     degrees = [operator.index(n) for n in degrees]
     if not degrees:
         raise ValueError("need at least one degree")
     if min(degrees) < 0:
         raise ValueError("degree must be nonnegative")
-    top = _check_top_degree(max(degrees))
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = float(x)
-        seq = [1.0, x]
-        for k in range(1, top):
-            seq.append(((2 * k + 1) * x * seq[k] - k * seq[k - 1]) / (k + 1))
-        return np.array(seq)[degrees]
-    rows_at = {}
-    for i, n in enumerate(degrees):
-        rows_at.setdefault(n, []).append(i)
-    out = np.empty((len(degrees),) + x.shape)
-    out[rows_at.get(0, [])] = 1.0
-    out[rows_at.get(1, [])] = x
-    p_prev, p, buf = np.ones_like(x), x.copy(), np.empty_like(x)
-    for k in range(1, top):
-        np.multiply(2 * k + 1, x, out=buf)
-        buf *= p
-        p_prev *= k
-        buf -= p_prev
-        buf /= k + 1
-        p_prev, p, buf = p, buf, p_prev
-        for i in rows_at.get(k + 1, ()):
-            out[i] = p
-    return out
+    _check_top_degree(max(degrees))
+    x = _legendre_points(x)
+    n, rows = np.unique(degrees, return_inverse=True)
+    # decreasing, so the degrees still summing at a block are a prefix
+    n, rows, h, odd = n[::-1], len(n) - 1 - rows, n[::-1] // 2, n[::-1] % 2 == 1
+    width = min(_LEGENDRE_BLOCK, 1 << int(h[0]).bit_length())  # a power of two above h[0]
+    a = np.zeros(n[0] + 1 + 2 * width)  # a_k at a[width + k], zeros either side
+    a[width:width + n[0] + 1] = np.cumprod(  # a_k / a_{k-1} = (k - 1/2) / k
+        np.r_[1.0, np.arange(0.5, n[0]) / np.arange(1, n[0] + 1)])
+    lo = (width + h)[:, None] - np.arange(width)  # a_{h-q}, a_{n-h+q} at q = j
+    hi = (width + n - h)[:, None] + np.arange(width)
+    cos = np.abs(x).reshape(-1)
+    out, chunk = np.empty((len(n), cos.size)), _ONE_THREAD_MADDS // (2 * width)
+    for start in range(0, cos.size, chunk):
+        c = cos[start:start + chunk]
+        t, table = np.arccos(c), np.empty((width + 1, c.size), complex)
+        table[0] = 1.0
+        for m in range(width.bit_length()):  # rows 2^m.. are rows 0.. times e^{2i 2^m t}
+            size = min(1 << m, width + 1 - (1 << m))
+            np.multiply(table[:size], np.exp(1j * ((2 << m) * t)),
+                        out=table[1 << m:(1 << m) + size])
+        table[:width] *= 2.0
+        pairs, step = table[:width].view(float), table[width]
+        total, phase = np.zeros((len(n), c.size), complex), np.ones(c.size, complex)
+        for q0 in range(0, h[0] + 1, width):
+            live = np.count_nonzero(h >= q0)
+            w = a[lo[:live] - q0] * a[hi[:live] + q0]
+            if q0 == 0:
+                w[~odd[:live], 0] *= 0.5
+            span = max(1, _ONE_THREAD_MADDS // (2 * width * live))  # points per product
+            for p in range(0, c.size, span):
+                terms = (w @ pairs[:, 2 * p:2 * (p + span)]).view(complex)
+                terms *= phase[p:p + span]
+                total[:live, p:p + span] += terms
+            phase *= step
+        s = np.sqrt((1.0 - c) * (1.0 + c))
+        out[:, start:start + chunk] = np.where(odd[:, None], c * total.real - s * total.imag,
+                                               total.real)
+    np.negative(out, out=out, where=odd[:, None] & np.signbit(x).reshape(-1))
+    return out[rows].reshape((len(degrees),) + x.shape)
 
 
 def legendre(n: int, x):
@@ -873,8 +913,20 @@ def legendre(n: int, x):
 
 
 def legendre_sequence(n_max: int, x: float) -> np.ndarray:
-    """Values of all degrees 0..n_max at a scalar point."""
-    return legendre_rows(range(_check_top_degree(n_max) + 1), x)
+    """Values of all degrees 0..n_max at one point ``x`` of [-1, 1], from the
+    three-term recurrence on Python floats, the algorithm for every degree
+    at one point.  An array, non-finite or out-of-range ``x`` raises
+    ``ValueError``."""
+    x = _legendre_points(x)
+    if x.ndim:
+        raise ValueError(f"legendre_sequence takes one point, not an array of shape {x.shape}")
+    top, x = _check_top_degree(operator.index(n_max)), float(x)
+    if top < 0:
+        raise ValueError("degree must be nonnegative")
+    seq = [1.0, x]
+    for k in range(1, top):
+        seq.append(((2 * k + 1) * x * seq[k] - k * seq[k - 1]) / (k + 1))
+    return np.array(seq[:top + 1])
 
 
 def spherical_compact_su2(

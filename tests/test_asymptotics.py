@@ -273,30 +273,32 @@ def test_singular_blowup_growth_and_interior():
 
 
 def _legendre_reference(n, x):
-    """The three-term recurrence restarted from degree 0 for one degree."""
-    x = np.asarray(x, dtype=float)
+    """The three-term recurrence restarted from degree 0 for one degree, in
+    long double."""
+    x = np.asarray(x, dtype=np.longdouble)
     p_prev = np.ones_like(x)
     if n == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
+        return p_prev
     p = x.copy()
     for k in range(1, n):
         p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
-    return p if p.ndim else float(p)
+    return p
 
 
 def _per_degree_blowup(thetas, n_list, alpha=0.5, interior_theta=0.3):
-    """Wall and interior quotients with one recurrence per degree: the
-    oracle for the single-pass table."""
+    """Wall and interior quotients in long double, with one recurrence per
+    degree, and the angle of each wall quotient: the oracle for the table."""
     thetas = np.asarray(sorted(thetas), dtype=float)
-    wall, interior = [], []
+    wall, interior, argmax = [], [], []
     for n in sorted(int(n) for n in n_list):
         values = _legendre_reference(n, np.cos(thetas))
         allowed = thetas >= (n ** -2 if n > 0 else 0.0)
-        quot = np.abs(1.0 - values[allowed]) / thetas[allowed] ** alpha
-        wall.append(float(quot.max()))
+        quot = np.abs(1 - values[allowed]) / thetas[allowed].astype(np.longdouble) ** alpha
+        wall.append(quot.max())
+        argmax.append(thetas[allowed][np.argmax(quot)])
         p_fixed = _legendre_reference(n, math.cos(interior_theta))
-        interior.append(float(abs(1.0 - p_fixed) / interior_theta ** alpha))
-    return wall, interior
+        interior.append(abs(1 - p_fixed) / np.longdouble(interior_theta) ** alpha)
+    return wall, interior, argmax
 
 
 @pytest.mark.parametrize("thetas", [np.geomspace(1e-8, 0.49, 400), np.geomspace(1e-4, 0.4, 50),
@@ -305,10 +307,16 @@ def _per_degree_blowup(thetas, n_list, alpha=0.5, interior_theta=0.3):
     sorted({int(round(10 ** (1 + 3 * k / 12))) for k in range(13)}),
     [0, 10], [40, 5, 3, 3, 0], [3, 2000, 7, 2000]])
 def test_singular_blowup_equals_per_degree_oracle(thetas, degrees):
+    mpmath = pytest.importorskip("mpmath")
     report = asy.singular_blowup_check(thetas, degrees)
-    wall, interior = _per_degree_blowup(thetas, degrees)
-    assert repr(report.wall_quotients) == repr(tuple(wall))
-    assert repr(report.interior_quotients) == repr(tuple(interior))
+    wall, interior, argmax = _per_degree_blowup(thetas, degrees)
+    for got, want in zip(report.wall_quotients + report.interior_quotients, wall + interior):
+        assert abs(got - want) <= 3e-12 * want
+    with mpmath.workdps(40):
+        for n, got, theta in zip(report.degrees, report.wall_quotients, argmax):
+            x = mpmath.mpf(float(np.cos(theta)))
+            want = abs(1 - mpmath.legendre(n, x)) / mpmath.mpf(float(theta)) ** 0.5
+            assert abs(got - float(want)) <= 1e-13 * float(want)
 
 
 @pytest.mark.parametrize("degrees", [[10, -1], [10 ** 7, 1], []])

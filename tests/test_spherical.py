@@ -417,17 +417,79 @@ def test_legendre_recurrence():
 
 
 def test_legendre_rows_match_scipy_and_the_sequence():
+    mpmath = pytest.importorskip("mpmath")
     xs = np.linspace(-1, 1, 41)
     degrees = [60, 0, 17, 2, 17, 1, 5]  # unsorted, repeated
     rows = sph.legendre_rows(degrees, xs)
     assert rows.shape == (len(degrees), len(xs))
-    for n, row in zip(degrees, rows):
-        assert np.allclose(row, eval_legendre(n, xs), rtol=0, atol=1e-12)
+    sequences = np.array([sph.legendre_sequence(60, x) for x in xs]).T
+    with mpmath.workdps(30):
+        for n, row in zip(degrees, rows):
+            exact = np.array([float(mpmath.legendre(n, x)) for x in xs])
+            assert np.abs(row - exact).max() <= 2e-15
+            assert np.abs(row - sequences[n]).max() <= 2e-15
+            # scipy's own error reaches 8.9e-15, at n = 60 and x = -1
+            assert np.abs(row - eval_legendre(n, xs)).max() <= 1e-14
     for x in (0.41, -0.93, math.cos(2.2)):
-        seq = sph.legendre_sequence(60, x)
         scalar = sph.legendre_rows(degrees, x)
-        array = sph.legendre_rows(degrees, np.array([x, 0.5]))[:, 0]
-        assert scalar.tobytes() == seq[degrees].tobytes() == array.tobytes()
+        assert scalar.shape == (len(degrees),)
+        assert np.abs(scalar - sph.legendre_sequence(60, x)[degrees]).max() <= 2e-15
+
+
+def test_legendre_rows_keep_degrees_zero_and_one_exact():
+    xs = np.array([-1.0, -0.7, -0.0, 0.0, 5e-324, -5e-324, 1e-300, 0.3, math.cos(1e-8), 1.0])
+    ones, first = sph.legendre_rows([0, 1], xs)
+    assert ones.tobytes() == np.ones_like(xs).tobytes()
+    assert first.tobytes() == xs.tobytes()
+    assert sph.legendre(1, -0.0) == 0.0 and math.copysign(1.0, sph.legendre(1, -0.0)) == -1.0
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 1.0 + 2 ** -52, -1.5,
+                               np.array([0.2, math.nan]), np.array([[0.1], [-1.1]])])
+def test_legendre_points_outside_the_interval_raise(x):
+    for call in (lambda: sph.legendre_rows([3, 10], x), lambda: sph.legendre(4, x),
+                 lambda: sph.legendre_rows([sph.LEGENDRE_MAX_DEGREE], x)):
+        with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
+            call()
+
+
+def test_legendre_sequence_takes_one_point():
+    for x in (np.array([0.1, 0.2]), [0.3], np.zeros((1, 1))):
+        with pytest.raises(ValueError, match="one point"):
+            sph.legendre_sequence(5, x)
+    for x in (math.nan, -math.inf, 1.5):
+        with pytest.raises(ValueError, match="outside"):
+            sph.legendre_sequence(5, x)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sph.legendre_sequence(-1, 0.3)
+    assert sph.legendre_sequence(0, 0.3).tolist() == [1.0]
+    assert sph.legendre_sequence(1, np.float64(0.3)).tolist() == [1.0, 0.3]
+
+
+# the degrees and points of criterion 9's table: approach angles, then the interior angle
+BLOWUP_DEGREES = sorted({int(round(10 ** (1 + 3 * k / 12))) for k in range(13)})
+BLOWUP_POINTS = np.append(np.cos(np.geomspace(1e-8, 0.49, 400)), math.cos(0.3))
+
+
+def test_legendre_table_of_the_blowup_check_matches_mpmath():
+    # the float64 three-term recurrence was 2.4e-9 off near x = 1 on this table
+    mpmath = pytest.importorskip("mpmath")
+    rows = sph.legendre_rows(BLOWUP_DEGREES, BLOWUP_POINTS)
+    with mpmath.workdps(30):
+        for n, row in zip(BLOWUP_DEGREES, rows):
+            exact = np.array([float(mpmath.legendre(n, x)) for x in BLOWUP_POINTS])
+            assert np.abs(row - exact).max() <= 1e-14, n
+
+
+def test_legendre_table_of_the_blowup_check_stays_within_one_mebibyte():
+    sph.legendre_rows(BLOWUP_DEGREES, BLOWUP_POINTS)
+    tracemalloc.start()
+    try:
+        sph.legendre_rows(BLOWUP_DEGREES, BLOWUP_POINTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, peak
 
 
 @pytest.mark.parametrize("degrees", [[-1, 3], [], [4, -2]])
@@ -578,6 +640,22 @@ def test_integrand_points_equal_the_level_by_level_loop(monkeypatch, xi, eta, y)
         doublings = range(1, (got[1] // config.n_start).bit_length())
         assert got[1] >= 1 << 9
         assert sizes == [config.n_start // 4 + 1] + [config.n_start << k >> 3 for k in doublings]
+
+
+def test_derivative_integrand_does_not_depend_on_the_level_length(monkeypatch):
+    # numpy elides a temporary of 256 KiB or more (16384 complex values), and an
+    # elided ``scalar * array`` rounds as ``array * scalar`` does
+    captured = []
+    monkeypatch.setattr(sph, "_nested_trapezoid",
+                        lambda integrand, fold, config: captured.append(integrand) or (0j, 0, 0.0))
+    sph._deriv_spherical_sl2_mehler(SpectralParameter.rank1(37.5, 0.9), 1.3, 1,
+                                    sph.DEFAULT_CONFIG)
+    [integrand] = captured
+    angles = np.linspace(0.01, 0.5 * np.pi - 0.01, 64)
+    padded = np.concatenate([angles, np.linspace(0.0, 0.5 * np.pi, (1 << 14) + 1 - 64)])
+    short, long = (integrand(sph._Rule(a, np.ones_like(a))) for a in (angles, padded))
+    assert long.size == (1 << 14) + 1
+    assert long[:64].tobytes() == short.tobytes()
 
 
 @pytest.mark.parametrize("xi, eta, y", [(math.nan, 0.0, 1.0), (math.inf, 0.0, 1.0),
