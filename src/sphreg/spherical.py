@@ -16,32 +16,17 @@ pairs with a traceless diagonal ``(h1, h2, h3)`` as
 Rank one.  The abelian coordinate of ``a_Y k_theta``, ``a_Y = diag(e^Y, e^-Y)``,
 is ``u = 0.5 log(cosh 2Y + sinh 2Y cos 2theta)`` in closed form.  Laplace's
 integral of ``exp((2i xi - 2 eta - 1) u)`` defines the value
-``phi = P_nu(cosh 2Y)``, ``nu = i xi - eta - 1/2``.  Values come from the
-Harish-Chandra expansion ``phi_lam = c(lam) Phi_lam + c(-lam) Phi_-lam``
-(Helgason, *Groups and Geometric Analysis*, ch. IV), which at rank one is
-``P_nu = tan(nu pi) / pi (Q_nu - Q_{-nu-1})`` (DLMF 14.9) with ``Q_nu(cosh t)
-= sqrt(pi) Gamma(nu + 1) / Gamma(nu + 3/2) e^{-(nu+1) t} F(1/2, nu + 1;
-nu + 3/2; e^{-2t})``, ``t = 2|Y|`` (DLMF 14.3).  For ``|eta| <= 1/2`` every
-term ratio is at most ``z = e^{-4|Y|}``, so the tail after term ``K`` is at
-most ``|a_K| z / (1 - z)``; that bound plus a rounding term, which shows the
-cancellation near the ``tan`` pole at ``xi = eta = 0``, is the value's error.
-The Gamma ratio comes from the shifted ratio expansion (DLMF 5.11), not from
-two log-gammas.  The series needs about ``20 / |Y|`` terms, so a cost model
-weighs them against the quadrature's phase node count.  ``spherical_sl2_sweep``
-sums the same series for a grid of chamber points and spectral values at
-once, with no cost model, since a vectorised term costs almost nothing: the
-products of the term ratios without their ``z`` do not depend on ``Y``, so
-they are formed once per spectral value, and each chamber point takes one
-Horner pass in ``z``.  Every other input, and any whose bound misses the
-target, takes the Mehler-Dirichlet form (DLMF §14.12; the Abel
-transform of Koornwinder, "Jacobi functions and analysis on noncompact
-semisimple Lie groups", 1984), with phase slope at most
-``2 |xi Y|``: ``phi = (1/pi) int_0^pi cosh((i xi - eta) 2Y cos a) /
-sqrt(sinhc(Y (1 - cos a)) sinhc(Y (1 + cos a))) da``, ``sinhc x = sinh x / x``.
-Derivatives (``deriv_spherical_sl2``) differentiate the series term by term;
-at small ``Y`` they sum ``F(-nu, nu + 1; 1; -sinh^2 Y)`` instead, and the
-Mehler-Dirichlet family is their fallback.  Laplace's form remains in
-``asymptotics`` and as the tests' oracle.
+``phi = P_nu(cosh 2Y)``, ``nu = i xi - eta - 1/2``.  Values, sweeps and
+derivatives follow one rule (``spherical_sl2``), each path with its error:
+near the identity the germ ``F(-nu, nu + 1; 1; -sinh^2 Y)`` (DLMF 14.3);
+else the Harish-Chandra expansion (Helgason, *Groups and Geometric
+Analysis*, ch. IV), at rank one ``P_nu = tan(nu pi) / pi (Q_nu - Q_{-nu-1})``
+(DLMF 14.9, Gamma ratios by DLMF 5.11); else the Mehler-Dirichlet form (DLMF
+§14.12; the Abel transform of Koornwinder, "Jacobi functions and analysis on
+noncompact semisimple Lie groups", 1984), with phase slope at most ``2 |xi
+Y|``: ``phi = (1/pi) int_0^pi cosh((i xi - eta) 2Y cos a) / sqrt(sinhc(Y (1 -
+cos a)) sinhc(Y (1 + cos a))) da``, ``sinhc x = sinh x / x``.  Laplace's form
+remains in ``asymptotics`` and as the tests' oracle.
 
 Rank two.  ``H(a k)`` is closed form too: with ``z1, z2`` the first two columns
 of the Gaussian matrix that ``liegroup.haar_so_n_sample`` turns into ``k`` and
@@ -60,10 +45,8 @@ only the midpoints of the level before (``_nested_trapezoid``).  Each rule
 (a level's folded grid, or its midpoints) is built once per ``(nodes,
 fold)``, with its weights and the grid-only factors the integrands read
 (``cos a``, ``sin a``, ``sin^2(a/2)``); its arrays are read-only, and rules
-of at most 16384 points are kept for the process.  A sweep point that
-misses the series takes the adaptive value itself, ``_spherical_sl2_mehler``
-under ``_mehler_config``, the rule the command line uses.
-A non-finite level estimate raises ``QuadratureError``.
+of at most 16384 points are kept for the process.  A non-finite level
+estimate raises ``QuadratureError``.
 """
 
 from __future__ import annotations
@@ -121,7 +104,7 @@ class SpectralParameter:
 @dataclass(frozen=True)
 class SphericalValue:
     """A spherical function value and how it was produced.  ``path`` names
-    the method: ``"series"`` (the rank-one Harish-Chandra series; then
+    the method: ``"small-y"`` or ``"series"`` (a rank-one series; then
     ``quadrature_nodes`` holds its term count and ``estimated_error`` its
     tail-plus-rounding bound), ``"trapezoid"`` (a circle integral; the final
     full-turn node count and the last level difference) or ``"monte-carlo"``
@@ -389,6 +372,69 @@ def _series_valid(xi, eta: float, y):
     return (abs(eta) <= 0.5) & (y > 0.0) & ((xi != 0.0) | (abs(eta) not in (0.0, 0.5)))
 
 
+def _small_y_valid(xi, eta: float, y):
+    """Whether ``_small_y_series`` is the rule at ``|Y| = y``, ``y = 0``
+    included; elementwise on arrays ``xi`` and ``y``."""
+    return (abs(xi) * y <= 1.0) & (abs(eta) * y <= 1.0) & (y <= 0.5)
+
+
+def _small_y_series(s, y, order: int):
+    """``phi^(order)`` (orders 0-3) at ``Y = y`` as ``(value, bound, terms)``
+    from ``G(x) = F(-nu, nu + 1; 1; -x) = sum g_k x^k``, ``x = sinh^2 Y`` (DLMF
+    14.3), ``s = nu + 1/2 = i xi - eta``: a complex and a float, or arrays of
+    one shape.  As ``|g_{k+1} / g_k| = |(s - k - 1/2) (s + k + 1/2)| / (k +
+    1)^2 <= 1 + |s|^2 / (K + 1)^2`` for ``k >= K``, the tail of ``G^(m) / m!``
+    after term ``K`` is at most ``C(K, m) |g_K| x^(K-m) r_m / (1 - r_m)``, ``r_m
+    = x (1 + |s|^2 / (K + 1)^2) (K + 1) / (K + 1 - m) > x``; terms are added
+    until it is below ``|g_order|`` eps / 8 at ``m = order``.  Each ``G^(m) /
+    m!`` is off by its tail plus 16 ulps of ``W_m = sum (k + 1) C(k, m) |g_k|
+    x^(k-m) <= (m + 1) (|g_m| + x W_(m+1))``: term ``k`` carries roundings from
+    each step, and at ``eta = 0`` the terms alternate, so the largest sets it.
+    ``g_k`` and ``x`` are kept over ``scale^2k`` and times ``scale^2``, a power
+    of two, to stay in range.  Chained through ``x' = sinh 2Y``, the
+    derivatives need no ``coth 2Y``, so the limits at ``Y -> 0`` hold."""
+    xp, every = (np, np.all) if isinstance(y, np.ndarray) else (math, bool)
+    e, sinh = xp.frexp(0.25 * abs(s.real) + 0.25 * abs(s.imag))[1], xp.sinh(y)
+    scale = xp.ldexp(1.0, e * (e > 0))  # above |s| / 4, at least 1
+    s, x, x0 = s / scale, (scale * sinh) ** 2, sinh * sinh  # x0 unscaled
+    size = abs(s) ** 2 * x  # |s|^2 sinh^2 Y
+
+    def tail(m):  # r_m after term k, and term k of G^(m) / m! times r_m
+        r = (x0 + size / ((k + 1) * (k + 1))) * (k + 1) / (k + 1 - m)
+        return r, math.comb(k, m) * abs(g[k]) * x ** (k - m) * r
+    c, g, k = 1.0, [1.0], 0  # c = g_k
+    while True:
+        if k >= order:
+            if k == order:  # power = C(k, order) x^(k - order)
+                power, weight, limit = 1.0, 0.0, 0.125 * _EPS * abs(c)
+            term = power * abs(c)  # term k of G^(order) / order!
+            weight = weight + (k + 1) * term
+            if every(term * x0 <= limit * (1.0 - x0)):  # as r > x0
+                r, t = tail(order)
+                if every((r < 1.0) & (t <= limit * (1.0 - r))):
+                    break
+            power = power * (x * ((k + 1) / (k + 1 - order)))
+        c = c * ((s - (k + 0.5) / scale) * (s + (k + 0.5) / scale)) / ((k + 1) * (k + 1))
+        g.append(c)
+        k += 1
+    h0 = h1 = h2 = h3 = 0.0  # G^(m) / m!
+    for c in reversed(g):
+        if order:
+            h3, h2, h1 = h3 * x + h2, h2 * x + h1, h1 * x + h0
+        h0 = h0 * x + c
+    grow = scale * scale if order else 1.0  # h_m lacks scale^2m, which x1, x2 supply
+    x1, x2 = xp.sinh(2.0 * y) * grow, 2.0 * xp.cosh(2.0 * y) * grow  # x', x''
+    factors = ((1.0,), (0.0, x1), (0.0, x2, 2.0 * x1 * x1),
+               (0.0, 4.0 * x1, 6.0 * x1 * x2, 6.0 * x1 * x1 * x1))[order]  # of each G^(m) / m!
+    value = bound = 0.0
+    for m in range(order, min(order, 1) - 1, -1):
+        r, t = tail(m)
+        value = value + factors[m] * (h0, h1, h2, h3)[m]
+        bound = bound + abs(factors[m]) * (t / (1.0 - r) + 16.0 * _EPS * weight)
+        weight = m * (abs(g[m - 1]) + x * weight)  # a bound on W_(m-1)
+    return value, bound, k + 1
+
+
 def _q_series(b: complex, t: float, order: int) -> tuple[complex, float, float, int]:
     """``d^order/dY^order`` of ``Q_{b-1}(cosh t) / sqrt(pi)`` at ``t = 2Y``, as
     ``(sum, rounding weight, tail bound, terms)``.  Term ``k`` of
@@ -449,13 +495,15 @@ def _tan_nu_pi(xi, eta: float):
 
 def _accepted_series(xi: float, eta: float, t_geo: float, order: int,
                      config: QuadratureConfig) -> SphericalValue | None:
-    """The Harish-Chandra series where ``_series_valid`` and a cost model
-    favour it, if its bound meets ``config.target`` relative to ``max(1,
-    |value|)``; else None.  The model weighs the series' terms (about
-    ``20 / |Y|``, half at ``eta = 0``) against the quadrature's phase node
-    count and fixed cost.  More nodes only favour the series, so the floor
-    count settles most points without ``_phase_nodes``."""
+    """The small-``Y`` series where ``_small_y_valid`` holds; else the
+    Harish-Chandra series where ``_series_valid`` and a cost model favour it
+    and its bound meets ``config.target`` relative to ``max(1, |value|)``;
+    else None.  The model weighs about ``20 / |Y|`` terms against the phase
+    node count and fixed cost of the quadrature: it refuses small ``|Y|``."""
     y = abs(t_geo)
+    if _small_y_valid(xi, eta, y):
+        value, bound, terms = _small_y_series(complex(-eta, xi), t_geo, order)
+        return SphericalValue(complex(value), terms, bound, "small-y")
     if not _series_valid(xi, eta, y):
         return None
     cost = (1.0 if eta == 0.0 else 2.0) * _SERIES_TERM_COST * _SERIES_TERMS_Y
@@ -505,23 +553,28 @@ def spherical_sl2(
 ) -> SphericalValue:
     """Spherical function of the degree-2 special linear group at
     a_Y = diag(e^Y, e^-Y), Y = ``t_geo``; exact value 1 at the identity.
-
-    Where ``|eta| <= 1/2``, ``Y != 0``, ``nu`` is off the poles at ``xi = 0``
-    and about ``20 / |Y|`` series terms cost less than the quadrature's phase
-    node count, the value is the Harish-Chandra series ``tan(nu pi) / pi
-    (Q_nu - Q_{-nu-1})`` with its tail-plus-rounding bound (path ``"series"``,
-    ``quadrature_nodes`` the term count).  If that bound is above
-    ``config.target`` relative to ``max(1, |value|)``, as near the ``tan``
-    pole, and on every other input, it is the Mehler-Dirichlet integral
-    (``_spherical_sl2_mehler``, path ``"trapezoid"``).  A non-finite
-    input, or one whose phase ``2 Y (i xi - eta)`` overflows, raises
-    ``ValueError``."""
+    One rule, shared with ``spherical_sl2_sweep`` and ``deriv_spherical_sl2``:
+    where ``_small_y_valid`` holds, the series of ``F(-nu, nu + 1; 1; -sinh^2
+    Y)`` (path ``"small-y"``); else, where ``_series_valid`` holds and about
+    ``20 / |Y|`` terms cost less than the phase node count, the Harish-Chandra
+    series (path ``"series"``) if its bound meets ``config.target``; else the
+    Mehler-Dirichlet integral (path ``"trapezoid"``), which needs ``2
+    sl2_sweep_nodes(xi, Y)`` nodes: ``_mehler_config`` gives them, and
+    ``DEFAULT_CONFIG`` up to ``|xi Y|`` of about 787.  Levels still apart by
+    more than ``config.fail`` at ``config.n_max`` raise ``QuadratureError``,
+    which names that count.  A non-finite input, or one whose phase ``2 Y (i
+    xi - eta)`` overflows, raises ``ValueError``."""
     if abs(t_geo) > T_GEO_MAX:
         raise ValueError(f"chamber point Y={t_geo:g} outside |Y| <= {T_GEO_MAX:g}")
     _check_finite(lam, "Y={:g}", t_geo)
     _check_phase(lam, t_geo)
     series = _accepted_series(lam.xi[0], lam.eta[0], t_geo, 0, config)
-    return series if series is not None else _spherical_sl2_mehler(lam, t_geo, config)
+    try:
+        return series or _spherical_sl2_mehler(lam, t_geo, config)
+    except QuadratureError as exc:
+        raise QuadratureError(f"{exc}; xi={lam.xi[0]:g} at Y={t_geo:g} needs "
+                              f"{2 * _phase_nodes(lam.xi[0], t_geo)} nodes "
+                              f"(2 sl2_sweep_nodes), n_max is {config.n_max}") from exc
 
 
 def _spherical_sl2_mehler(lam: SpectralParameter, t_geo: float,
@@ -564,14 +617,13 @@ def spherical_sl2_sweep(xis, eta: float, t_geo) -> np.ndarray:
     """Values at the real spectral values ``xis`` (any shape) plus ``i eta``, at
     the chamber points ``t_geo`` (a scalar or a 1-D grid); complex, of shape
     ``shape(t_geo) + shape(xis)``, with an imaginary part of exactly 0 at
-    ``eta == 0``.  Where the series is valid (``_series_valid``: ``|eta| <=
-    1/2``, ``Y != 0``, off the poles at ``xi = 0``) it is summed for the whole
-    grid at once (``_harish_chandra_sweep``), and a point takes it if its
-    bound is within ``DEFAULT_CONFIG.target``.  Every other point takes the
-    adaptive Mehler-Dirichlet value ``_spherical_sl2_mehler`` under
-    ``_mehler_config(xi, Y)``.  A non-finite input, a count above
-    ``SWEEP_NODE_CEILING`` or a chamber point with ``|Y| > T_GEO_MAX`` raises
-    ``ValueError`` before any value is computed."""
+    ``eta == 0``.  Each point takes the rule of ``spherical_sl2``: the
+    small-``Y`` series in one array pass; the Harish-Chandra series for the
+    whole grid (``_harish_chandra_sweep``; bounds within
+    ``DEFAULT_CONFIG.target``, no cost model, as a vectorised term costs almost
+    nothing); else ``_spherical_sl2_mehler`` under ``_mehler_config(xi, Y)``.
+    A non-finite input, a count above ``SWEEP_NODE_CEILING`` or a chamber
+    point with ``|Y| > T_GEO_MAX`` raises ``ValueError`` before any value."""
     xs, ys = np.asarray(xis, dtype=float), np.asarray(t_geo, dtype=float)
     if not (math.isfinite(eta) and np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError("non-finite spectral value or chamber point in a sweep")
@@ -582,14 +634,19 @@ def spherical_sl2_sweep(xis, eta: float, t_geo) -> np.ndarray:
         raise ValueError(f"chamber point |Y|={y_max:g} outside |Y| <= {T_GEO_MAX:g}")
     row, column = xs.ravel(), ys.ravel()
     out = np.empty((column.size, row.size), dtype=complex)
-    series = _series_valid(row, eta, np.abs(column)[:, None])
+    near = _small_y_valid(row, eta, np.abs(column)[:, None])
+    if near.any():
+        i, j = np.nonzero(near)
+        values = _small_y_series(1j * row[j] - eta, column[i], 0)[0]
+        out[i, j] = values.real if eta == 0.0 else values  # fused products leave ulps in Im
+    series = _series_valid(row, eta, np.abs(column)[:, None]) & ~near
     rows, cols = series.any(axis=1), series.any(axis=0)
     if rows.any():
         grid = np.ix_(rows, cols)
         values, bounds = _harish_chandra_sweep(row[cols], eta, column[rows])
         series[grid] &= bounds <= DEFAULT_CONFIG.target * np.maximum(1.0, np.abs(values))
-        out[grid] = values
-    for i, j in zip(*np.nonzero(~series)):
+        out[grid] = np.where(series[grid], values, out[grid])
+    for i, j in zip(*np.nonzero(~(near | series))):
         xi, y = float(row[j]), float(column[i])
         out[i, j] = _spherical_sl2_mehler(SpectralParameter.rank1(xi, eta), y,
                                           _mehler_config(xi, y)).value
@@ -665,21 +722,11 @@ def deriv_spherical_sl2(
 ) -> complex:
     """Derivative of order ``order`` (0..3) in the geodesic parameter of the
     chamber restriction of the spherical function at spectral value
-    ``t_scale * xi + i eta``.  With ``s = i t_scale xi - eta`` and
-    ``nu = s - 1/2``, one of three paths:
-
-    - Small ``Y`` (``|xi| Y <= 1``, ``|eta| Y <= 1`` and ``Y <= 1/2``): orders
-      0-3 from ``phi = F(-nu, nu + 1; 1; -sinh^2 Y)`` (DLMF 14.3), summed to
-      roundoff and chained through ``(sinh^2 Y)' = sinh 2Y``
-      (``_small_y_derivatives``).  No ``coth 2Y`` or ``csch 2Y`` appears, so
-      the limits at ``Y -> 0`` hold.
-    - Elsewhere order 0 is ``spherical_sl2``.  Where the Harish-Chandra
-      series applies (as there), orders 1-3 differentiate it term by term:
-      term ``k`` of each Q-series takes the factor ``(-2 (b + 2k))^order``.
-      Its tail-plus-rounding bound must meet ``config.target`` relative to
-      ``max(1, |value|)``.
-    - Otherwise the Mehler-Dirichlet family (``_deriv_spherical_sl2_mehler``):
-      order 1 by one integral, orders 2 and 3 from Legendre's equation.
+    ``t_scale * xi + i eta``, by the rule of ``spherical_sl2``: the small-``Y``
+    series; else the Harish-Chandra series, term ``k`` of each Q-series taking
+    the factor ``(-2 (b + 2k))^order``; else the Mehler-Dirichlet family
+    (``_deriv_spherical_sl2_mehler``): order 1 by one integral, orders 2 and
+    3 from Legendre's equation.
 
     A non-finite spectral value, or one whose phase overflows, raises
     ``ValueError``.  For orders 1-3 so does one whose ``(2s - 1) / sinh 2Y``
@@ -695,57 +742,10 @@ def deriv_spherical_sl2(
     if order and not cmath.isfinite((2j * xi - 2.0 * eta - 1.0) / math.sinh(2.0 * t_geo)):
         raise ValueError(f"prefactor (2s - 1) / sinh 2Y overflows at spectral value "
                          f"{scaled}, Y={t_geo:g}")
-    if max(abs(xi), abs(eta)) * t_geo <= 1.0 and t_geo <= 0.5:
-        return _small_y_derivatives(complex(-eta, xi), t_geo)[order]
     if order == 0:
         return spherical_sl2(scaled, t_geo, config).value
     series = _accepted_series(xi, eta, t_geo, order, config)
-    if series is not None:
-        return series.value
-    return _deriv_spherical_sl2_mehler(scaled, t_geo, order, config)
-
-
-def _small_y_derivatives(s: complex, t_geo: float) -> list[complex]:
-    """``phi`` and its first three derivatives at ``Y = t_geo`` from
-    ``G(x) = F(-nu, nu + 1; 1; -x) = sum g_k x^k`` at ``x = sinh^2 Y``, where
-    ``g_{k+1} / g_k = (s^2 - (k + 1/2)^2) / (k + 1)^2``.  For ``j >= K`` that
-    ratio is at most ``1 + |s|^2 / (K + 1)^2`` in modulus, so the term ratio of
-    ``G^(m)`` is at most ``r_m = x (1 + |s|^2 / (K + 1)^2) (K + 1) / (K + 1 - m)``.
-    Coefficients are added until, for every ``m <= 3``, the tail bound
-    ``K! / (K - m)! |g_K| x^(K-m) r_m / (1 - r_m)`` is below an eighth of an
-    ulp of the order's first term ``m! |g_m|``.  One Horner pass then gives
-    ``G`` and its first three derivatives.  Last, ``phi' = G' x'``,
-    ``phi'' = G'' x'^2 + G' x''`` and ``phi''' = G''' x'^3 + 3 G'' x' x'' + G' x'''``,
-    with ``x' = sinh 2Y``, ``x'' = 2 cosh 2Y`` and ``x''' = 4 sinh 2Y``."""
-    x, s2 = math.sinh(t_geo) ** 2, s * s
-    coefficients = [1.0 + 0j]
-    for k in range(3):
-        coefficients.append(coefficients[k] * (s2 - (k + 0.5) ** 2) / (k + 1) ** 2)
-    tolerances = [0.125 * _EPS * math.factorial(m) * abs(coefficients[m]) for m in range(4)]
-    powers = [x ** 3, x * x, x, 1.0]  # x^(3-m); x^(K-m) = x^(K-3) x^(3-m)
-    k, x_k = 3, 1.0  # x_k = x^(k-3)
-    while True:
-        size, rho = abs(coefficients[k]) * x_k, x * (1.0 + abs(s2) / (k + 1) ** 2)
-        falling = 1
-        for m in (0, 1, 2, 3):
-            if m:
-                falling *= k + 1 - m
-            r = rho * (k + 1) / (k + 1 - m)
-            if not (r < 1.0 and falling * size * powers[m] * r <= tolerances[m] * (1.0 - r)):
-                break
-        else:  # every order's tail is below its tolerance
-            break
-        coefficients.append(coefficients[k] * (s2 - (k + 0.5) ** 2) / (k + 1) ** 2)
-        k, x_k = k + 1, x_k * x
-    g0 = g1 = g2 = g3 = 0j  # G and its first three derivatives over 1, 1, 2 and 6
-    for c in reversed(coefficients):
-        g3 = g3 * x + g2
-        g2 = g2 * x + g1
-        g1 = g1 * x + g0
-        g0 = g0 * x + c
-    g2, g3 = 2.0 * g2, 6.0 * g3
-    x1, x2, x3 = math.sinh(2.0 * t_geo), 2.0 * math.cosh(2.0 * t_geo), 4.0 * math.sinh(2.0 * t_geo)
-    return [g0, g1 * x1, g2 * x1 * x1 + g1 * x2, g3 * x1 ** 3 + 3.0 * g2 * x1 * x2 + g1 * x3]
+    return series.value if series else _deriv_spherical_sl2_mehler(scaled, t_geo, order, config)
 
 
 def _deriv_spherical_sl2_mehler(scaled: SpectralParameter, t_geo: float, order: int,

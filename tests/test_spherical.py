@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import eval_legendre
+from scipy.special import eval_legendre, j0, j1
 
 from sphreg import accept
 from sphreg import liegroup as lg
@@ -122,6 +122,20 @@ def test_quadrature_failure_raises():
     tight = QuadratureConfig(n_start=64, n_max=256, target=1e-12, fail=1e-9)
     with pytest.raises(QuadratureError):
         sph._spherical_sl2_mehler(SpectralParameter.rank1(500.0), 2.0, tight)
+
+
+@pytest.mark.parametrize("xi, eta, y", [(-626.93, 0.99865, 4.8285), (-653.66, -1.0004, 3.2090),
+                                      (-722.41, 0.83155, 2.8183)])
+def test_default_budget_raises_with_the_node_count_the_phase_needs(xi, eta, y):
+    # 2 sl2_sweep_nodes = 32768 > 8192: the scalar raises, the sweep's rule converges
+    need = 2 * sph.sl2_sweep_nodes(xi, y)
+    with pytest.raises(QuadratureError, match=f"needs {need} nodes"):
+        spherical_sl2(SpectralParameter.rank1(xi, eta), y)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = complex(mpmath.legenp(mpmath.mpc(-0.5, xi) - mpmath.mpf(eta), 0,
+                                     mpmath.cosh(2 * mpmath.mpf(y)), type=3))
+    assert abs(sph.spherical_sl2_sweep(xi, eta, y) - want) <= 1e-12 * abs(want)
 
 
 def test_geodesic_range_guard():
@@ -522,6 +536,15 @@ def test_derivative_order_zero_equals_value():
     lam = SpectralParameter.rank1(0.8, 0.1)
     direct = spherical_sl2(SpectralParameter.rank1(2.4, 0.1), 1.1).value
     assert abs(sph.deriv_spherical_sl2(lam, 3.0, 1.1, 0) - direct) <= 1e-12
+    # at small Y both take the small-Y series, so they agree to the bit
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        y = float(rng.uniform(1e-3, 0.5))
+        xi, eta = (float(rng.uniform(-1.0, 1.0) / y) for _ in range(2))
+        direct = spherical_sl2(SpectralParameter.rank1(xi, eta), y)
+        got = sph.deriv_spherical_sl2(SpectralParameter.rank1(xi, eta), 1.0, y, 0)
+        assert repr(got) == repr(direct.value), (xi, eta, y)
+        assert direct.path == "small-y"
 
 
 @pytest.mark.parametrize("order,h,rtol", [(1, 1e-5, 1e-6), (2, 1e-4, 1e-5), (3, 2e-3, 1e-3)])
@@ -862,14 +885,15 @@ def test_series_matches_the_mehler_rule_on_bench_points(xi, eta, y):
 @pytest.mark.parametrize("xi, eta, y, path", [
     (1.0, 0.75, 1.0, "trapezoid"),  # |eta| > 1/2: no ratio bound
     (-2.0, -0.6, 2.0, "trapezoid"),
-    (3.0, 0.2, 0.0, "trapezoid"),  # the identity
+    (3.0, 0.2, 0.0, "small-y"),  # the identity
     (0.0, 0.0, 1.5, "trapezoid"),  # the tan pole
     (1e-9, 0.0, 1.5, "trapezoid"),  # next to it the bound fails the target
     (0.0, 0.5, 1.5, "trapezoid"),  # a pole of one Gamma ratio
     (0.0, -0.5, 1.5, "trapezoid"),
     (2.0, 0.5, 1.5, "series"),
     (2.0, -0.5, 1.5, "series"),
-    (0.5, 0.2, 0.1, "trapezoid"),  # about 200 terms against 64 nodes
+    (0.5, 0.2, 0.1, "small-y"),  # |xi Y|, |eta Y| <= 1 and |Y| <= 1/2
+    (20.0, 0.2, 0.1, "trapezoid"),  # |xi Y| > 1: about 200 terms against 64 nodes
     (2.0 ** 13.75, 0.2, 1.25, "series"),
     (40.0, 0.0, -1.2, "series"),  # even in Y
 ])
@@ -931,15 +955,32 @@ def test_small_y_derivatives_keep_their_limits():
         assert sph.deriv_spherical_sl2(lam, 1.0, y, 2) == pytest.approx(-18.5, rel=1e-15)
         third = sph.deriv_spherical_sl2(lam, 1.0, y, 3)
         assert math.isfinite(abs(third)) and abs(third) <= 1e-90
+    # far out in the spectrum phi tends to J0(2 xi Y) (Mehler-Heine); unscaled,
+    # the coefficients overflowed there and the sum never stopped
+    for xi, y, orders in [(1e20, 1e-20, (0, 1)), (1e200, 1e-200, (0,))]:
+        want = (j0(2.0), -2.0 * xi * j1(2.0))
+        assert spherical_sl2(SpectralParameter.rank1(xi), y).value == pytest.approx(want[0])
+        assert sph.spherical_sl2_sweep(xi, 0.0, y) == pytest.approx(want[0], rel=1e-14)
+        for order in orders:
+            got = sph.deriv_spherical_sl2(SpectralParameter.rank1(xi), 1.0, y, order)
+            assert got == pytest.approx(want[order], rel=1e-14)
 
 
-@pytest.mark.parametrize("y", [0.05, 0.3])
-@pytest.mark.parametrize("xi, eta", [(3.0, 0.0), (1.5, 0.4), (0.7, -0.5)])
+# (xi, eta, Y): eta = 0 with |xi Y| = 1, where the terms alternate most;
+# |eta| = 0.75 and 1.5; the edge Y = 1/2; Y = 1e-8; and xi = eta = 0, the tan
+# pole of the Harish-Chandra series, which this series does not have
+@pytest.mark.parametrize("xi, eta, y", [
+    *((xi, eta, y) for xi, eta in [(3.0, 0.0), (1.5, 0.4), (0.7, -0.5)] for y in (0.05, 0.3)),
+    (2.0, 0.0, 0.5), (10.0, 0.0, 0.1), (0.5, 0.75, 0.3), (1.0, -0.75, 0.5), (0.3, -1.5, 0.2),
+    (1.0, 1.5, 0.5), (3.0, 0.2, 1e-8), (0.0, 0.0, 0.3)])
 def test_small_y_derivatives_match_the_legendre_function(xi, eta, y):
     for order in range(4):
         got = sph.deriv_spherical_sl2(SpectralParameter.rank1(xi, eta), 1.0, y, order)
+        value, bound, _ = sph._small_y_series(complex(-eta, xi), y, order)
         want = _legendre_reference(xi, eta, y, order)
+        assert got == value
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), order
+        assert abs(value - want) <= bound, order
 
 
 def test_values_say_which_path_produced_them():
@@ -1001,18 +1042,19 @@ def test_series_sweep_memory_stays_bounded_at_small_y():
 def test_sweep_matches_the_scalar_values_within_both_bounds(eta):
     got = sph.spherical_sl2_sweep(SWEEP_XIS, eta, SWEEP_YS)
     _, bounds = sph._harish_chandra_sweep(SWEEP_XIS, eta, SWEEP_YS)
+    x, y = np.broadcast_arrays(SWEEP_XIS, SWEEP_YS[:, None])
+    near = sph._small_y_valid(x, eta, np.abs(y))
+    bounds[near] = sph._small_y_series(1j * x[near] - eta, y[near], 0)[1]
     for (i, j), value in np.ndenumerate(got):
         single = spherical_sl2(SpectralParameter.rank1(SWEEP_XIS[j], eta), SWEEP_YS[i])
-        if single.path == "series":
-            assert abs(value - single.value) <= bounds[i, j] + single.estimated_error
-        else:  # small Y: the scalar's cost model chose the Mehler-Dirichlet rule
-            assert abs(value - single.value) <= 1e-12
+        assert abs(value - single.value) <= bounds[i, j] + single.estimated_error
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.5, -0.5, 0.2, 0.75, -1.2])
 def test_sweep_fallback_points_equal_the_mehler_rule_to_the_bit(monkeypatch, eta):
-    # Y = +-0, |eta| > 1/2, the poles at xi = 0 and bounds above the target
-    # (next to the tan pole at eta = 0) take spherical_sl2's own fallback
+    # outside the small-Y region, which holds Y = +-0: |eta| > 1/2, the poles
+    # at xi = 0 and bounds above the target (next to the tan pole at eta = 0)
+    # take spherical_sl2's own fallback
     xis = np.array([[0.0, 0.5, 3.0], [40.0, -7.0, 1e-9]])
     ys = np.array([0.0, -0.0, 0.05, 0.2, -0.25, 0.6, 1.7])
     calls, mehler = [], sph._spherical_sl2_mehler
@@ -1032,8 +1074,10 @@ def test_sweep_fallback_points_equal_the_mehler_rule_to_the_bit(monkeypatch, eta
     missed = (bounds > sph.DEFAULT_CONFIG.target
               * np.maximum(1.0, np.abs(values))).reshape(got.shape)
     assert missed[2:, 1, 2].all() == (eta == 0.0)  # xi = 1e-9 by the tan pole
-    fallback = (y == 0.0) | (abs(eta) > 0.5) | ((x == 0.0) & (abs(eta) in (0.0, 0.5))) | missed
-    assert fallback[:2].all() and fallback.all() == (abs(eta) > 0.5)
+    near = sph._small_y_valid(x, eta, np.abs(y))
+    fallback = ~near & ((abs(eta) > 0.5) | ((x == 0.0) & (abs(eta) in (0.0, 0.5))) | missed)
+    assert near[:2].all() and np.all(got[:2] == 1.0)
+    assert fallback[~near].all() == (abs(eta) > 0.5)
     assert sorted(calls) == sorted(zip(x[fallback].tolist(), y[fallback].tolist()))
     for index in zip(*np.nonzero(fallback)):
         want = mehler(SpectralParameter.rank1(x[index], eta), y[index],
@@ -1042,13 +1086,38 @@ def test_sweep_fallback_points_equal_the_mehler_rule_to_the_bit(monkeypatch, eta
 
 
 def test_sweep_takes_the_series_where_the_scalar_cost_model_would_not(monkeypatch):
-    # about 400 terms against 64 nodes: spherical_sl2 integrates, the sweep sums
-    assert spherical_sl2(SpectralParameter.rank1(0.5), 0.05).path == "trapezoid"
-    want = _legendre_reference(0.5, 0.0, 0.05)
+    # at xi = 0.5 both sum the small-Y series and agree within both bounds; at
+    # xi = 30 (|xi Y| > 1) about 400 terms stand against 64 nodes, so
+    # spherical_sl2 integrates and the sweep sums the Harish-Chandra series
+    small = spherical_sl2(SpectralParameter.rank1(0.5), 0.05)
+    assert small.path == "small-y"
+    assert spherical_sl2(SpectralParameter.rank1(30.0), 0.05).path == "trapezoid"
+    want = [_legendre_reference(0.5, 0.0, 0.05), _legendre_reference(30.0, 0.0, 0.05)]
     monkeypatch.setattr(sph, "_spherical_sl2_mehler", _refuse)
     monkeypatch.setattr(sph, "_mehler_integrand", _refuse)
-    got = sph.spherical_sl2_sweep(np.array([0.5]), 0.0, np.array([0.05, -0.05]))
+    got = sph.spherical_sl2_sweep(np.array([0.5, 30.0]), 0.0, np.array([0.05, -0.05]))
     assert np.all(np.abs(got - want) <= 1e-13)
+    _, bounds, _ = sph._small_y_series(np.array([0.5j, 0.5j]), np.array([0.05, -0.05]), 0)
+    assert np.all(np.abs(got[:, 0] - small.value) <= bounds + small.estimated_error)
+
+
+def test_sweep_sums_no_harish_chandra_series_inside_the_small_y_region(monkeypatch):
+    # the row Y = 0.003 needs about 2900 terms of the Harish-Chandra series,
+    # and every spectral value of it lies in the small-Y region
+    xis, ys, calls = np.linspace(0.5, 200.0, 2000), np.array([0.003, 0.01, 0.5]), []
+    harish_chandra = sph._harish_chandra_sweep
+
+    def recorded(xs, eta, rows):
+        calls.append((xs, rows))
+        return harish_chandra(xs, eta, rows)
+
+    monkeypatch.setattr(sph, "_harish_chandra_sweep", recorded)
+    got = sph.spherical_sl2_sweep(xis, 0.0, ys)
+    assert sph._small_y_valid(xis, 0.0, 0.003).all() and calls
+    for xs, rows in calls:
+        assert not (sph._small_y_valid(xs, 0.0, np.abs(rows)[:, None]) & (rows == 0.003)[:, None]).any()
+    values, bounds, _ = sph._small_y_series(1j * xis, np.full(2000, 0.003), 0)
+    assert np.all(np.abs(got[0] - values) <= 2.0 * bounds)
 
 
 def test_sweep_rejects_chamber_points_out_of_range_before_any_value(monkeypatch):
