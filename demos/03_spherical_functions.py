@@ -1,5 +1,6 @@
-"""Spherical functions numerically: normalization, boundedness region,
-Monte Carlo at rank two, and the compact dual against the polynomial oracle.
+"""Spherical functions numerically: normalization, boundedness region, a
+product rule on the sphere at rank two, and the compact dual against the
+polynomial oracle.
 
 Run:  python demos/03_spherical_functions.py
 """
@@ -27,10 +28,13 @@ outside = sph.spherical_sl2(SpectralParameter.rank1(0.0, 0.75), 4.0, config)
 print("\n|value| at eta = 1/2 (hull vertex):  ", abs(inside.value))
 print("|value| at eta = 3/4 (outside hull):", abs(outside.value))
 
-# Rank two by Monte Carlo over the rotation group; the error bar is honest.
+# Rank two: Laplace's integral leaves a sphere's worth of rank-one values,
+# summed by nested Clenshaw-Curtis and trapezoid rules to an error estimate.
+# This c is fixed by a reflection of the Weyl group, so the value is real.
 lam2 = SpectralParameter.rank2((0.6, 0.3))
-mc = sph.spherical_sl3(lam2, (1.0, 0.0), samples=200_000, seed=5)
-print(f"\nrank-two value at diag(e, 1, 1/e): {mc.value:.5f} +- {mc.estimated_error:.1e}")
+v2 = sph.spherical_sl3(lam2, (1.0, 0.0))
+print(f"\nrank-two value at diag(e, 1, 1/e): {v2.value.real:.12f}  "
+      f"evaluations {v2.quadrature_nodes}  err est {v2.estimated_error:.1e}")
 
 # Compact dual: the circle integral reproduces the classical polynomials.
 theta = 1.0

@@ -263,14 +263,11 @@ def cmd_spherical(args) -> int:
                 raise CliError("sl3 needs two --xi and two --eta coordinates")
             if len(points) % 2 != 0:
                 raise CliError("sl3 --points must be Y1,Y2 pairs")
-            if args.samples < 2:
-                raise CliError("sl3 needs --samples >= 2 for a standard error")
             pairs = [(points[i], points[i + 1]) for i in range(0, len(points), 2)]
             for y1, y2 in pairs:
                 for t in ts:
                     lam = sph.SpectralParameter.rank2((t * xi[0], t * xi[1]), tuple(eta))
-                    value = sph.spherical_sl3(lam, (y1, y2), samples=args.samples,
-                                              seed=args.seed)
+                    value = sph.spherical_sl3(lam, (y1, y2))
                     emit(t, (y1, y2), value.value, value.estimated_error)
         elif args.group == "su2":
             for y in points:
@@ -524,8 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmin", type=float, default=10.0)
     p.add_argument("--tmax", type=float, default=1000.0)
     p.add_argument("--tsteps", type=int, default=16)
-    p.add_argument("--samples", type=int, default=10000, help="sl3 sample count")
-    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_spherical)
 
     p = sub.add_parser("decay", help="power-law fit of a spherical CSV")

@@ -147,35 +147,25 @@ def is_regular(g: SpecialLinearElement, tol: float = 1e-9) -> bool:
     return bool(np.all(np.diff(a_log) < -tol))
 
 
-def _gaussian_blocks(n: int, rng_seed: int, count: int):
-    """The standard-normal stream behind ``haar_so_n_sample``: yields
-    ``(start, stop, z)`` with ``z`` the ``(stop - start, n, n)`` matrices
-    ``start`` to ``stop``, drawn from ``default_rng(rng_seed)`` in blocks of
-    ``65536 // (n * n) + 1``.  Callers that need only some columns of each
-    rotation (``spherical.spherical_sl3``) read them from this stream."""
-    rng = np.random.default_rng(rng_seed)
-    block = 65536 // (n * n) + 1
-    for start in range(0, count, block):
-        stop = min(start + block, count)
-        yield start, stop, rng.standard_normal((stop - start, n, n))
-
-
 def haar_so_n_sample(n: int, rng_seed: int, count: int) -> np.ndarray:
     """Invariant-measure samples from the rotation group, shape (count, n, n).
 
-    Gaussian matrices (``_gaussian_blocks``) are QR-factored with the
-    positive-diagonal convention, which gives the invariant measure on the
-    orthogonal group; reflections are mapped into rotations by flipping the
-    last column, a measure preserving right translation.  Deterministic per
-    seed; to shard across workers, give shard ``i`` the seed ``rng_seed + i``.
-    Callers: criterion 4 in ``accept``, demo 02 and the tests;
-    ``spherical.spherical_sl3`` reads the same stream but forms no rotation.
+    Standard-normal matrices, drawn from ``default_rng(rng_seed)`` in blocks
+    of ``65536 // (n * n) + 1``, are QR-factored with the positive-diagonal
+    convention, which gives the invariant measure on the orthogonal group;
+    reflections are mapped into rotations by flipping the last column, a
+    measure preserving right translation.  Deterministic per seed; to shard
+    across workers, give shard ``i`` the seed ``rng_seed + i``.  Callers:
+    criterion 4 in ``accept``, demo 02 and the tests.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    rng = np.random.default_rng(rng_seed)
+    block = 65536 // (n * n) + 1
     out = np.empty((count, n, n))
-    for start, stop, z in _gaussian_blocks(n, rng_seed, count):
-        q, r = np.linalg.qr(z)
+    for start in range(0, count, block):
+        stop = min(start + block, count)
+        q, r = np.linalg.qr(rng.standard_normal((stop - start, n, n)))
         signs = np.sign(np.einsum("...ii->...i", r))
         signs[signs == 0] = 1.0
         q = q * signs[:, np.newaxis, :]

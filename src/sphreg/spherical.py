@@ -1,8 +1,8 @@
 """Numerical spherical functions.
 
 Noncompact side: the rank-one Harish-Chandra series, with the circle
-integral as its fallback, for the degree-2 special linear group, and a Monte
-Carlo rotation-group integral for degree 3.
+integral as its fallback, for the degree-2 special linear group, and a
+product rule on the sphere over rank-one values for degree 3.
 Compact side: the degree-``n`` spherical functions of the 2-sphere, by the
 Legendre polynomials and by their oscillatory circle integral.
 
@@ -28,10 +28,16 @@ Y|``: ``phi = (1/pi) int_0^pi cosh((i xi - eta) 2Y cos a) / sqrt(sinhc(Y (1 -
 cos a)) sinhc(Y (1 + cos a))) da``, ``sinhc x = sinh x / x``.  Laplace's form
 remains in ``asymptotics`` and as the tests' oracle.
 
-Rank two.  ``H(a k)`` is closed form too: with ``z1, z2`` the first two columns
-of the Gaussian matrix that ``liegroup.haar_so_n_sample`` turns into ``k`` and
-``w = z1 x z2``, ``h1 = log(|a z1|/|z1|)``, ``h1 + h2 = log(|a^-1 w|/|w|)`` and
-``h3 = -(h1 + h2)``; both read one Gaussian stream, so a seed gives the same ``k``.
+Rank two.  ``H(a k)`` is closed form: ``h1 = log |a u|``, ``h1 + h2 = log
+|a^-1 v|``, ``u = k e1``, ``v = k e3``.  With ``l = (c1, c2 - c1, -c2)``, ``c' =
+(l2 - l3) / 2`` and ``nu = i c' - 1/2``, Laplace's first integral (DLMF
+§14.12) over ``v`` orthogonal to ``u`` leaves the mean over the sphere of
+``r^p P_nu(cosh 2Y')``, ``r = u^T a^2 u``, ``p = (i (l1 - l2) - 1) / 2 + nu /
+2``, ``cosh 2Y' = (tr D - u^T D u) / (2 sqrt r)``, ``D = a^-2``.  As it peaks
+where ``r`` is smallest, ``u = a^(-1/2) w / |a^(-1/2) w|``, ``dsigma(u) =
+|a^(-1/2) w|^-3 dsigma(w)`` (``det a = 1``): with ``q_m = sum a_i^m w_i^2``,
+``r = q_1 / q_-1`` and ``cosh 2Y' = sum a_i^-1 (tr D - a_i^-2) w_i^2 / (2
+sqrt(q_1 q_-1))``, a sum of positive terms.
 
 Quadrature.  The fallback values, the derivatives' fallback and the compact
 values are circle integrals.  Each is the trapezoid rule, which converges
@@ -52,6 +58,7 @@ estimate raises ``QuadratureError``.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -60,7 +67,6 @@ from functools import cached_property
 import numpy as np
 
 from . import _ONE_THREAD_MADDS
-from .liegroup import _gaussian_blocks
 
 __all__ = [
     "QuadratureConfig",
@@ -107,13 +113,14 @@ class SphericalValue:
     the method: ``"small-y"`` or ``"series"`` (a rank-one series; then
     ``quadrature_nodes`` holds its term count and ``estimated_error`` its
     tail-plus-rounding bound), ``"trapezoid"`` (a circle integral; the final
-    full-turn node count and the last level difference) or ``"monte-carlo"``
-    (rank two; the sample count and the standard error)."""
+    full-turn node count and the last level difference) or ``"cubature"``
+    (rank two; the integrand evaluations and the estimate of
+    ``spherical_sl3``)."""
 
     value: complex
     quadrature_nodes: int
     estimated_error: float
-    path: str = "monte-carlo"
+    path: str
 
 
 @dataclass(frozen=True)
@@ -392,36 +399,42 @@ def _small_y_series(s, y, order: int):
     each step, and at ``eta = 0`` the terms alternate, so the largest sets it.
     ``g_k`` and ``x`` are kept over ``scale^2k`` and times ``scale^2``, a power
     of two, to stay in range.  Chained through ``x' = sinh 2Y``, the
-    derivatives need no ``coth 2Y``, so the limits at ``Y -> 0`` hold."""
-    xp, every = (np, np.all) if isinstance(y, np.ndarray) else (math, bool)
+    derivatives need no ``coth 2Y``, so the limits at ``Y -> 0`` hold.  On
+    arrays each point stops at its own ``K`` (``_small_y_terms``)."""
+    xp = np if isinstance(y, np.ndarray) else math
     e, sinh = xp.frexp(0.25 * abs(s.real) + 0.25 * abs(s.imag))[1], xp.sinh(y)
     scale = xp.ldexp(1.0, e * (e > 0))  # above |s| / 4, at least 1
     s, x, x0 = s / scale, (scale * sinh) ** 2, sinh * sinh  # x0 unscaled
     size = abs(s) ** 2 * x  # |s|^2 sinh^2 Y
 
-    def tail(m):  # r_m after term k, and term k of G^(m) / m! times r_m
+    def tail(m):  # r_m after term k, and term k of G^(m) / m! times r_m, from c = g_k
         r = (x0 + size / ((k + 1) * (k + 1))) * (k + 1) / (k + 1 - m)
-        return r, math.comb(k, m) * abs(g[k]) * x ** (k - m) * r
-    c, g, k = 1.0, [1.0], 0  # c = g_k
-    while True:
-        if k >= order:
-            if k == order:  # power = C(k, order) x^(k - order)
-                power, weight, limit = 1.0, 0.0, 0.125 * _EPS * abs(c)
-            term = power * abs(c)  # term k of G^(order) / order!
-            weight = weight + (k + 1) * term
-            if every(term * x0 <= limit * (1.0 - x0)):  # as r > x0
-                r, t = tail(order)
-                if every((r < 1.0) & (t <= limit * (1.0 - r))):
-                    break
-            power = power * (x * ((k + 1) / (k + 1 - order)))
-        c = c * ((s - (k + 0.5) / scale) * (s + (k + 0.5) / scale)) / ((k + 1) * (k + 1))
-        g.append(c)
-        k += 1
-    h0 = h1 = h2 = h3 = 0.0  # G^(m) / m!
-    for c in reversed(g):
+        binomial = (math.comb(k, m) if xp is math
+                    else math.prod(k - i for i in range(m)) // math.factorial(m))
+        return r, binomial * abs(c) * x ** (k - m) * r
+    if xp is np:
+        g, k, weight, c = _small_y_terms(s, scale, x, x0, size, order)
+    else:
+        c, g, k = 1.0, [1.0], 0  # c = g_k
+        while True:
+            if k >= order:
+                if k == order:  # power = C(k, order) x^(k - order)
+                    power, weight, limit = 1.0, 0.0, 0.125 * _EPS * abs(c)
+                term = power * abs(c)  # term k of G^(order) / order!
+                weight = weight + (k + 1) * term
+                if term * x0 <= limit * (1.0 - x0):  # as r > x0
+                    r, t = tail(order)
+                    if r < 1.0 and t <= limit * (1.0 - r):
+                        break
+                power = power * (x * ((k + 1) / (k + 1 - order)))
+            c = c * ((s - (k + 0.5) / scale) * (s + (k + 0.5) / scale)) / ((k + 1) * (k + 1))
+            g.append(c)
+            k += 1
+    h = [0.0] * 4  # G^(m) / m!, by Horner's rule
+    for coefficient in reversed(g):
         if order:
-            h3, h2, h1 = h3 * x + h2, h2 * x + h1, h1 * x + h0
-        h0 = h0 * x + c
+            h[3], h[2], h[1] = h[3] * x + h[2], h[2] * x + h[1], h[1] * x + h[0]
+        h[0] = h[0] * x + coefficient
     grow = scale * scale if order else 1.0  # h_m lacks scale^2m, which x1, x2 supply
     x1, x2 = xp.sinh(2.0 * y) * grow, 2.0 * xp.cosh(2.0 * y) * grow  # x', x''
     factors = ((1.0,), (0.0, x1), (0.0, x2, 2.0 * x1 * x1),
@@ -429,10 +442,60 @@ def _small_y_series(s, y, order: int):
     value = bound = 0.0
     for m in range(order, min(order, 1) - 1, -1):
         r, t = tail(m)
-        value = value + factors[m] * (h0, h1, h2, h3)[m]
+        value = value + factors[m] * h[m]
         bound = bound + abs(factors[m]) * (t / (1.0 - r) + 16.0 * _EPS * weight)
         weight = m * (abs(g[m - 1]) + x * weight)  # a bound on W_(m-1)
     return value, bound, k + 1
+
+
+def _small_y_terms(s, scale, x, x0, size, order: int):
+    """The term loop of ``_small_y_series`` on arrays (any one shape), where
+    each point stops at its own tail test, written ``r (t + limit) <= limit``
+    (the scalar loop's first check follows from it, as ``r > x0``).  A
+    stopped point's coefficient is 0 from then on, so its later rows add
+    exact zeros in Horner's rule; the arrays shrink to the live points once
+    at most half are live.  Returns the coefficient rows and, per point, the
+    last ``k``, the weight ``W`` and ``g_k``."""
+    shape, n = x.shape, x.size
+    s, scale, x, x0, size = (np.broadcast_to(v, shape).ravel()
+                             for v in (s, scale, x, x0, size))
+    if n and (s == s[0]).all():  # one spectral value: its term ratios are Python scalars
+        s, scale = complex(s[0]), float(scale[0])
+    last, weight_out, c_out = np.empty(n, dtype=int), np.empty(n), np.empty(n, dtype=complex)
+    live, active = np.arange(n), np.ones(n, dtype=bool)
+    c, g, k, alive = np.ones(n, dtype=complex), [np.ones(n, dtype=complex)], 0, n
+    while alive or k < order:
+        if k >= order:
+            if k == order:
+                power, weight, limit = np.ones(n), np.zeros(n), 0.125 * _EPS * abs(c)
+            term = power * abs(c)
+            weight = weight + (k + 1) * term
+            r = (x0 + size / ((k + 1) * (k + 1))) * ((k + 1) / (k + 1 - order))
+            done = active & (r < 1.0) & (r * (term + limit) <= limit)  # t <= limit (1 - r)
+            if done.any():
+                last[live[done]], c_out[live[done]] = k, c[done]
+                active &= ~done
+                alive -= np.count_nonzero(done)
+                if not alive or 2 * alive <= len(live):
+                    weight_out[live[~active]] = weight[~active]
+                    if not alive:
+                        break
+                    if isinstance(s, np.ndarray):
+                        s, scale = s[active], scale[active]
+                    live, x, x0, size, c, power, weight, limit, active = (
+                        v[active] for v in (live, x, x0, size, c, power, weight, limit, active))
+                else:
+                    c = np.where(done, 0.0, c)
+            power = power * (x * ((k + 1) / (k + 1 - order)))
+        c = c * ((s - (k + 0.5) / scale) * (s + (k + 0.5) / scale)) / ((k + 1) * (k + 1))
+        row = c
+        if len(live) < n:
+            row = np.zeros(n, dtype=complex)
+            row[live] = c
+        g.append(row)
+        k += 1
+    return ([row.reshape(shape) for row in g], last.reshape(shape), weight_out.reshape(shape),
+            c_out.reshape(shape))
 
 
 def _q_series(b: complex, t: float, order: int) -> tuple[complex, float, float, int]:
@@ -784,45 +847,137 @@ def _deriv_spherical_sl2_mehler(scaled: SpectralParameter, t_geo: float, order: 
     return -2.0 * coth * d2 + (4.0 / math.sinh(y2) ** 2 + k) * d1
 
 
-@np.errstate(over="raise", divide="raise", invalid="raise")
-def spherical_sl3(lam: SpectralParameter, a_log, samples: int = 10_000,
-                  seed: int = 42) -> SphericalValue:
-    """Monte Carlo spherical function of the degree-3 special linear group.
+_SL3_TARGET = 1e-10  # the rank-two rule stops at this step, relative to max(1, |value|)
+SL3_MAX_EVALUATIONS = 50_000  # default ceiling on the integrand evaluations of spherical_sl3
+_SL3_START = (64, 16)  # Clenshaw-Curtis intervals on [-1, 1] and alpha intervals, first level
+_CC_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    ``a_log`` is the first two entries of the traceless diagonal (the third
-    is implied).  Sample ``i`` is ``k = haar_so_n_sample(3, seed, samples)[i]``,
-    never formed: ``k e1 = z1/|z1|`` and ``k e3 = +-w/|w|`` (Mezzadri, Notices
-    AMS 54, 2007).  As ``det(a k) = 1`` and ``(a k)^-T = a^-1 k``, the Iwasawa
-    diagonal has ``|r11| = |a k e1|``, ``|r11 r22| = |a^-1 k e3|`` and
-    ``|r33| = 1/|r11 r22|``.  Block statistics are merged (Chan, Golub and
-    LeVeque, 1979), so memory does not grow with ``samples``.  The error is
-    the combined standard error of the real and imaginary parts, not a bound.
-    A non-finite input raises ``ValueError``; one so large that an
-    intermediate leaves the float64 range raises ``FloatingPointError``.
-    """
-    if samples < 1:
-        raise ValueError("samples must be positive")
+
+def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n + 1``-point Clenshaw-Curtis rule on [-1, 1] folded onto [0, 1]
+    for even integrands: nodes ``cos(j pi / n)``, ``j <= n / 2``, and weights
+    summing to one by one real FFT (Waldvogel, BIT 46, 2006).  Doubling ``n``
+    adds the odd ``j``.  Rules are kept for the process."""
+    if n not in _CC_RULES:
+        k = np.arange(1, n // 2 + 1)
+        d = np.zeros(n)
+        d[k] = 2.0 / (4.0 * k * k - 1.0)
+        d[n // 2] *= 0.5
+        weights = (1.0 - np.fft.rfft(d).real) * (2.0 / n)
+        weights[[0, -1]] *= 0.5  # x = 1 has no mirror image in [-1, 1], x = 0 is its own
+        _CC_RULES[n] = (_read_only(np.cos(np.pi / n * np.arange(n // 2 + 1))),
+                        _read_only(weights))
+    return _CC_RULES[n]
+
+
+def _sl3_evaluations(c_norm: float, spread: float) -> int:
+    """A lower estimate of the evaluations ``spherical_sl3`` needs at ``|c| =
+    c_norm`` and ``spread = max h - min h``: the phase grows like ``x = |c|
+    spread`` in both directions, the poles' scale ``e^(-spread / 2)`` grows
+    the rows.  Below every count measured for ``|c|`` in [0.1, 64] and
+    spreads in [0.3, 9]."""
+    x = c_norm * spread
+    first = (_SL3_START[0] // 2 + 1) * (_SL3_START[1] + 1)
+    return int(max(first, 15.0 * x, 150.0 * math.exp(0.5 * spread - 1.0), 0.2 * x * x))
+
+
+def _sl3_image(l: np.ndarray) -> np.ndarray:
+    """The permutation of ``l`` that ``spherical_sl3`` integrates: ``l``,
+    unless ``c'`` is on the ``tan`` pole ``Re c' = 0`` or off the series'
+    strip ``|Im c'| <= 1/2`` (the sweep's Mehler-Dirichlet fallback); then
+    the image in the strip (the bounded region has one) of largest ``|Re c'|``."""
+    def key(image):
+        d = image[1] - image[2]
+        return abs(d.imag) <= 1.0, abs(d.real)
+    inside, width = key(l)
+    if not (inside and width):
+        l = max((l[list(order)] for order in itertools.permutations(range(3))), key=key)
+    return l
+
+
+def spherical_sl3(lam: SpectralParameter, a_log, max_evaluations: int = SL3_MAX_EVALUATIONS,
+                  seed: int | None = None) -> SphericalValue:
+    """Spherical function of the degree-3 special linear group at ``diag(e^h)``,
+    ``h = (a_log[0], a_log[1], -a_log[0] - a_log[1])``: the module's rank-two
+    reduction, with ``P_nu = spherical_sl2_sweep([Re c'], Im c', Y')`` and the
+    image of ``_sl3_image``, on ``w = (s cos alpha, s sin alpha, t)`` by
+    Clenshaw-Curtis in ``t`` times the trapezoid rule in ``alpha`` (path
+    ``"cubature"``).  Each direction doubles while its level step is above
+    half of ``_SL3_TARGET``, a level's new points in one sweep call, until
+    the steps sum to ``_SL3_TARGET max(1, |value|)``.  The estimate adds
+    ``DEFAULT_CONFIG.target`` (each sweep value's, relative to ``max(1,
+    |P|)``) times ``sum w |outer| max(1, |P|)`` and 8 ulps of ``sum w |f|``;
+    ``quadrature_nodes`` counts evaluations.  ``ValueError`` when
+    ``_sl3_evaluations`` exceeds ``max_evaluations`` (before any grid), an
+    input is not finite or ``Y' = spread / 2`` exceeds ``T_GEO_MAX``;
+    ``QuadratureError`` when no level within the ceiling meets the target;
+    ``FloatingPointError`` when an intermediate leaves the float64 range.
+    ``seed``, for callers of the former Monte Carlo, is ignored."""
     y1, y2 = float(a_log[0]), float(a_log[1])
     _check_finite(lam, "({:g}, {:g})", y1, y2)
-    a = np.exp([y1, y2, -y1 - y2])
-    c1, c2 = (x + 1j * e for x, e in zip(lam.xi, lam.eta))
-    n, total, m2 = 0, 0j, 0.0  # count, sum and summed squared deviation so far
-    for _, _, z in _gaussian_blocks(3, seed, samples):
-        z1 = z[:, :, 0]
-        w = np.cross(z1, z[:, :, 1])
-        sq1, sqw = z1 * z1, w * w  # squared coordinates
-        h1 = 0.5 * np.log(sq1 @ a ** 2 / sq1.sum(axis=1))
-        h12 = 0.5 * np.log(sqw @ a ** -2 / sqw.sum(axis=1))
-        h2, h3 = h12 - h1, -h12
-        pairing = c1 * (h1 - h2) + c2 * (h2 - h3)
-        rho_pairing = h1 - h3
-        values = np.exp(1j * pairing - rho_pairing)
-        m, block_sum = len(values), values.sum()
-        dev = values - block_sum / m
-        m2 += np.vdot(dev, dev).real + abs(block_sum / m - total / max(n, 1)) ** 2 * n * m / (n + m)
-        n, total = n + m, total + block_sum
-    stderr = float(np.sqrt(m2 / (samples - 1) / samples)) if samples > 1 else float("inf")
-    return SphericalValue(complex(total / samples), samples, stderr)
+    c1, c2 = (complex(x, e) for x, e in zip(lam.xi, lam.eta))
+    h = np.array([y1, y2, -y1 - y2])
+    low, mid, high = np.argsort(h, kind="stable")
+    # symmetric in the pairs (a_i, w_i^2): the extreme farther from the
+    # middle goes to the pole t = 1, the other to alpha = 0
+    pole, other = (high, low) if h[high] - h[mid] > h[mid] - h[low] else (low, high)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        a = np.exp(h[[other, mid, pole]])
+        inverse = 1.0 / a
+        tail = inverse * (np.sum(inverse * inverse) - inverse * inverse)  # a_i^-1 (tr D - a_i^-2)
+    spread = float(h[high] - h[low])
+    if spread > 2.0 * T_GEO_MAX:
+        raise ValueError(f"sl3 chamber point ({y1:g}, {y2:g}) reaches Y' = {spread / 2:g} "
+                         f"outside Y' <= {T_GEO_MAX:g}")
+    need = _sl3_evaluations(math.hypot(abs(c1), abs(c2)), spread)
+    if need > max_evaluations:
+        raise ValueError(f"sl3 value at c = ({c1:g}, {c2:g}), a_log = ({y1:g}, {y2:g}) needs "
+                         f"about {need} evaluations, above the ceiling {max_evaluations}")
+    l1, l2, l3 = _sl3_image(np.array([c1, c2 - c1, -c2]))
+    cp, p = 0.5 * (l2 - l3), 0.5j * (l1 - l2) + 0.25j * (l2 - l3) - 0.75
+
+    def evaluate(t, alpha):  # the outer factor |a^(-1/2) w|^-3 r^p, and P_nu(cosh 2Y')
+        s2 = (1.0 - t) * (1.0 + t)
+        w2 = np.stack([s2 * np.cos(alpha) ** 2, s2 * np.sin(alpha) ** 2, t * t])
+        q1, qm1 = a @ w2, inverse @ w2
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            z = (tail @ w2) / (2.0 * np.sqrt(q1 * qm1))
+            outer = np.exp(p * np.log(q1 / qm1) - 1.5 * np.log(qm1))
+        y = 0.5 * np.arccosh(np.maximum(z, 1.0))
+        return outer, spherical_sl2_sweep([cp.real], cp.imag, y)[:, 0]
+
+    (nt, m), grid = _SL3_START, None  # grid: the outer factors and the P_nu
+    while True:
+        t, wt = _clenshaw_curtis(nt)
+        rule = _folded_grid(4 * m, 4)
+        fresh = np.ones((len(t), m + 1), dtype=bool)
+        level = np.empty((2,) + fresh.shape, dtype=complex)
+        if grid is not None:  # the last level's points, every other row or column
+            fresh[old] = False
+            level[(slice(None),) + old] = grid
+        i, j = np.nonzero(fresh)
+        level[:, i, j] = evaluate(t[i], rule.angles[j])
+        grid, f = level, level[0] * level[1]
+        value = wt @ f @ rule.weights
+        step_t = abs(value - _clenshaw_curtis(nt // 2)[1] @ f[::2] @ rule.weights)
+        step_a = abs(value - wt @ f[:, ::2] @ _folded_grid(2 * m, 4).weights)
+        goal = _SL3_TARGET * max(1.0, abs(value))
+        if not step_t + step_a > goal:
+            break
+        grow_t, grow_a = step_t > 0.5 * goal, step_a > 0.5 * goal
+        nt, m, old = nt << grow_t, m << grow_a, (slice(None, None, 1 + grow_t),
+                                                 slice(None, None, 1 + grow_a))
+        if (nt // 2 + 1) * (m + 1) > max_evaluations:
+            raise QuadratureError(f"sl3 cubature step {step_t + step_a:.3e} above {goal:.1e} "
+                                  f"at {f.size} evaluations; the next level exceeds the "
+                                  f"ceiling {max_evaluations}")
+    if not math.isfinite(step_t + step_a):
+        raise QuadratureError(f"sl3 cubature step {step_t + step_a} is not finite")
+    floor = DEFAULT_CONFIG.target * (wt @ (np.abs(grid[0]) * np.maximum(1.0, np.abs(grid[1])))
+                                     @ rule.weights)
+    return SphericalValue(complex(value), f.size, float(step_t + step_a + floor + 8.0 * _EPS
+                                                        * (wt @ np.abs(f) @ rule.weights)),
+                          "cubature")
 
 
 def _check_top_degree(top: int) -> int:

@@ -189,8 +189,7 @@ def test_spherical_csv_and_determinism():
 
 def test_spherical_sl3_csv():
     argv = ("spherical", "--group", "sl3", "--xi", "0.5,0.5", "--points", "1.0,0.0",
-            "--tmin", "1", "--tmax", "4", "--tsteps", "3", "--samples", "2000",
-            "--seed", "1")
+            "--tmin", "1", "--tmax", "4", "--tsteps", "3")
     code, out1, _ = run(*argv)
     assert code == 0
     assert len(out1.strip().splitlines()) == 4
@@ -203,7 +202,7 @@ def test_spherical_sl3_csv():
 
 def test_spherical_sl3_rows_keep_both_chamber_coordinates():
     code, out, _ = run("spherical", "--group", "sl3", "--points", "1,0,1,0.5",
-                       "--tmin", "1", "--tmax", "2", "--tsteps", "2", "--samples", "500")
+                       "--tmin", "1", "--tmax", "2", "--tsteps", "2")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["t", "Y", "Y2", "re", "im", "err"]
@@ -213,7 +212,7 @@ def test_spherical_sl3_rows_keep_both_chamber_coordinates():
 
 def test_decay_fits_each_sl3_point_and_holder_refuses_it(tmp_path):
     code, out, _ = run("spherical", "--group", "sl3", "--points", "1,0,1,0.5",
-                       "--tmin", "1", "--tmax", "8", "--tsteps", "8", "--samples", "500")
+                       "--tmin", "1", "--tmax", "8", "--tsteps", "8")
     assert code == 0
     path = tmp_path / "sl3.csv"
     path.write_text(out)
@@ -501,13 +500,25 @@ def test_holder_repeated_grid_point_exits_two(tmp_path):
     (["--points", "1,inf"], 2, "non-finite"),
     (["--points", "1,0", "--xi", "nan,0.5"], 2, "non-finite"),
     (["--points", "400,0"], 1, "out of float64 range"),
-    (["--points", "1,0", "--samples", "1"], 2, "--samples >= 2"),
+    (["--points", "2,1", "--xi", "300,150"], 2, "above the ceiling"),
+    (["--points", "6,0"], 2, "sl3 chamber point"),
 ])
 def test_spherical_sl3_bad_inputs_exit_with_one_line(options, code, message):
     got, out, err = _quiet_run("spherical", "--group", "sl3", "--tmin", "1", "--tmax", "2",
-                               "--tsteps", "2", "--samples", "100", *options)
+                               "--tsteps", "2", *options)
     assert (got, out) == (code, "")
     assert len(err.splitlines()) == 1 and message in err
+
+
+@pytest.mark.parametrize("option", ["--samples", "--seed"])
+def test_spherical_sl3_refuses_the_monte_carlo_options(capsys, option):
+    # the values are deterministic cubatures: no sample count and no seed
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spherical", "--group", "sl3", "--points", "1,0", option, "100"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert f"unrecognized arguments: {option}" in captured.err
 
 
 def test_statphase_su2_degree_ceiling_exits_two():

@@ -159,8 +159,6 @@ def _verb_options(verb: str, draw: _Draw, directory, k: int) -> list[tuple]:
             options.append(("--ygrid", draw.pick("0.5:1:3", ["1:2", "a:b:c", "0:1:0", "0.1:6:3"])))
         else:
             options.append(("--points", draw.floats(width * rng.randint(1, 2), 0.1, 2.0)))
-        if group == "sl3":
-            options += [("--samples", draw.pick(200, [-1, 0, 1])), ("--seed", str(k))]
         return options
     return [("--fx", draw.floats(3, 0.5, 1.5)), ("--fy", draw.floats(3, 0.5, 1.5)),
             ("--ux", draw.floats(3, -2, 2)), ("--uy", draw.floats(3, -2, 2)),

@@ -1,5 +1,6 @@
 """Spherical-function numerics against independent oracles."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -327,27 +328,57 @@ def test_sweep_matches_single_evaluations():
 
 
 def test_sl3_identity_and_boundedness():
-    v = spherical_sl3(SpectralParameter.rank2((0.4, 0.7)), (0.0, 0.0), samples=10_000)
-    assert abs(v.value - 1.0) <= 1e-12
+    v = spherical_sl3(SpectralParameter.rank2((0.4, 0.7)), (0.0, 0.0))
+    assert v.path == "cubature"
+    assert abs(v.value - 1.0) <= 1e-14
 
-    v = spherical_sl3(SpectralParameter.rank2((0.4, 0.7)), (1.0, 0.0),
-                      samples=100_000, seed=3)
-    assert abs(v.value) <= 1.0 + 3.0 * v.estimated_error
+    v = spherical_sl3(SpectralParameter.rank2((0.4, 0.7)), (1.0, 0.0))
+    assert abs(v.value) <= 1.0 + v.estimated_error
+    assert v.estimated_error <= 1e-10
+
+
+def _sl3_reference(lam, a_log, rows=200, columns=64):
+    """The reduction integrated over ``u`` itself, without the change of
+    variables, on a Gauss-Legendre rule in ``t = u3`` times the trapezoid
+    rule in ``alpha``, with every inner value from the sweep."""
+    from numpy.polynomial.legendre import leggauss
+    y1, y2 = a_log
+    a = np.exp([y1, y2, -y1 - y2])
+    c1, c2 = (x + 1j * e for x, e in zip(lam.xi, lam.eta))
+    l1, l2, l3 = c1, c2 - c1, -c2
+    cp = (l2 - l3) / 2
+    t, wt = leggauss(rows)
+    alpha = (np.arange(columns) + 0.5) * (2 * np.pi / columns)
+    t, alpha = np.meshgrid(t, alpha, indexing="ij")
+    s = np.sqrt(1 - t * t)
+    u2 = np.stack([(s * np.cos(alpha)) ** 2, (s * np.sin(alpha)) ** 2, t * t])
+    r = np.tensordot(a ** 2, u2, 1)
+    d = a ** -2
+    z = (d.sum() - np.tensordot(d, u2, 1)) / (2 * np.sqrt(r))
+    y = 0.5 * np.arccosh(np.maximum(z, 1.0))
+    p = (1j * (l1 - l2) - 1) / 2 + (1j * cp - 0.5) / 2
+    inner = sph.spherical_sl2_sweep([cp.real], cp.imag, y.ravel())[:, 0].reshape(y.shape)
+    return (wt @ (r ** p * inner)).mean() / 2
 
 
 def test_sl3_matches_high_count_oracle():
-    lam = SpectralParameter.rank2((0.0, 0.0))
-    coarse = spherical_sl3(lam, (1.0, 0.0), samples=100_000, seed=11)
-    oracle = spherical_sl3(lam, (1.0, 0.0), samples=1_000_000, seed=99)
-    tolerance = 3.0 * math.hypot(coarse.estimated_error, oracle.estimated_error)
-    assert abs(coarse.value - oracle.value) <= tolerance
+    # the direct rule on u needs many more nodes where r is small; at these
+    # mild points 200 x 64 resolve it to about 1e-12
+    for xi, eta, a_log in [((0.2, 0.9), (0.0, 0.0), (1.0, 0.0)),
+                           ((0.4, 0.7), (0.0, 0.0), (0.6, -0.2)),
+                           ((1.1, 0.3), (0.2, -0.1), (0.3, 0.4))]:
+        lam = SpectralParameter.rank2(xi, eta)
+        got = spherical_sl3(lam, a_log)
+        assert abs(got.value - _sl3_reference(lam, a_log)) <= 1e-9, (xi, eta, a_log)
 
 
 def test_sl3_deterministic_per_seed():
     lam = SpectralParameter.rank2((0.5, 0.2), (0.1, 0.0))
-    a = spherical_sl3(lam, (0.8, 0.1), samples=5_000, seed=7)
-    b = spherical_sl3(lam, (0.8, 0.1), samples=5_000, seed=7)
-    assert a.value == b.value and a.estimated_error == b.estimated_error
+    a = spherical_sl3(lam, (0.8, 0.1), seed=7)
+    b = spherical_sl3(lam, (0.8, 0.1), seed=7)
+    assert a == b
+    # the seed of the former Monte Carlo is accepted and ignored
+    assert spherical_sl3(lam, (0.8, 0.1), 50_000, 8) == a == spherical_sl3(lam, (0.8, 0.1))
 
 
 def _sl3_qr_oracle(lam, a_log, samples, seed):
@@ -366,10 +397,10 @@ def _sl3_qr_oracle(lam, a_log, samples, seed):
 
 SL3_POINTS = [
     ((0.4, 0.7), (0.0, 0.0), (1.0, 0.0), 10_000, 3),
-    ((1.3, -0.4), (0.2, -0.3), (2.5, -1.0), 2 * 7282 + 5, 5),  # last block partial
+    ((1.3, -0.4), (0.2, -0.3), (2.5, -1.0), 2 * 7282 + 5, 5),
     ((0.5, 0.2), (0.1, 0.0), (0.8, 0.1), 5_000, 7),
-    ((3.0, 1.0), (0.5, 0.5), (4.0, 1.0), 7282, 8),
-    ((0.0, 0.0), (0.0, 0.0), (-1.5, 2.0), 20_001, 11),
+    ((3.0, 1.0), (0.5, 0.5), (4.0, 1.0), 7282, 8),  # spread 9: 66,625 evaluations
+    ((0.0, 0.0), (0.0, 0.0), (-1.5, 2.0), 20_001, 11),  # c = 0: every image on the tan pole
 ]
 
 
@@ -377,10 +408,10 @@ SL3_POINTS = [
 def test_sl3_matches_qr_oracle(xi, eta, a_log, samples, seed):
     lam = SpectralParameter.rank2(xi, eta)
     value, stderr = _sl3_qr_oracle(lam, a_log, samples, seed)
-    got = spherical_sl3(lam, a_log, samples, seed)
-    assert got.quadrature_nodes == samples
-    assert abs(got.value - value) <= 1e-14
-    assert abs(got.estimated_error - stderr) <= 1e-14
+    got = spherical_sl3(lam, a_log, 200_000)
+    assert got.path == "cubature" and got.quadrature_nodes <= 200_000
+    assert got.estimated_error <= 1e-10 * max(1.0, abs(got.value))
+    assert abs(got.value - value) <= 4.0 * stderr
 
 
 def test_sl3_calls_neither_qr_nor_rotation_sampler(monkeypatch):
@@ -389,34 +420,81 @@ def test_sl3_calls_neither_qr_nor_rotation_sampler(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", refuse)
     monkeypatch.setattr(lg, "haar_so_n_sample", refuse)
-    v = spherical_sl3(SpectralParameter.rank2((0.4, 0.7)), (1.0, 0.5), samples=20_000)
-    assert abs(v.value) <= 1.0 + 3.0 * v.estimated_error
+    v = spherical_sl3(SpectralParameter.rank2((0.4, 0.7)), (1.0, 0.5))
+    assert abs(v.value) <= 1.0 + v.estimated_error
 
 
-@pytest.mark.parametrize("seed", [1, 2024])
-def test_sl3_block_merge_matches_one_array(seed, monkeypatch):
-    lam = SpectralParameter.rank2((0.3, 0.9), (0.1, -0.1))
-    merged = spherical_sl3(lam, (1.0, 0.5), 100_003, seed)
-    # the same stream as one block: one sum and one two-pass variance
-    whole = np.concatenate([z for _, _, z in lg._gaussian_blocks(3, seed, 100_003)])
-    monkeypatch.setattr(sph, "_gaussian_blocks", lambda n, s, count: [(0, count, whole)])
-    one = spherical_sl3(lam, (1.0, 0.5), 100_003, seed)
-    assert abs(merged.value - one.value) <= 1e-15 * abs(one.value)
-    assert abs(merged.estimated_error - one.estimated_error) <= 1e-15 * one.estimated_error
+def _weyl_images(c1, c2):
+    """``(c1, c2)`` of every image of ``l = (c1, c2 - c1, -c2)`` under the
+    permutations of its entries."""
+    l = (c1, c2 - c1, -c2)
+    return [(l[i], -l[k]) for i, j, k in itertools.permutations(range(3))]
 
 
-def test_sl3_memory_does_not_grow_with_samples():
-    lam = SpectralParameter.rank2((0.3, 0.9))
-    peaks = []
-    for samples in (40_000, 400_000):
-        tracemalloc.start()
-        try:
-            spherical_sl3(lam, (1.0, 0.5), samples, seed=3)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert max(peaks) <= 6 << 20, peaks
-    assert peaks[1] <= 1.2 * peaks[0], peaks
+# (xi, eta, a_log): bench-like points, complex c, and the tan pole Re c' = 0
+# of the given image at (0.6, 0.3), (1, 0.5) and (0.6, 0.3) + i (0.1, 0)
+@pytest.mark.parametrize("xi, eta, a_log", [
+    ((0.6, 0.3), (0.0, 0.0), (0.7, -0.1)), ((1.0, 0.5), (0.0, 0.0), (0.5, 0.2)),
+    ((0.6, 0.3), (0.1, 0.0), (0.8, 0.1)),
+    ((1.2, 0.4), (0.0, 0.0), (0.9, 0.25)), ((0.3, 1.4), (0.0, 0.0), (0.4, -0.3)),
+    ((1.3, -0.4), (0.2, -0.3), (1.5, -1.0)), ((0.8, 1.3), (0.1, 0.2), (-0.6, 1.1)),
+    ((2.5, 0.7), (-0.2, 0.1), (1.2, 0.6))])
+def test_sl3_weyl_images_agree_within_their_estimates(xi, eta, a_log):
+    c = [complex(x, e) for x, e in zip(xi, eta)]
+    images = _weyl_images(*c)
+    values = [spherical_sl3(SpectralParameter.rank2((c1.real, c2.real), (c1.imag, c2.imag)),
+                            a_log) for c1, c2 in images]
+    if len({c[0], c[1] - c[0], -c[1]}) == 3:  # else the images are one computation
+        assert len({v.value for v in values}) >= 2
+    for a, b in itertools.combinations(values, 2):
+        assert abs(a.value - b.value) <= a.estimated_error + b.estimated_error
+
+
+def test_sl3_pole_takes_the_image_off_it():
+    # Re c' = (2 xi2 - xi1) / 2 = 0: spherical_sl2's fallback at every inner
+    # point past the small-Y region, unless the image moves
+    l = sph._sl3_image(np.array([0.6, -0.3, -0.3], dtype=complex))
+    assert abs((l[1] - l[2]).real) == pytest.approx(0.9)
+    given = np.array([1.2, -0.4, -0.8], dtype=complex)
+    assert sph._sl3_image(given) is given
+
+
+def test_sl3_ceiling_raises_before_any_allocation(monkeypatch):
+    monkeypatch.setattr(sph, "spherical_sl2_sweep", _refuse)
+    lam = SpectralParameter.rank2((300.0, 150.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="ceiling 50000"):
+            spherical_sl3(lam, (2.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 15, peak
+    with pytest.raises(ValueError, match="ceiling 100"):
+        spherical_sl3(SpectralParameter.rank2((0.4, 0.7)), (1.0, 0.0), 100)
+
+
+def test_sl3_levels_past_the_ceiling_raise():
+    # the first level, 33 x 17 points, fits 1000 evaluations; the next,
+    # 65 x 17, does not
+    lam = SpectralParameter.rank2((3.0, 1.0))
+    assert sph._sl3_evaluations(math.hypot(3.0, 1.0), 2.3) <= 1000
+    assert spherical_sl3(lam, (1.0, 0.3)).quadrature_nodes == 65 * 17
+    with pytest.raises(QuadratureError, match="ceiling 1000"):
+        spherical_sl3(lam, (1.0, 0.3), 1000)
+
+
+def test_sl3_chamber_point_past_the_sweep_range_raises():
+    with pytest.raises(ValueError, match="sl3 chamber point"):
+        spherical_sl3(SpectralParameter.rank2((0.5, 0.5)), (6.0, 0.0))
+
+
+def test_clenshaw_curtis_rules_are_exact_and_nest():
+    for n in (2, 4, 16, 64):
+        t, w = sph._clenshaw_curtis(n)
+        for k in range(0, n + 1, 2):  # even monomials up to degree n on [0, 1]
+            assert abs(w @ t ** k - 1.0 / (k + 1)) <= 1e-15
+        assert np.array_equal(sph._clenshaw_curtis(2 * n)[0][::2], t)
 
 
 def test_legendre_recurrence():
@@ -621,12 +699,12 @@ def test_legendre_degree_ceiling_raises_before_the_recurrence():
                                        ((0.5, 0.5), (math.nan, 0.0))])
 def test_sl3_rejects_non_finite_input(xi, a_log):
     with pytest.raises(ValueError, match="non-finite"):
-        spherical_sl3(SpectralParameter.rank2(xi), a_log, samples=10)
+        spherical_sl3(SpectralParameter.rank2(xi), a_log)
 
 
 def test_sl3_overflow_raises_instead_of_warning():
     with pytest.raises(FloatingPointError):
-        spherical_sl3(SpectralParameter.rank2((0.5, 0.5)), (400.0, 0.0), samples=10)
+        spherical_sl3(SpectralParameter.rank2((0.5, 0.5)), (400.0, 0.0))
 
 
 # The quadrature benchmark's rule, and points of its grid.
@@ -984,8 +1062,7 @@ def test_small_y_derivatives_match_the_legendre_function(xi, eta, y):
 
 
 def test_values_say_which_path_produced_them():
-    assert spherical_sl3(SpectralParameter.rank2((0.4, 0.7)), (1.0, 0.0),
-                         samples=100).path == "monte-carlo"
+    assert spherical_sl3(SpectralParameter.rank2((0.4, 0.7)), (1.0, 0.0)).path == "cubature"
     compact = sph._spherical_compact_su2(40, 1.0)
     assert compact.path == "trapezoid" and compact.quadrature_nodes >= 64
     assert compact.value == sph.spherical_compact_su2(40, 1.0)
@@ -1118,6 +1195,23 @@ def test_sweep_sums_no_harish_chandra_series_inside_the_small_y_region(monkeypat
         assert not (sph._small_y_valid(xs, 0.0, np.abs(rows)[:, None]) & (rows == 0.003)[:, None]).any()
     values, bounds, _ = sph._small_y_series(1j * xis, np.full(2000, 0.003), 0)
     assert np.all(np.abs(got[0] - values) <= 2.0 * bounds)
+
+
+@pytest.mark.parametrize("eta", [0.0, -0.3])
+def test_small_y_series_points_stop_at_their_own_term_counts(eta):
+    # 2,000 points need about 5 terms and 16 about 29: on arrays each point
+    # sums the terms the scalar series sums for it, whatever shares the call
+    xis, ys = np.linspace(0.5, 200.0, 2000), np.array([0.003, 0.5])
+    x, y = np.broadcast_arrays(xis, ys[:, None])
+    near = sph._small_y_valid(x, eta, y)
+    s = 1j * x[near] - eta
+    for order in (0, 2):
+        values, bounds, terms = sph._small_y_series(s, y[near], order)
+        assert terms.min() <= 6 and terms.max() >= 29
+        for i in range(0, len(s), 97):
+            value, bound, count = sph._small_y_series(complex(s[i]), float(y[near][i]), order)
+            assert terms[i] == count
+            assert abs(values[i] - value) <= bounds[i] + bound
 
 
 def test_sweep_rejects_chamber_points_out_of_range_before_any_value(monkeypatch):
