@@ -870,7 +870,7 @@ def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _CC_RULES[n]
 
 
-def _sl3_evaluations(c_norm: float, spread: float) -> int:
+def _sl3_evaluations(c_norm: float, spread: float) -> float:
     """A lower estimate of the evaluations ``spherical_sl3`` needs at ``|c| =
     c_norm`` and ``spread = max h - min h``: the phase grows like ``x = |c|
     spread`` in both directions, the poles' scale ``e^(-spread / 2)`` grows
@@ -878,7 +878,7 @@ def _sl3_evaluations(c_norm: float, spread: float) -> int:
     spreads in [0.3, 9]."""
     x = c_norm * spread
     first = (_SL3_START[0] // 2 + 1) * (_SL3_START[1] + 1)
-    return int(max(first, 15.0 * x, 150.0 * math.exp(0.5 * spread - 1.0), 0.2 * x * x))
+    return max(first, 15.0 * x, 150.0 * math.exp(0.5 * spread - 1.0), 0.2 * x * x)
 
 
 def _sl3_image(l: np.ndarray) -> np.ndarray:
@@ -932,7 +932,7 @@ def spherical_sl3(lam: SpectralParameter, a_log, max_evaluations: int = SL3_MAX_
     need = _sl3_evaluations(math.hypot(abs(c1), abs(c2)), spread)
     if need > max_evaluations:
         raise ValueError(f"sl3 value at c = ({c1:g}, {c2:g}), a_log = ({y1:g}, {y2:g}) needs "
-                         f"about {need} evaluations, above the ceiling {max_evaluations}")
+                         f"about {need:.3g} evaluations, above the ceiling {max_evaluations}")
     l1, l2, l3 = _sl3_image(np.array([c1, c2 - c1, -c2]))
     cp, p = 0.5 * (l2 - l3), 0.5j * (l1 - l2) + 0.25j * (l2 - l3) - 0.75
 

@@ -472,6 +472,9 @@ def test_sl3_ceiling_raises_before_any_allocation(monkeypatch):
     assert peak <= 1 << 15, peak
     with pytest.raises(ValueError, match="ceiling 100"):
         spherical_sl3(SpectralParameter.rank2((0.4, 0.7)), (1.0, 0.0), 100)
+    # an estimate past the float range is refused, not converted to an int
+    with pytest.raises(ValueError, match="inf evaluations"):
+        spherical_sl3(SpectralParameter.rank2((1e300, 0.5)), (1.0, 0.0))
 
 
 def test_sl3_levels_past_the_ceiling_raise():
