@@ -453,8 +453,9 @@ def _small_y_terms(s, scale, x, x0, size, order: int):
     each point stops at its own tail test, written ``r (t + limit) <= limit``
     (the scalar loop's first check follows from it, as ``r > x0``).  A
     stopped point's coefficient is 0 from then on, so its later rows add
-    exact zeros in Horner's rule; the arrays shrink to the live points once
-    at most half are live.  Returns the coefficient rows and, per point, the
+    exact zeros in Horner's rule, and its limit is -1, so its test fails
+    while ``r < 1``; the arrays shrink to the live points once at most half
+    are live.  Returns the coefficient rows and, per point, the
     last ``k``, the weight ``W`` and ``g_k``."""
     shape, n = x.shape, x.size
     s, scale, x, x0, size = (np.broadcast_to(v, shape).ravel()
@@ -462,32 +463,33 @@ def _small_y_terms(s, scale, x, x0, size, order: int):
     if n and (s == s[0]).all():  # one spectral value: its term ratios are Python scalars
         s, scale = complex(s[0]), float(scale[0])
     last, weight_out, c_out = np.empty(n, dtype=int), np.empty(n), np.empty(n, dtype=complex)
-    live, active = np.arange(n), np.ones(n, dtype=bool)
-    c, g, k, alive = np.ones(n, dtype=complex), [np.ones(n, dtype=complex)], 0, n
+    live, c, g, k, alive = np.arange(n), np.ones(n, dtype=complex), [np.ones(n, dtype=complex)], 0, n
     while alive or k < order:
         if k >= order:
             if k == order:
                 power, weight, limit = np.ones(n), np.zeros(n), 0.125 * _EPS * abs(c)
             term = power * abs(c)
-            weight = weight + (k + 1) * term
-            r = (x0 + size / ((k + 1) * (k + 1))) * ((k + 1) / (k + 1 - order))
-            done = active & (r < 1.0) & (r * (term + limit) <= limit)  # t <= limit (1 - r)
+            weight += (k + 1) * term
+            r = x0 + size * (1.0 / ((k + 1) * (k + 1)))
+            if order:
+                r *= (k + 1) / (k + 1 - order)
+            done = (r < 1.0) & (r * (term + limit) <= limit)  # t <= limit (1 - r)
             if done.any():
-                last[live[done]], c_out[live[done]] = k, c[done]
-                active &= ~done
+                last[live[done]], c_out[live[done]], limit[done] = k, c[done], -1.0
                 alive -= np.count_nonzero(done)
                 if not alive or 2 * alive <= len(live):
+                    active = limit >= 0.0
                     weight_out[live[~active]] = weight[~active]
                     if not alive:
                         break
                     if isinstance(s, np.ndarray):
                         s, scale = s[active], scale[active]
-                    live, x, x0, size, c, power, weight, limit, active = (
-                        v[active] for v in (live, x, x0, size, c, power, weight, limit, active))
+                    live, x, x0, size, c, power, weight, limit = (
+                        v[active] for v in (live, x, x0, size, c, power, weight, limit))
                 else:
                     c = np.where(done, 0.0, c)
-            power = power * (x * ((k + 1) / (k + 1 - order)))
-        c = c * ((s - (k + 0.5) / scale) * (s + (k + 0.5) / scale)) / ((k + 1) * (k + 1))
+            power *= x * ((k + 1) / (k + 1 - order))
+        c = c * ((s - (k + 0.5) / scale) * (s + (k + 0.5) / scale) / ((k + 1) * (k + 1)))
         row = c
         if len(live) < n:
             row = np.zeros(n, dtype=complex)
