@@ -304,6 +304,9 @@ def holder_estimate(
 # exponential sums and wall behaviour
 # ---------------------------------------------------------------------------
 
+_EXPSUM_MAX_TERMS = 1 << 20  # N times the frequency count: a peak of about 56 MiB
+
+
 def exp_sum_separation(
     f_values_x: Sequence[complex],
     f_values_y: Sequence[complex],
@@ -314,15 +317,22 @@ def exp_sum_separation(
 ) -> float:
     """Cesaro mean over t = m .. m+N-1 of the squared modulus of the
     difference of two finite exponential sums.  A phase or a square outside
-    float64 range raises ``FloatingPointError``."""
+    float64 range raises ``FloatingPointError``.  More than
+    ``_EXPSUM_MAX_TERMS`` terms, or a ``t`` beyond ``2**53``, where float64
+    stops holding it exactly, raises ``ValueError`` before any array is built."""
+    if big_n < 1:
+        raise ValueError("N must be at least 1")
+    if big_n * len(u_x) > _EXPSUM_MAX_TERMS:
+        raise ValueError(f"N times the frequency count is {big_n * len(u_x)}, above "
+                         f"{_EXPSUM_MAX_TERMS}")
+    if max(abs(m), abs(m + big_n)) > 2 ** 53:
+        raise ValueError(f"m={m} and m+N={m + big_n} must lie within +-2**53")
     fx = np.asarray(f_values_x, dtype=complex)
     fy = np.asarray(f_values_y, dtype=complex)
     ux = np.asarray(u_x, dtype=float)
     uy = np.asarray(u_y, dtype=float)
     if not (fx.shape == fy.shape == ux.shape == uy.shape):
         raise ValueError("input arrays must have equal length")
-    if big_n < 1:
-        raise ValueError("N must be at least 1")
     if not all(np.isfinite(v).all() for v in (fx, fy, ux, uy)):
         raise ValueError("values and frequencies must be finite")
     ts = np.arange(m, m + big_n)[:, np.newaxis]

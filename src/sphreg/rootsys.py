@@ -410,12 +410,6 @@ def inner(sys: RootSystem, lam: Covector, mu: Covector) -> Fraction:
     return total
 
 
-def _pairing_kernel(sys: RootSystem) -> _PairingKernel:
-    """``(R G)^T`` in float64 (one column per positive root), the
-    multiplicities and the largest absolute row sum of ``R G``."""
-    return sys._kernel
-
-
 def _integer_rows(coords, rank: int) -> np.ndarray:
     """``coords`` as a ``(count, rank)`` integer array, never through float:
     numpy integers that fit int64 as they stand, anything else as Python ints."""
@@ -471,7 +465,7 @@ def n_of(sys: RootSystem, lam: Covector) -> int:
     the two tiers of ``n_of_many``, so the orthogonality test is exact.
     """
     x, _ = _cleared(lam, sys.rank)
-    return int(_counts(_pairing_kernel(sys), [x], max(map(abs, x)))[0])
+    return int(_counts(sys._kernel, [x], max(map(abs, x)))[0])
 
 
 def n_of_many(sys: RootSystem, coords) -> np.ndarray:
@@ -485,7 +479,7 @@ def n_of_many(sys: RootSystem, coords) -> np.ndarray:
     """
     rows = _integer_rows(coords, sys.rank)
     largest = max(int(rows.max()), -int(rows.min())) if rows.size else 0
-    return _counts(_pairing_kernel(sys), rows, largest)
+    return _counts(sys._kernel, rows, largest)
 
 
 def kappa(sys: RootSystem) -> Fraction:

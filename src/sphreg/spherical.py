@@ -399,9 +399,11 @@ def _small_y_series(s, y, order: int):
     each step, and at ``eta = 0`` the terms alternate, so the largest sets it.
     ``g_k`` and ``x`` are kept over ``scale^2k`` and times ``scale^2``, a power
     of two, to stay in range.  Chained through ``x' = sinh 2Y``, the
-    derivatives need no ``coth 2Y``, so the limits at ``Y -> 0`` hold.  On
-    arrays each point stops at its own ``K`` (``_small_y_terms``)."""
-    xp = np if isinstance(y, np.ndarray) else math
+    derivatives need no ``coth 2Y``, so the limits at ``Y -> 0`` hold.  An
+    array call sums every point to the call's largest ``K`` and bounds each
+    point's tail at that ``K``; ``_small_y_valid`` keeps ``K`` small (under 40
+    at orders 0-3)."""
+    xp, every = (np, np.all) if isinstance(y, np.ndarray) else (math, bool)
     e, sinh = xp.frexp(0.25 * abs(s.real) + 0.25 * abs(s.imag))[1], xp.sinh(y)
     scale = xp.ldexp(1.0, e * (e > 0))  # above |s| / 4, at least 1
     s, x, x0 = s / scale, (scale * sinh) ** 2, sinh * sinh  # x0 unscaled
@@ -409,27 +411,22 @@ def _small_y_series(s, y, order: int):
 
     def tail(m):  # r_m after term k, and term k of G^(m) / m! times r_m, from c = g_k
         r = (x0 + size / ((k + 1) * (k + 1))) * (k + 1) / (k + 1 - m)
-        binomial = (math.comb(k, m) if xp is math
-                    else math.prod(k - i for i in range(m)) // math.factorial(m))
-        return r, binomial * abs(c) * x ** (k - m) * r
-    if xp is np:
-        g, k, weight, c = _small_y_terms(s, scale, x, x0, size, order)
-    else:
-        c, g, k = 1.0, [1.0], 0  # c = g_k
-        while True:
-            if k >= order:
-                if k == order:  # power = C(k, order) x^(k - order)
-                    power, weight, limit = 1.0, 0.0, 0.125 * _EPS * abs(c)
-                term = power * abs(c)  # term k of G^(order) / order!
-                weight = weight + (k + 1) * term
-                if term * x0 <= limit * (1.0 - x0):  # as r > x0
-                    r, t = tail(order)
-                    if r < 1.0 and t <= limit * (1.0 - r):
-                        break
-                power = power * (x * ((k + 1) / (k + 1 - order)))
-            c = c * ((s - (k + 0.5) / scale) * (s + (k + 0.5) / scale)) / ((k + 1) * (k + 1))
-            g.append(c)
-            k += 1
+        return r, math.comb(k, m) * abs(c) * x ** (k - m) * r
+    c, g, k = 1.0, [1.0], 0  # c = g_k
+    while True:
+        if k >= order:
+            if k == order:  # power = C(k, order) x^(k - order)
+                power, weight, limit = 1.0, 0.0, 0.125 * _EPS * abs(c)
+            term = power * abs(c)  # term k of G^(order) / order!
+            weight = weight + (k + 1) * term
+            if every(term * x0 <= limit * (1.0 - x0)):  # as r > x0
+                r, t = tail(order)
+                if every((r < 1.0) & (t <= limit * (1.0 - r))):
+                    break
+            power = power * (x * ((k + 1) / (k + 1 - order)))
+        c = c * ((s - (k + 0.5) / scale) * (s + (k + 0.5) / scale)) / ((k + 1) * (k + 1))
+        g.append(c)
+        k += 1
     h = [0.0] * 4  # G^(m) / m!, by Horner's rule
     for coefficient in reversed(g):
         if order:
@@ -446,58 +443,6 @@ def _small_y_series(s, y, order: int):
         bound = bound + abs(factors[m]) * (t / (1.0 - r) + 16.0 * _EPS * weight)
         weight = m * (abs(g[m - 1]) + x * weight)  # a bound on W_(m-1)
     return value, bound, k + 1
-
-
-def _small_y_terms(s, scale, x, x0, size, order: int):
-    """The term loop of ``_small_y_series`` on arrays (any one shape), where
-    each point stops at its own tail test, written ``r (t + limit) <= limit``
-    (the scalar loop's first check follows from it, as ``r > x0``).  A
-    stopped point's coefficient is 0 from then on, so its later rows add
-    exact zeros in Horner's rule, and its limit is -1, so its test fails
-    while ``r < 1``; the arrays shrink to the live points once at most half
-    are live.  Returns the coefficient rows and, per point, the
-    last ``k``, the weight ``W`` and ``g_k``."""
-    shape, n = x.shape, x.size
-    s, scale, x, x0, size = (np.broadcast_to(v, shape).ravel()
-                             for v in (s, scale, x, x0, size))
-    if n and (s == s[0]).all():  # one spectral value: its term ratios are Python scalars
-        s, scale = complex(s[0]), float(scale[0])
-    last, weight_out, c_out = np.empty(n, dtype=int), np.empty(n), np.empty(n, dtype=complex)
-    live, c, g, k, alive = np.arange(n), np.ones(n, dtype=complex), [np.ones(n, dtype=complex)], 0, n
-    while alive or k < order:
-        if k >= order:
-            if k == order:
-                power, weight, limit = np.ones(n), np.zeros(n), 0.125 * _EPS * abs(c)
-            term = power * abs(c)
-            weight += (k + 1) * term
-            r = x0 + size * (1.0 / ((k + 1) * (k + 1)))
-            if order:
-                r *= (k + 1) / (k + 1 - order)
-            done = (r < 1.0) & (r * (term + limit) <= limit)  # t <= limit (1 - r)
-            if done.any():
-                last[live[done]], c_out[live[done]], limit[done] = k, c[done], -1.0
-                alive -= np.count_nonzero(done)
-                if not alive or 2 * alive <= len(live):
-                    active = limit >= 0.0
-                    weight_out[live[~active]] = weight[~active]
-                    if not alive:
-                        break
-                    if isinstance(s, np.ndarray):
-                        s, scale = s[active], scale[active]
-                    live, x, x0, size, c, power, weight, limit = (
-                        v[active] for v in (live, x, x0, size, c, power, weight, limit))
-                else:
-                    c = np.where(done, 0.0, c)
-            power *= x * ((k + 1) / (k + 1 - order))
-        c = c * ((s - (k + 0.5) / scale) * (s + (k + 0.5) / scale) / ((k + 1) * (k + 1)))
-        row = c
-        if len(live) < n:
-            row = np.zeros(n, dtype=complex)
-            row[live] = c
-        g.append(row)
-        k += 1
-    return ([row.reshape(shape) for row in g], last.reshape(shape), weight_out.reshape(shape),
-            c_out.reshape(shape))
 
 
 def _q_series(b: complex, t: float, order: int) -> tuple[complex, float, float, int]:

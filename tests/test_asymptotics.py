@@ -254,6 +254,22 @@ def test_exp_sum_length_mismatch():
         asy.exp_sum_separation([1], [1, 2], [0.1], [0.1], 0, 10)
 
 
+@pytest.mark.parametrize("m, big_n", [(0, 10 ** 10), (0, (asy._EXPSUM_MAX_TERMS >> 1) + 1),
+                                       (10 ** 20, 10), (2 ** 53 - 5, 10), (-2 ** 53 - 1, 1)])
+def test_exp_sum_refuses_before_any_array(monkeypatch, m, big_n):
+    # two frequencies; each case would allocate too much or lose t in float64
+    monkeypatch.setattr(asy, "np", None)
+    with pytest.raises(ValueError):
+        asy.exp_sum_separation([1, 1], [1, 0], [0.7, 0.2], [0.7, 0.3], m, big_n)
+
+
+def test_exp_sum_ceiling_admits_the_criterion_and_the_benchmark_sizes():
+    # criterion 10 sums 2 frequencies for N = 1000; the cli benchmark up to 3 for 2000
+    assert 100 * 3 * 2000 <= asy._EXPSUM_MAX_TERMS
+    assert asy.exp_sum_separation([1] * 3, [0] * 3, [0.7] * 3, [0.7] * 3,
+                                  2 ** 53 - 2000, 2000) == pytest.approx(9.0)
+
+
 # ---------------------------------------------------------------------------
 # wall blow-up
 # ---------------------------------------------------------------------------

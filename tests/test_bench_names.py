@@ -9,13 +9,20 @@ from pathlib import Path
 
 import pytest
 
+from sphreg import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_traced_name_resolves():
-    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _bench_module("tracing")
     missing = [f"sphreg.{module}.{name}" for module, names in tracing.TRACED.items()
                for name in names
                if not callable(getattr(importlib.import_module(f"sphreg.{module}"), name, None))]
@@ -77,3 +84,14 @@ def test_bench_calls_bind_to_the_current_signatures(script):
             bad.append(f"{where}: {exc}")
         checked += 1
     assert checked and bad == []
+
+
+def test_every_cli_invocation_parses(tmp_path):
+    invocations = _bench_module("clirun").make_round(0, 0, str(tmp_path))
+    bad = []
+    for invocation in invocations:
+        try:
+            cli.build_parser().parse_args(invocation["argv"])
+        except SystemExit:
+            bad.append(invocation["argv"])
+    assert invocations and bad == []

@@ -457,6 +457,16 @@ def test_expsum_out_of_range_phase_exits_one():
     assert len(err.splitlines()) == 1 and "finite" in err
 
 
+@pytest.mark.parametrize("extra, message", [
+    (("-N", "10000000000"), "frequency count"),
+    (("-m", "100000000000000000000", "-N", "10"), "2**53")])
+def test_expsum_too_many_terms_or_inexact_t_exits_two(extra, message):
+    code, out, err = _quiet_run("expsum", "--fx", "1", "--fy", "0", "--ux", "0.7",
+                                "--uy", "0.7", *extra)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and message in err
+
+
 def _grid_csv(tmp_path, rows, header="t,Y,re,im,err"):
     path = tmp_path / "grid.csv"
     path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")

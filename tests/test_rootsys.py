@@ -579,7 +579,7 @@ def _straddling_rows(system, largest):
 
 @pytest.mark.parametrize("system", [B2, BC2, G2, F4, E8], ids=["B2", "BC2", "G2", "F4", "E8"])
 def test_n_of_many_exact_across_float64_bound(system):
-    row_bound = rs._pairing_kernel(system)[2]
+    row_bound = system._kernel.row_bound
     # no row bound here divides 2**53 - 1 or 2**53 + 1, so each target is
     # straddled by the largest entries just below and just above it
     targets = [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1]
@@ -707,7 +707,7 @@ def test_built_system_is_freed():
 
 @pytest.mark.parametrize("system", [B2, BC2, G2, F4, E8], ids=["B2", "BC2", "G2", "F4", "E8"])
 def test_n_of_matches_recount_for_int_fraction_and_float_coordinates(system):
-    row_bound = rs._pairing_kernel(system)[2]
+    row_bound = system._kernel.row_bound
     # single rows whose largest entry sits just below and just above the
     # float64 guard, and far past it
     sizes = [1, 9, (2 ** 53 - 1) // row_bound, -(-2 ** 53 // row_bound), 2 ** 53, 2 ** 60]
