@@ -21,17 +21,20 @@ pairing kernel ``(R G) x`` of ``n_of_many``.  While
 sum, it runs as a float64 BLAS product: each of those is an integer below
 ``2**53``, so IEEE double computes it exactly in any summation order.
 Otherwise it runs in Python integers (``dtype=object``), so the zero test is
-exact for every input.  Covector coordinates are never rounded.
+exact for every input.  The hits are weighted in tiers too: by a float64
+BLAS product while the total multiplicity is below ``2**53``, in int64 below
+``2**63``, in Python integers beyond.  Covector coordinates are never rounded.
 
 Each constant is computed once, at the level it depends on, and no system
-is hashed on the way.  Those that depend on the multiplicities live on the
-``RootSystem`` instance, made on first use: the pairing kernel (``R G`` in
-float64, the multiplicities, the row bound), ``2 rho`` and the
-doubled-simple-root flags.  Those that depend only on the Gram matrix are
-cached on the ``gram`` tuple, of which the rank ceiling allows a few
-hundred: the root closure, the Weyl group, the Cartan matrix (as an array
-and as Python rows) and the integer inverse ``(det, adj)`` of the Cartan
-matrix.
+is hashed on the way.  The multiplicity vector, ``2 rho`` and the
+doubled-simple-root flags live on the ``RootSystem`` instance, made on first
+use.  The Gram tuple, the positive roots (with BC's doubled roots) and their
+length classes are cached per (family, rank), so ``build_root_system`` only
+checks the assignment and attaches multiplicities.  Cached on the ``gram``
+tuple, of which the rank ceiling allows a few hundred: the root closure, the
+Weyl group and the Cartan matrix (as an array and as Python rows); with the
+roots, ``R G`` in float64 and its row bound; with the doubled-root flags,
+the fundamental weights.
 
 Supported families: A, B, C, D, BC (non-reduced), G2, F4, E6, E7, E8.
 """
@@ -123,8 +126,20 @@ class WeylElement:
 
 class _PairingKernel(NamedTuple):
     weights: np.ndarray  # ``(R G)^T``, one column per positive root, in float64
-    mult: np.ndarray     # int64 multiplicities
+    mult: np.ndarray     # multiplicities, float64, int64 or Python ints (see ``_kernel``)
     row_bound: int       # largest absolute row sum of ``R G``
+
+
+@lru_cache(maxsize=None)
+def _pairing(gram: tuple[tuple[int, ...], ...],
+             coeffs: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, int]:
+    """``(R G)^T`` in read-only float64 and the row bound, once per root set.
+    Root coefficients and Gram entries are at most 6 in absolute value, so
+    under ``MAX_RANK`` float64 holds each entry of ``R G`` exactly."""
+    pairing = np.array(coeffs, dtype=np.int64) @ np.array(gram, dtype=np.int64)
+    weights = pairing.T.astype(np.float64)
+    weights.setflags(write=False)
+    return weights, int(np.abs(pairing).sum(axis=1).max())
 
 
 @dataclass(frozen=True)
@@ -147,16 +162,15 @@ class RootSystem:
     @cached_property
     def _kernel(self) -> _PairingKernel:
         """The pairing kernel of ``n_of`` and ``n_of_many``, arrays read-only.
-        Root coefficients and Gram entries are at most 6 in absolute value, so
-        under ``MAX_RANK`` each entry of ``R G`` is an integer of at most
-        ``64 * 6 * 6`` and float64 holds it exactly."""
-        coeffs = np.array([r.coeffs for r in self.positive_roots], dtype=np.int64)
-        pairing = coeffs @ np.array(self.gram, dtype=np.int64)
-        weights = pairing.T.astype(np.float64)
-        mult = np.array([r.multiplicity for r in self.positive_roots], dtype=np.int64)
-        for array in (weights, mult):
-            array.setflags(write=False)
-        return _PairingKernel(weights, mult, int(np.abs(pairing).sum(axis=1).max()))
+        The multiplicities are float64 while their sum is below ``2**53``, so
+        each weighted count is an exact BLAS sum, int64 while it is below
+        ``2**63``, and Python integers (``dtype=object``) beyond."""
+        weights, row_bound = _pairing(self.gram, tuple(r.coeffs for r in self.positive_roots))
+        mult = [r.multiplicity for r in self.positive_roots]
+        mult = np.array(mult, dtype=np.float64 if sum(mult) < 2 ** 53 else
+                        np.int64 if sum(mult) < 2 ** 63 else object)
+        mult.setflags(write=False)
+        return _PairingKernel(weights, mult, row_bound)
 
     @cached_property
     def _two_rho(self) -> tuple[int, ...]:
@@ -331,6 +345,34 @@ def _reduced_closure(gram: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...]
     return tuple(sorted(tuple(root.ravel().tolist()) for root in roots))
 
 
+@lru_cache(maxsize=None)
+def _shape(family: str, rank: int) -> tuple[tuple, tuple, tuple[str, ...]]:
+    """Everything of a system but its multiplicities, once per (family, rank):
+    the Gram tuple, the positive roots' coefficient tuples (with BC's doubled
+    roots) and the length class of each."""
+    gram = tuple(map(tuple, _gram_int(family, rank)))
+    positives = [v for v in _reduced_closure(gram) if all(c >= 0 for c in v)]
+    # Squared lengths from one integer product.  Root coefficients are at most
+    # 6 and Gram entries at most 6 in absolute value, so each of the rank**2
+    # terms is at most 216 and, under MAX_RANK, every sum stays below 2**20.
+    coeffs = np.array(positives, dtype=np.int64)
+    norm2 = dict(zip(positives, np.einsum(
+        "ri,ij,rj->r", coeffs, np.array(gram, dtype=np.int64), coeffs).tolist()))
+
+    if family == "BC":
+        # the double 2v of a short root v has squared length 4 |v|^2
+        short_norm = min(norm2.values())
+        norm2.update({tuple(2 * c for c in v): 4 * short_norm
+                      for v, n2 in list(norm2.items()) if n2 == short_norm})
+        positives = sorted(norm2)
+
+    by_norm = _CLASS_BY_NORM[family]
+    for v in positives:
+        if norm2[v] not in by_norm:
+            raise RootSystemError(f"unexpected root length {norm2[v]} in {family}{rank}")
+    return gram, tuple(positives), tuple(by_norm[norm2[v]] for v in positives)
+
+
 def build_root_system(
     family: str, rank: int, mult_assignment: Mapping[str, int]
 ) -> RootSystem:
@@ -350,38 +392,13 @@ def build_root_system(
         if int(value) != value or value <= 0:
             raise RootSystemError(f"invalid multiplicity {value!r} for class {key!r}")
 
-    gram = tuple(map(tuple, _gram_int(family, rank)))
-    all_roots = _reduced_closure(gram)
-    positives = [v for v in all_roots if all(c >= 0 for c in v)]
-    # Squared lengths from one integer product.  Root coefficients are at most
-    # 6 and Gram entries at most 6 in absolute value, so each of the rank**2
-    # terms is at most 216 and, under MAX_RANK, every sum stays below 2**20.
-    coeffs = np.array(positives, dtype=np.int64)
-    norm2 = dict(zip(positives, np.einsum(
-        "ri,ij,rj->r", coeffs, np.array(gram, dtype=np.int64), coeffs).tolist()))
-
-    if family == "BC":
-        # the double 2v of a short root v has squared length 4 |v|^2
-        short_norm = min(norm2.values())
-        norm2.update({tuple(2 * c for c in v): 4 * short_norm
-                      for v, n2 in list(norm2.items()) if n2 == short_norm})
-        positives = sorted(norm2)
-
-    by_norm = _CLASS_BY_NORM[family]
-    roots = []
-    for v in positives:
-        cls = by_norm.get(norm2[v])
-        if cls is None:
-            raise RootSystemError(f"unexpected root length {norm2[v]} in {family}{rank}")
-        if cls not in mult_assignment:
-            raise RootSystemError(
-                f"incomplete multiplicity assignment: class {cls!r} not covered"
-            )
-        roots.append(PositiveRoot(v, int(mult_assignment[cls])))
-
+    gram, coeffs, classes = _shape(family, rank)
+    missing = next((cls for cls in classes if cls not in mult_assignment), None)
+    if missing is not None:
+        raise RootSystemError(f"incomplete multiplicity assignment: class {missing!r} not covered")
+    roots = tuple(PositiveRoot(v, int(mult_assignment[cls])) for v, cls in zip(coeffs, classes))
     labels = tuple(f"a{i + 1}" for i in range(rank))
-    reduced = family != "BC"
-    return RootSystem(family, rank, labels, gram, tuple(roots), reduced)
+    return RootSystem(family, rank, labels, gram, roots, family != "BC")
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +418,8 @@ def inner(sys: RootSystem, lam: Covector, mu: Covector) -> Fraction:
     """Exact inner product through the Gram matrix."""
     if len(lam.coords) != sys.rank or len(mu.coords) != sys.rank:
         raise ValueError("coordinate length does not match rank")
-    total = Fraction(0)
-    for i in range(sys.rank):
-        if lam.coords[i] == 0:
-            continue
-        row = sys.gram[i]
-        total += lam.coords[i] * sum(row[j] * mu.coords[j] for j in range(sys.rank))
-    return total
+    return sum((a * sum(g * b for g, b in zip(row, mu.coords))
+                for a, row in zip(lam.coords, sys.gram) if a != 0), Fraction(0))
 
 
 def _integer_rows(coords, rank: int) -> np.ndarray:
@@ -436,26 +448,32 @@ def _cleared(lam: Covector, rank: int) -> tuple[list[int], int]:
     return [c.numerator * (scale // c.denominator) for c in coords], scale
 
 
+def _weigh(pairings: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """The hits ``pairings != 0`` weighted by ``mult``.  With both in float64
+    the pairings turn into hits in place and a BLAS product weighs them."""
+    if pairings.dtype == mult.dtype == np.float64:
+        return np.not_equal(pairings, 0, out=pairings) @ mult
+    return (pairings != 0).astype(mult.dtype) @ mult
+
+
 def _counts(kernel: _PairingKernel, rows, largest: int) -> np.ndarray:
     """Multiplicity-weighted counts of the roots not orthogonal to each
     integer row of ``rows`` (an array or nested lists, with largest absolute
-    entry ``largest``).
+    entry ``largest``), in the dtype of ``kernel.mult``.
 
     While ``largest * row_bound < 2**53`` every product and partial sum of
     ``rows @ (R G)^T`` is an integer below ``2**53``, so float64 BLAS computes
-    it exactly in any order; otherwise the product runs in Python integers."""
-    if largest * kernel.row_bound < 2 ** 53:
-        # blocks that OpenBLAS runs on the calling thread
-        floats = np.asarray(rows, dtype=np.float64)
-        step = max(1, _ONE_THREAD_MADDS // kernel.weights.size)
-        hits = np.empty((len(floats), len(kernel.mult)), dtype=bool)
-        for start in range(0, len(floats), step):
-            np.not_equal(floats[start:start + step] @ kernel.weights, 0,
-                         out=hits[start:start + step])
-    else:
+    it exactly in any order, in blocks that OpenBLAS runs on the calling
+    thread; otherwise the product runs in Python integers."""
+    if largest * kernel.row_bound >= 2 ** 53:
         exact = kernel.weights.astype(np.int64).astype(object)
-        hits = np.asarray(rows, dtype=object) @ exact != 0
-    return hits @ kernel.mult
+        return _weigh(np.asarray(rows, dtype=object) @ exact, kernel.mult)
+    floats = np.asarray(rows, dtype=np.float64)
+    step = max(1, _ONE_THREAD_MADDS // kernel.weights.size)
+    if len(floats) <= step:
+        return _weigh(floats @ kernel.weights, kernel.mult)
+    return np.concatenate([_weigh(floats[start:start + step] @ kernel.weights, kernel.mult)
+                           for start in range(0, len(floats), step)])
 
 
 def n_of(sys: RootSystem, lam: Covector) -> int:
@@ -475,11 +493,13 @@ def n_of_many(sys: RootSystem, coords) -> np.ndarray:
     should be scaled by a common denominator first (the orthogonality
     pattern is scale-invariant).  The pairings are computed in float64 when
     their partial sums provably stay below ``2**53``, and in Python integers
-    otherwise, so the zero test is exact for every input.
+    otherwise, so the zero test is exact for every input.  The counts are
+    int64, or Python integers once the total multiplicity reaches ``2**63``.
     """
     rows = _integer_rows(coords, sys.rank)
     largest = max(int(rows.max()), -int(rows.min())) if rows.size else 0
-    return _counts(sys._kernel, rows, largest)
+    counts = _counts(sys._kernel, rows, largest)
+    return counts if counts.dtype == object else counts.astype(np.int64, copy=False)
 
 
 def kappa(sys: RootSystem) -> Fraction:
@@ -487,20 +507,14 @@ def kappa(sys: RootSystem) -> Fraction:
     of positive roots involving a given simple-root direction."""
     if not sys.positive_roots:
         raise RootSystemError("empty root system")
-    best = None
-    for i in range(sys.rank):
-        total = sum(r.multiplicity for r in sys.positive_roots if r.coeffs[i] >= 1)
-        if best is None or total < best:
-            best = total
-    return Fraction(best, 2)
+    return Fraction(min(sum(r.multiplicity for r in sys.positive_roots if r.coeffs[i] >= 1)
+                        for i in range(sys.rank)), 2)
 
 
 def reflect(sys: RootSystem, root: PositiveRoot, lam: Covector) -> Covector:
     """Reflection of ``lam`` in the hyperplane orthogonal to ``root``; exact."""
     alpha = root_covector(root)
-    denom = inner(sys, alpha, alpha)
-    coeff = 2 * inner(sys, lam, alpha) / denom
-    return lam - alpha.scale(coeff)
+    return lam - alpha.scale(2 * inner(sys, lam, alpha) / inner(sys, alpha, alpha))
 
 
 def rho(sys: RootSystem) -> Covector:
@@ -509,16 +523,20 @@ def rho(sys: RootSystem) -> Covector:
 
 
 @lru_cache(maxsize=None)
-def _inverse_cartan(gram: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """``(det, adj)`` with ``cartan @ adj == det * I``, once per Gram matrix:
-    the adjugate is rounded from floating point and the identity proves it
-    exact."""
+def _fundamental(gram: tuple[tuple[int, ...], ...],
+                 doubled: tuple[bool, ...]) -> tuple[Covector, ...]:
+    """The fundamental weights, once per Gram matrix and doubled-root flags.
+    They are rows of the inverse Cartan matrix: the adjugate ``adj`` with
+    ``cartan @ adj == det * I`` is rounded from floating point and the
+    identity proves it exact."""
     cartan = _cartan_from_gram(gram)
     det = round(np.linalg.det(cartan))
     adj = np.rint(det * np.linalg.inv(cartan)).astype(np.int64)
     if det == 0 or not np.array_equal(cartan @ adj, det * np.eye(len(gram), dtype=np.int64)):
         raise RootSystemError("no exact integer inverse of the Cartan matrix")
-    return det, tuple(map(tuple, adj.tolist()))
+    # <w_i, a_j> = ratio_i <a_i, a_i> delta_ij gives w_i = 2 ratio_i (row i of cartan^-1)
+    return tuple(Covector(tuple(Fraction(2 * (2 if d else 1) * a, det) for a in row))
+                 for d, row in zip(doubled, adj.tolist()))
 
 
 def fundamental_weights(sys: RootSystem) -> list[Covector]:
@@ -527,12 +545,9 @@ def fundamental_weights(sys: RootSystem) -> list[Covector]:
     The normalized pairing with the matching simple root is 1, or 2 when the
     doubled simple root is itself a root (non-reduced systems); the lattice
     they span over the nonnegative integers indexes the spherical
-    representations of the compact dual.
+    representations of the compact dual.  The list is the caller's own.
     """
-    det, adj = _inverse_cartan(sys.gram)
-    # <w_i, a_j> = ratio_i <a_i, a_i> delta_ij gives w_i = 2 ratio_i (row i of cartan^-1)
-    return [Covector(tuple(Fraction(2 * (2 if doubled else 1) * a, det) for a in row))
-            for doubled, row in zip(sys._doubled_simple, adj)]
+    return list(_fundamental(sys.gram, sys._doubled_simple))
 
 
 def weyl_group(sys: RootSystem, max_rank: int = 4) -> list[WeylElement]:

@@ -112,6 +112,22 @@ def test_weights_output():
     assert "kappa = 1" in out
 
 
+@pytest.mark.parametrize("family,rank,mult", [("E8", 8, 2 ** 60), ("A", 1, 10 ** 20),
+                                              ("E8", 8, 10 ** 20)])
+def test_weights_exact_at_huge_multiplicity(family, rank, mult):
+    """A uniform multiplicity ``m`` scales every count by ``m``; past int64
+    the counts stay exact instead of wrapping or raising."""
+    code, out, err = run("weights", "--family", family, "--rank", str(rank),
+                         "--mult", f"all:{mult}")
+    assert code == 0 and err == ""
+    unit = rs.build_root_system(family, rank, {"all": 1})
+    lines = out.splitlines()
+    assert lines[-1] == f"kappa = {mult * rs.kappa(unit)}"
+    counts = [int(line.rsplit("n = ", 1)[1]) for line in lines[:-1]]
+    assert counts == [mult * rs.n_of(unit, w) for w in rs.fundamental_weights(unit)]
+    assert min(counts) >= 2 * mult * rs.kappa(unit) > 0
+
+
 def test_region_verb():
     code, out, _ = run("region", "--family", "A", "--rank", "2", "--mult", "all:1",
                        "--eta", "1,1")

@@ -31,7 +31,8 @@ JUNK = ["x", "", "1/2"]
 T_VALUES = ["0", "-1", "0.5", "1e300", "inf", "nan"]
 RATIONALS = ["1/0", "x", "", "nan", "1e3", "-7/3"]
 RANKS = [-1, 0, 1, 3, 9]
-MULTS = ["all:0", "short:-1", "bogus:1", "all:x", "all", "short:1", "long:2,short:1"]
+MULTS = ["all:0", "short:-1", "bogus:1", "all:x", "all", "short:1", "long:2,short:1",
+         "all:1152921504606846976", "all:100000000000000000000"]
 MATRIX_ENTRIES = ["0", "1e200", "1e-200", "-1e200", "nan", "inf", "x"]
 CSV_FIELDS = ["0", "-1", "1e-300", "1e300", "nan", "inf", "x", ""]
 CSV_HEADERS = ["t,Y,re,im,err", "t,Y,Y2,re,im,err", "t,Y,re,im"]

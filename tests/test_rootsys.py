@@ -637,6 +637,7 @@ def test_closure_runs_once_per_gram_over_catalog(monkeypatch):
         return closure(gens, seeds)
 
     monkeypatch.setattr(rs, "_closure", counted)
+    rs._shape.cache_clear()
     rs._reduced_closure.cache_clear()
     rs._weyl_elements.cache_clear()
     try:
@@ -649,8 +650,93 @@ def test_closure_runs_once_per_gram_over_catalog(monkeypatch):
             rs.weyl_group(system)
         assert len(calls) == len({system.gram for system in low_rank}) < len(low_rank)
     finally:
+        rs._shape.cache_clear()
         rs._reduced_closure.cache_clear()
         rs._weyl_elements.cache_clear()
+
+
+def test_shape_built_once_per_family_and_rank_over_catalog(monkeypatch):
+    calls = []
+    gram_int = rs._gram_int
+
+    def counted(family, rank):
+        calls.append((family, rank))
+        return gram_int(family, rank)
+
+    monkeypatch.setattr(rs, "_gram_int", counted)
+    rs._shape.cache_clear()
+    rs._pairing.cache_clear()
+    try:
+        entries = cat.builtin_catalog().entries
+        systems = [cat.instantiate(entry) for entry in entries]
+        shapes = {(entry.family, entry.rank) for entry in entries}
+        assert sorted(calls) == sorted(shapes) and len(shapes) < len(systems)
+        for system in systems:
+            rs.n_of_many(system, [[1] * system.rank])
+        root_sets = {(s.gram, tuple(r.coeffs for r in s.positive_roots)) for s in systems}
+        assert rs._pairing.cache_info().misses == len(root_sets) <= len(shapes)
+        # every system of a shape shares its Gram tuple and root coefficients
+        first = {}
+        for entry, system in zip(entries, systems):
+            other = first.setdefault((entry.family, entry.rank), system)
+            assert system.gram is other.gram
+            assert all(a.coeffs is b.coeffs
+                       for a, b in zip(system.positive_roots, other.positive_roots))
+    finally:
+        rs._shape.cache_clear()
+
+
+def test_shared_gram_keeps_distinct_roots_and_kernels():
+    b2 = build("B", 2, {"short": 3, "long": 5})
+    bc2 = build("BC", 2, {"short": 3, "medium": 5, "long": 7})
+    assert b2.gram == bc2.gram
+    assert [r.coeffs for r in b2.positive_roots] == [(0, 1), (1, 0), (1, 1), (1, 2)]
+    assert [r.coeffs for r in bc2.positive_roots] == [
+        (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 2)]
+    assert b2._kernel.weights.shape == (2, 4) and bc2._kernel.weights.shape == (2, 6)
+    assert b2._kernel.mult.tolist() == [3, 5, 3, 5]
+    assert bc2._kernel.mult.tolist() == [3, 7, 5, 3, 5, 7]
+    rows = [[1, 0], [0, 1], [1, -1], [1, 1], [2, -1], [1, -2]]
+    for system in (b2, bc2):
+        expected = [_recount(system, row) for row in rows]
+        assert rs.n_of_many(system, rows).tolist() == expected
+        assert [rs.n_of(system, Covector.make(row)) for row in rows] == expected
+    assert rs.kappa(b2) == Fraction(11, 2) and rs.kappa(bc2) == 10
+
+
+def test_fundamental_weights_list_is_callers_own():
+    first = rs.fundamental_weights(BC2)
+    expected = list(first)
+    first.reverse()
+    first.append(first[0])
+    again = rs.fundamental_weights(BC2)
+    assert again == expected and again is not first
+    assert again == rs.fundamental_weights(build("BC", 2, {"short": 9, "medium": 1, "long": 4}))
+    assert again != rs.fundamental_weights(B2)  # same Gram, no doubled simple root
+
+
+@pytest.mark.parametrize("family,rank,mult", [
+    ("E8", 8, (2 ** 53 - 1) // 120),   # total just below 2**53
+    ("E8", 8, (2 ** 53 - 1) // 120 + 1),  # just above it
+    ("B", 3, 2 ** 60 // 9),          # below 2**63
+    ("E8", 8, 2 ** 60),              # total past 2**63
+    ("A", 1, 10 ** 20),              # one root past 2**63
+], ids=["E8-below-2^53", "E8-above-2^53", "B3-below-2^63", "E8-all-2^60", "A1-all-10^20"])
+def test_weighted_counts_exact_for_every_multiplicity(family, rank, mult):
+    system = build(family, rank, {c: mult for c in rs.class_vocabulary(family)})
+    total = sum(r.multiplicity for r in system.positive_roots)
+    rng = np.random.default_rng(rank)
+    # 2 rho at multiplicity one is regular: it pairs with every positive root
+    regular = list(build(family, rank, {c: 1 for c in rs.class_vocabulary(family)})._two_rho)
+    rows = rng.integers(-3, 4, size=(600, rank)).tolist() + [[0] * rank, regular]
+    rows += _straddling_rows(system, 2 ** 60)
+    expected = [_recount(system, row) for row in rows]
+    counts = rs.n_of_many(system, rows)
+    assert counts.tolist() == expected
+    assert counts.dtype == (np.int64 if total < 2 ** 63 else object)
+    assert max(expected) == total
+    assert [rs.n_of(system, Covector.make(row)) for row in rows[:40]] == expected[:40]
+    assert rs.n_of_many(system, np.array(rows[:600])).tolist() == expected[:600]
 
 
 # ---------------------------------------------------------------------------
