@@ -34,6 +34,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import spherical as sph
 from .spherical import legendre_rows, sl2_chamber_coordinate
 
 __all__ = [
@@ -52,6 +53,7 @@ __all__ = [
     "singular_blowup_check",
     "spherical_amplitude_sl2",
     "stationary_points_check_sl2",
+    "statphase_rows",
 ]
 
 
@@ -220,6 +222,29 @@ def leading_term_compact(n: int, t_geo: float) -> float:
     return float(2.0 * ((2.0 * math.pi) ** -0.5 * plus * np.exp(1j * n * t_geo)).real)
 
 
+def statphase_rows(group: str, t_geo: float, steps: Sequence[int],
+                   xi: float = 0.0) -> list[tuple[int, complex, complex]]:
+    """``(t, value, leading term)`` at the whole steps ``t`` (increasing).
+
+    ``"sl2"``: ``spherical_sl2`` at the spectral value ``t * xi`` under
+    ``_mehler_config(max t * xi, Y)``, against ``leading_term_sl2``.
+    ``"su2"``: the degree-``t`` Legendre value (``legendre_sequence``) at angle
+    ``Y``, against ``leading_term_compact``; ``xi`` is not used.  An input out
+    of range raises ``ValueError``."""
+    if group == "sl2":
+        amplitude = spherical_amplitude_sl2(t_geo)
+        config = sph._mehler_config(steps[-1] * xi, t_geo)
+        rows = []
+        for t in steps:
+            value = sph.spherical_sl2(sph.SpectralParameter.rank1(t * xi), t_geo, config).value
+            rows.append((t, value, leading_term_sl2(xi, t_geo, t, amplitude).total))
+        return rows
+    if group == "su2":
+        seq = sph.legendre_sequence(steps[-1], math.cos(t_geo))
+        return [(t, float(seq[t]), leading_term_compact(t, t_geo)) for t in steps]
+    raise ValueError(f"unknown group {group!r}")
+
+
 # ---------------------------------------------------------------------------
 # Holder estimation
 # ---------------------------------------------------------------------------
@@ -250,10 +275,13 @@ def holder_estimate(
     ``|f(x) - f(y)| / |x - y|^alpha`` is taken over all pairs at dyadic
     separations ``h 2^k``; the sup over dyadic scales is within a bounded
     factor of the true sup for Holder quotients.  The verdict is ``growing``
-    when the last sup exceeds the first by more than ``threshold``.
+    when the last sup exceeds the first by more than ``threshold``, which must
+    lie in [1, inf): a ratio at or below 1 did not grow.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
+    if not 1.0 <= threshold < math.inf:
+        raise ValueError(f"threshold must lie in [1, inf), got {threshold:g}")
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2:
         raise ValueError("grid must contain at least two points")

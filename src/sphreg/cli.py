@@ -51,25 +51,15 @@ def _parse_mult(text: str) -> dict[str, int]:
     return out
 
 
-def _parse_rationals(text: str) -> list[Fraction]:
+_LIST_KINDS = {Fraction: "rational", float: "number", complex: "complex"}
+
+
+def _parse_list(text: str, kind: type) -> list:
+    """The comma list ``text`` of ``kind``: ``Fraction``, ``float`` or ``complex``."""
     try:
-        return [Fraction(tok) for tok in text.split(",")]
+        return [kind(tok) for tok in text.split(",")]
     except (ValueError, ZeroDivisionError):
-        raise CliError(f"malformed rational list {text!r}") from None
-
-
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",")]
-    except ValueError:
-        raise CliError(f"malformed number list {text!r}") from None
-
-
-def _parse_complexes(text: str) -> list[complex]:
-    try:
-        return [complex(tok) for tok in text.split(",")]
-    except ValueError:
-        raise CliError(f"malformed complex list {text!r}") from None
+        raise CliError(f"malformed {_LIST_KINDS[kind]} list {text!r}") from None
 
 
 def _build_system(args) -> rs.RootSystem:
@@ -153,7 +143,7 @@ def cmd_region(args) -> int:
     from . import rootsys as rs
 
     system = _build_system(args)
-    coords = _parse_rationals(args.eta)
+    coords = _parse_list(args.eta, Fraction)
     if len(coords) != system.rank:
         raise CliError(f"--eta needs {system.rank} coordinates")
     inside = rs.in_bounded_region(system, rs.Covector(tuple(coords)))
@@ -173,41 +163,39 @@ def _read_matrix_file(path: str) -> lg.SpecialLinearElement:
         raise CliError(f"malformed matrix file: {exc}") from exc
 
 
-def _print_matrix(name: str, matrix: np.ndarray, digits: int) -> None:
-    print(name)
-    for row in matrix:
-        print("  " + " ".join(_fmt(x, digits) for x in row))
+def _print_factorization(args, factorize, names: tuple[str, ...]) -> lg.SpecialLinearElement:
+    """Factors the ``--matrix`` file and prints the factors ``names`` (a
+    matrix below its name, a vector on its line), then the reconstruction
+    error; returns the element read."""
+    g = _read_matrix_file(args.matrix)
+    try:
+        fac = factorize(g)
+    except np.linalg.LinAlgError as exc:
+        raise CliError(str(exc), COMPUTE_ERROR) from exc
+    for name in names:
+        factor = getattr(fac, name)
+        if factor.ndim == 1:
+            print(f"{name} = " + " ".join(_fmt(x, args.digits) for x in factor))
+            continue
+        print(f"{name} =")
+        for row in factor:
+            print("  " + " ".join(_fmt(x, args.digits) for x in row))
+    err = float(np.linalg.norm(fac.reconstruct() - g.entries))
+    print(f"reconstruction_error = {_fmt(err, 3)}")
+    return g
 
 
 def cmd_iwasawa(args) -> int:
     from . import liegroup as lg
 
-    g = _read_matrix_file(args.matrix)
-    try:
-        fac = lg.iwasawa(g)
-    except np.linalg.LinAlgError as exc:
-        raise CliError(str(exc), COMPUTE_ERROR) from exc
-    _print_matrix("k =", fac.k, args.digits)
-    print("h = " + " ".join(_fmt(x, args.digits) for x in fac.h))
-    _print_matrix("nu =", fac.nu, args.digits)
-    err = float(np.linalg.norm(fac.reconstruct() - g.entries))
-    print(f"reconstruction_error = {_fmt(err, 3)}")
+    _print_factorization(args, lg.iwasawa, ("k", "h", "nu"))
     return 0
 
 
 def cmd_kak(args) -> int:
     from . import liegroup as lg
 
-    g = _read_matrix_file(args.matrix)
-    try:
-        fac = lg.kak(g)
-    except np.linalg.LinAlgError as exc:
-        raise CliError(str(exc), COMPUTE_ERROR) from exc
-    _print_matrix("k1 =", fac.k1, args.digits)
-    print("a_log = " + " ".join(_fmt(x, args.digits) for x in fac.a_log))
-    _print_matrix("k2 =", fac.k2, args.digits)
-    err = float(np.linalg.norm(fac.reconstruct() - g.entries))
-    print(f"reconstruction_error = {_fmt(err, 3)}")
+    g = _print_factorization(args, lg.kak, ("k1", "a_log", "k2"))
     print(f"regular = {'true' if lg.is_regular(g) else 'false'}")
     return 0
 
@@ -227,7 +215,7 @@ def _spectral_ts(args) -> np.ndarray:
 def cmd_spherical(args) -> int:
     from . import spherical as sph
 
-    points = _parse_floats(args.points) if args.points else None
+    points = _parse_list(args.points, float) if args.points else None
     if args.ygrid:
         try:
             lo, hi, count = args.ygrid.split(":")
@@ -248,8 +236,8 @@ def cmd_spherical(args) -> int:
 
     try:
         if args.group == "sl2":
-            xi = _parse_floats(args.xi)[0] if args.xi else 0.5
-            eta = _parse_floats(args.eta)[0] if args.eta else 0.0
+            xi = _parse_list(args.xi, float)[0] if args.xi else 0.5
+            eta = _parse_list(args.eta, float)[0] if args.eta else 0.0
             for y in points:
                 config = sph._mehler_config(float(ts[-1]) * abs(xi) + abs(eta) + 1.0, y)
                 for t in ts:
@@ -257,8 +245,8 @@ def cmd_spherical(args) -> int:
                     value = sph.spherical_sl2(lam, y, config)
                     emit(t, (y,), value.value, value.estimated_error)
         elif args.group == "sl3":
-            xi = _parse_floats(args.xi) if args.xi else [0.5, 0.5]
-            eta = _parse_floats(args.eta) if args.eta else [0.0, 0.0]
+            xi = _parse_list(args.xi, float) if args.xi else [0.5, 0.5]
+            eta = _parse_list(args.eta, float) if args.eta else [0.0, 0.0]
             if len(xi) != 2 or len(eta) != 2:
                 raise CliError("sl3 needs two --xi and two --eta coordinates")
             if len(points) % 2 != 0:
@@ -365,10 +353,9 @@ def cmd_holder(args) -> int:
         if [y for y, _ in sub] != grid.tolist():  # each Y exactly once
             raise CliError("input is not a complete t x Y grid")
         family[t] = np.array([abs(v) if args.magnitude else v.real for _, v in sub])
-    for alpha in _parse_floats(args.alpha):
+    for alpha in _parse_list(args.alpha, float):
         try:
-            report = asy.holder_estimate(family, grid, args.order, alpha,
-                                         threshold=args.threshold)
+            report = asy.holder_estimate(family, grid, 0, alpha, threshold=args.threshold)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         quotients = " ".join(_fmt(q, 6) for q in report.sup_quotients)
@@ -380,7 +367,7 @@ def cmd_holder(args) -> int:
 
 
 def cmd_statphase(args) -> int:
-    from . import asymptotics as asy, spherical as sph
+    from . import asymptotics as asy
 
     _check_t_range(args)
     ts = []
@@ -393,43 +380,26 @@ def cmd_statphase(args) -> int:
         raise CliError("need at least two dyadic steps between --tmin and --tmax")
     if ts[0] == 0:
         raise CliError(f"--tmin {args.tmin} rounds to t = 0; the steps need whole t >= 1")
-    lines = ["t,quad_re,quad_im,lead_re,lead_im,abs_err"]  # printed once all rows are in
-    digits = args.digits
+    if args.group == "su2" and not 0.0 < args.Y < math.pi:
+        raise CliError("su2 --Y must lie in (0, pi)")
     try:
-        if args.group == "sl2":
-            amplitude = asy.spherical_amplitude_sl2(args.Y)
-            config = sph._mehler_config(ts[-1] * args.xi, args.Y)
-            for t in ts:
-                quad = sph.spherical_sl2(sph.SpectralParameter.rank1(t * args.xi), args.Y,
-                                         config).value
-                lead = asy.leading_term_sl2(args.xi, args.Y, t, amplitude).total
-                lines.append(f"{t},{_fmt(quad.real, digits)},{_fmt(quad.imag, digits)},"
-                             f"{_fmt(lead.real, digits)},{_fmt(lead.imag, digits)},"
-                             f"{_fmt(abs(quad - lead), 6)}")
-        elif args.group == "su2":
-            if not 0.0 < args.Y < math.pi:
-                raise CliError("su2 --Y must lie in (0, pi)")
-            seq = sph.legendre_sequence(ts[-1], math.cos(args.Y))
-            for t in ts:
-                quad = seq[t]
-                lead = asy.leading_term_compact(t, args.Y)
-                lines.append(f"{t},{_fmt(quad, digits)},0,{_fmt(lead, digits)},0,"
-                             f"{_fmt(abs(quad - lead), 6)}")
-        else:
-            raise CliError(f"unknown group {args.group!r}")
+        rows = asy.statphase_rows(args.group, args.Y, ts, args.xi)
     except ValueError as exc:  # a spectral value or chamber point out of range
         raise CliError(str(exc)) from exc
-    print("\n".join(lines))
+    print("t,quad_re,quad_im,lead_re,lead_im,abs_err")
+    for t, quad, lead in rows:
+        parts = (_fmt(x, args.digits) for x in (quad.real, quad.imag, lead.real, lead.imag))
+        print(",".join([str(t), *parts, _fmt(abs(quad - lead), 6)]))
     return 0
 
 
 def cmd_expsum(args) -> int:
     from . import asymptotics as asy
 
-    fx = _parse_complexes(args.fx)
-    fy = _parse_complexes(args.fy)
-    ux = _parse_floats(args.ux)
-    uy = _parse_floats(args.uy)
+    fx = _parse_list(args.fx, complex)
+    fy = _parse_list(args.fy, complex)
+    ux = _parse_list(args.ux, float)
+    uy = _parse_list(args.uy, float)
     try:
         mean = asy.exp_sum_separation(fx, fy, ux, uy, args.m, args.N)
     except ValueError as exc:
@@ -449,6 +419,11 @@ def cmd_selftest(args) -> int:
             only = [int(tok) for tok in args.only.split(",")]
         except ValueError:
             raise CliError("--only takes a comma list of criterion numbers") from None
+        count = len(accept._CRITERIA)
+        outside = [n for n in only if not 1 <= n <= count]
+        if outside:
+            raise CliError(f"--only: no criterion {outside[0]}; the criteria are numbered "
+                           f"1..{count}")
     results = accept.run_all(only=only, progress=print)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
@@ -529,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("holder", help="Holder report from a spherical CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--order", type=int, default=0)
     p.add_argument("--alpha", required=True, help="comma list of exponents")
     p.add_argument("--threshold", type=float, default=2.0)
     p.add_argument("--magnitude", action="store_true",

@@ -1,10 +1,16 @@
 """Acceptance gate.
 
-One test per shipped criterion, each printing its pass/fail line; the same
-functions back the command-line ``selftest`` verb.
+One test per entry of ``accept._CRITERIA``, each printing its pass/fail
+line; the same list backs the command-line ``selftest`` verb.
 """
 
+import io
+import os
+import subprocess
+import sys
 import time
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,28 +18,48 @@ import pytest
 from sphreg import accept
 from sphreg import spherical as sph
 
-
-CRITERIA = [
-    accept.criterion_1_table,
-    accept.criterion_2_weyl_invariance,
-    accept.criterion_3_infimum,
-    accept.criterion_4_decompositions,
-    accept.criterion_5_decay,
-    accept.criterion_6_holder_dichotomy,
-    accept.criterion_7_leading_term,
-    accept.criterion_8_compact_duality,
-    accept.criterion_9_singular_blowup,
-    accept.criterion_10_cesaro,
-]
+ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("criterion", CRITERIA, ids=lambda c: c.__name__)
-def test_criterion(criterion):
-    result = criterion()
+@pytest.mark.parametrize("number", range(1, len(accept._CRITERIA) + 1),
+                         ids=[check.__name__ for _, _, check in accept._CRITERIA])
+def test_criterion(number):
+    [result] = accept.run_all(only=[number])
     status = "pass" if result.passed else "FAIL"
     print(f"criterion {result.index:2d} [{status}] {result.name}: {result.detail} "
           f"({result.seconds:.1f}s)")
     assert result.passed, f"criterion {result.index}: {result.detail}"
+
+
+@pytest.mark.parametrize("group, instance", [
+    ("sl2", accept.STATPHASE_SL2), ("su2", {"t_geo": accept.STATPHASE_COMPACT_THETA})])
+def test_statphase_rows_give_criterion_7_errors(group, instance):
+    # the rows `sphreg statphase` prints on criterion 7's instances, read back
+    # at 17 digits, are exactly the errors the criterion weighs
+    from sphreg import cli
+
+    argv = ["statphase", "--group", group, "--Y", repr(instance["t_geo"]),
+            "--tmin", str(accept.STATPHASE_SWEEP[0]), "--tmax", str(accept.STATPHASE_SWEEP[-1])]
+    if "xi" in instance:
+        argv += ["--xi", repr(instance["xi"])]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(argv) == 0
+    rows = [[float(x) for x in line.split(",")] for line in out.getvalue().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(accept.STATPHASE_SWEEP)
+    printed = [abs(complex(q_re, q_im) - complex(l_re, l_im))
+               for _, q_re, q_im, l_re, l_im, _ in rows]
+    assert printed == accept.statphase_errors(group, **instance)[0]
+
+
+def test_accept_module_takes_only_record():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-m", "sphreg.accept"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "record" in done.stderr
 
 
 def _sinhc(x):

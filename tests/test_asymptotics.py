@@ -218,6 +218,17 @@ def test_holder_region_restriction_and_guards():
         asy.holder_estimate(family, np.array([0.0, 0.1, 0.5]), 0, 0.5)
 
 
+@pytest.mark.parametrize("threshold", [-1.0, 0.0, 0.999, math.nan, math.inf])
+def test_holder_threshold_must_lie_in_one_to_infinity(threshold):
+    # a decaying family: a threshold below 1 called it growing, and nan or
+    # inf called every family bounded
+    grid = np.linspace(0, 1, 129)
+    family = {float(t): np.cos(t * grid) / t for t in (1, 2, 4, 8)}
+    assert asy.holder_estimate(family, grid, 0, 0.5, threshold=1.0).verdict == "bounded"
+    with pytest.raises(ValueError, match=r"threshold must lie in \[1, inf\)"):
+        asy.holder_estimate(family, grid, 0, 0.5, threshold=threshold)
+
+
 # ---------------------------------------------------------------------------
 # exponential sums
 # ---------------------------------------------------------------------------

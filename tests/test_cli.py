@@ -411,6 +411,13 @@ def test_selftest_single_fast_criterion():
     assert "1/1 criteria passed" in out
 
 
+@pytest.mark.parametrize("only", ["11", "0,-3", "1,99"])
+def test_selftest_number_outside_the_list_exits_two(only):
+    code, out, err = _quiet_run("selftest", f"--only={only}")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "numbered 1..10" in err
+
+
 @pytest.mark.parametrize("maths, budget, failure", [
     (True, math.inf, ""), (False, math.inf, "maths"), (True, 0.0, "budget"),
     (False, 0.0, "maths and budget")])
@@ -418,14 +425,11 @@ def test_selftest_says_whether_the_maths_or_the_budget_failed(monkeypatch, maths
                                                               failure):
     from sphreg import accept
 
-    def criterion():
-        return accept._result(10, "stub", maths, "checks", time.perf_counter(), budget=budget)
-
-    monkeypatch.setattr(accept, "_CRITERIA", (criterion,))
+    monkeypatch.setattr(accept, "_CRITERIA", (("stub", budget, lambda: (maths, "checks")),))
     code, out, _ = run("selftest")
     if failure:
         assert code == 1 and "0/1 criteria passed" in out
-        assert f"[FAIL: {failure}]" in out and f"criterion 10 failed: {failure}\n" in out
+        assert f"[FAIL: {failure}] stub: " in out and f"criterion 1 failed: {failure}\n" in out
     else:
         assert code == 0 and "1/1 criteria passed" in out and "failed" not in out
 
@@ -513,6 +517,14 @@ def test_decay_at_nonpositive_t_fails_without_warning(tmp_path):
     assert err.strip() == "Y=0.5: error: abscissas must be positive"
 
 
+@pytest.mark.parametrize("threshold", ["-1", "0", "0.5", "nan", "inf"])
+def test_holder_threshold_below_one_or_not_finite_exits_two(tmp_path, threshold):
+    code, out, err = _quiet_run("holder", "--input", _grid_csv(tmp_path, _grid_rows()),
+                                "--alpha", "0.5", f"--threshold={threshold}")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "threshold must lie in [1, inf)" in err
+
+
 def test_holder_repeated_grid_point_exits_two(tmp_path):
     rows = _grid_rows()
     rows[1] = rows[0]  # (t, Y) = (1, 0.5) twice and (1, 1.0) missing
@@ -594,6 +606,7 @@ def test_holder_prints_unbounded_growth_as_a_word(tmp_path):
     (["holder", "--input", "f.csv", "--alpha", "-1,1"], "sphreg holder: error: "),
     (["kappa", "--family", "Z", "--rank", "2", "--mult", "all:1"], "sphreg kappa: error: "),
     (["no-such-verb"], "sphreg: error: "),
+    (["holder", "--input", "f.csv", "--alpha", "0.5", "--order", "0"], "sphreg: error: "),
 ])
 def test_usage_errors_print_one_stderr_line(capsys, argv, prefix):
     with pytest.raises(SystemExit) as exc:

@@ -137,8 +137,7 @@ def _verb_options(verb: str, draw: _Draw, directory, k: int) -> list[tuple]:
     if verb in ("decay", "holder"):
         options = [("--input", write(_csv_text(draw), ".csv"))]
         if verb == "holder":
-            options += [("--order", draw.pick(rng.randint(0, 2), [-1])),
-                        ("--alpha", draw.floats(2, 0.1, 1.0)),
+            options += [("--alpha", draw.floats(2, 0.1, 1.0)),
                         ("--threshold", draw.uniform(1.5, 3.0)),
                         *([("--magnitude", None)] if rng.random() < 0.5 else [])]
         return options
