@@ -428,11 +428,12 @@ def compute_fixtures() -> dict:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """``record``: print the fixtures recomputed, as ``data/fixtures.json`` holds them."""
-    import argparse
+    """``record``: print the fixtures recomputed, as ``data/fixtures.json`` holds them.
+    A usage error prints one line and exits 2, as the ``sphreg`` verbs do."""
+    from .cli import _Parser
 
-    parser = argparse.ArgumentParser(prog="python -m sphreg.accept")
-    parser.add_argument("mode", choices=("record",))
+    parser = _Parser(prog="python -m sphreg.accept")
+    parser.add_argument("mode", choices=("record",), metavar="record")
     parser.parse_args(argv)
     print(json.dumps(compute_fixtures(), indent=2, sort_keys=True))
     return 0

@@ -34,9 +34,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import spherical as sph
-from .spherical import legendre_rows, sl2_chamber_coordinate
-
 __all__ = [
     "DecayFit",
     "HolderReport",
@@ -134,6 +131,7 @@ class LeadingTerm:
 def spherical_amplitude_sl2(t_geo: float) -> Callable[[np.ndarray], np.ndarray]:
     """Amplitude on the circle group whose oscillatory integral is the
     spherical function itself: exp of minus the half-sum pairing."""
+    from .spherical import sl2_chamber_coordinate
 
     def g(theta):
         return np.exp(-sl2_chamber_coordinate(t_geo, np.asarray(theta, dtype=float)))
@@ -231,6 +229,8 @@ def statphase_rows(group: str, t_geo: float, steps: Sequence[int],
     ``"su2"``: the degree-``t`` Legendre value (``legendre_sequence``) at angle
     ``Y``, against ``leading_term_compact``; ``xi`` is not used.  An input out
     of range raises ``ValueError``."""
+    from . import spherical as sph
+
     if group == "sl2":
         amplitude = spherical_amplitude_sl2(t_geo)
         config = sph._mehler_config(steps[-1] * xi, t_geo)
@@ -406,6 +406,8 @@ def singular_blowup_check(
     for n, scale in zip(degrees, scales):
         if not np.any(thetas >= scale):
             raise ValueError(f"no approach angle at scale n^-2 for n={n}")
+
+    from .spherical import legendre_rows
 
     wall = []
     interior = []

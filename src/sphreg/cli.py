@@ -6,22 +6,22 @@ computational failure, 2 usage error.  Numeric output is locale independent
 with '.' as the decimal separator; exact rationals print as p/q.
 
 Each verb imports only the layers it uses, so ``kappa`` loads neither the
-quadrature nor the acceptance modules.
+quadrature nor the acceptance modules, and ``kappa``, ``table``, ``region``,
+``--help`` and usage errors load no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:
+    import numpy as np
+
     from . import catalog as cat, liegroup as lg, rootsys as rs
 
 USAGE_ERROR = 2
@@ -101,6 +101,8 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_table(args) -> int:
+    import csv
+
     from . import catalog as cat
 
     catalog = _load_catalog(args)
@@ -167,6 +169,8 @@ def _print_factorization(args, factorize, names: tuple[str, ...]) -> lg.SpecialL
     """Factors the ``--matrix`` file and prints the factors ``names`` (a
     matrix below its name, a vector on its line), then the reconstruction
     error; returns the element read."""
+    import numpy as np
+
     g = _read_matrix_file(args.matrix)
     try:
         fac = factorize(g)
@@ -206,6 +210,8 @@ def _check_t_range(args) -> None:
 
 
 def _spectral_ts(args) -> np.ndarray:
+    import numpy as np
+
     if args.tsteps < 2:
         raise CliError("--tsteps must be at least 2")
     _check_t_range(args)
@@ -213,6 +219,8 @@ def _spectral_ts(args) -> np.ndarray:
 
 
 def cmd_spherical(args) -> int:
+    import numpy as np
+
     from . import spherical as sph
 
     points = _parse_list(args.points, float) if args.points else None
@@ -339,6 +347,8 @@ def cmd_decay(args) -> int:
 
 
 def cmd_holder(args) -> int:
+    import numpy as np
+
     from . import asymptotics as asy
 
     rows = _read_csv_rows(args.input)
@@ -438,7 +448,7 @@ def cmd_selftest(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors print one line, ``sphreg <verb>: error: ...``, and exit 2;
-    the verbs' parsers are of this class too."""
+    the verbs' parsers and ``python -m sphreg.accept``'s are of this class too."""
 
     def error(self, message):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {' '.join(message.splitlines())}\n")

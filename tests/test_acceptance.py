@@ -62,6 +62,16 @@ def test_accept_module_takes_only_record():
     assert "record" in done.stderr
 
 
+@pytest.mark.parametrize("argv", [[], ["wrong"], ["record", "extra"]])
+def test_accept_module_usage_error_is_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        accept.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("python -m sphreg.accept: error: ")
+
+
 def _sinhc(x):
     safe = np.where(x == 0.0, 1.0, x)
     return np.where(x == 0.0, 1.0, np.sinh(safe) / safe)

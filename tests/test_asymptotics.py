@@ -351,7 +351,7 @@ def test_singular_blowup_validates_every_degree_before_the_recurrence(monkeypatc
     def no_recurrence(*args):
         raise AssertionError("recurrence ran before the degrees were checked")
 
-    monkeypatch.setattr(asy, "legendre_rows", no_recurrence)
+    monkeypatch.setattr(sph, "legendre_rows", no_recurrence)
     with pytest.raises(ValueError):
         asy.singular_blowup_check([0.01, 0.1], degrees)
 

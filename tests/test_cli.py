@@ -586,6 +586,32 @@ def test_kappa_imports_only_the_exact_layer():
                 "sphreg.catalog"} & set(loaded), loaded
 
 
+def test_exact_verbs_load_no_numpy():
+    # one fresh interpreter: the exact verbs, help and a usage error leave numpy
+    # unloaded; weights counts roots with the numpy kernel
+    script = ("import contextlib, io, sys\n"
+              "from sphreg import cli\n"
+              "for argv in sys.argv[1:]:\n"
+              "    out = io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
+              "        try:\n"
+              "            code = cli.main(argv.split())\n"
+              "        except SystemExit as exc:\n"
+              "            code = exc.code\n"
+              "    print(argv.split()[0], code, 'numpy' in sys.modules)\n")
+    system = "--family F4 --rank 4 --mult short:2,long:1"
+    verbs = [f"kappa {system}", "table --format csv", f"region {system} --eta=1,-1/2,3,0",
+             "--help", "kappa --family X", f"weights {system}"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", script, *verbs], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["kappa 0 False", "table 0 False", "region 0 False",
+                                        "--help 0 False", "kappa 2 False", "weights 0 True"]
+
+
 def test_holder_prints_unbounded_growth_as_a_word(tmp_path):
     # the t = 1 member is constant in Y, so its sup quotient is 0 and the
     # growth ratio infinite

@@ -110,7 +110,7 @@ def test_rank_ceiling_refused_before_building(family, monkeypatch):
         raise AssertionError("a root system above the rank ceiling was built")
 
     monkeypatch.setattr(rs, "_gram_int", refuse)
-    monkeypatch.setattr(rs, "_reduced_closure", refuse)
+    monkeypatch.setattr(rs, "_positive_roots", refuse)
     mult = {c: 1 for c in rs.class_vocabulary(family)}
     with pytest.raises(RootSystemError, match="exceeds"):
         build(family, rs.MAX_RANK + 1, mult)
@@ -373,6 +373,45 @@ def test_fundamental_weights_dual_to_simple_roots_over_catalog():
                     (entry.id, i, j)
 
 
+# every reduced shape through rank 16, then the exceptional ones
+HEIGHT_SHAPES = [(family, rank) for family in ("A", "B", "C", "BC", "D")
+                 for rank in range(2 if family == "D" else 1, 17)]
+HEIGHT_SHAPES += [("G2", 2), ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8)]
+
+
+@pytest.mark.parametrize("family, rank", HEIGHT_SHAPES)
+def test_roots_by_height_match_the_reflection_closure(family, rank):
+    # the oracle is the numpy orbit of the simple roots under the simple reflections
+    gram = tuple(map(tuple, rs._gram_int(family, rank)))
+    orbit, _ = rs._closure(rs._simple_reflections(gram), np.eye(rank, dtype=np.int64)[:, :, None])
+    positive = sorted(tuple(v.ravel().tolist()) for v in orbit if (v >= 0).all())
+    norms = [int(v @ np.array(gram) @ v) for v in np.array(positive)]
+    assert rs._positive_roots(gram) == tuple(zip(positive, norms))
+    if family == "BC":  # the doubles of the short roots join
+        positive += [tuple(2 * c for c in v) for v, n in zip(positive, norms) if n == min(norms)]
+    assert rs._shape(family, rank)[1] == tuple(sorted(positive))
+
+
+@pytest.mark.parametrize("index, family", enumerate(["A", "B", "C", "BC", "D"]))
+def test_bareiss_weights_are_dual_to_the_coroots_up_to_the_ceiling(index, family):
+    # <w_i, a_j^vee> = 2 <w_i, a_j> / <a_j, a_j> is twice the normalized pairing,
+    # which is 1, or 2 where the double of a_i is a root (BC's short a_n).  Each
+    # family at every fifth rank, so that together they cover ranks 1-64, and
+    # each at the ceiling
+    for rank in sorted({r for r in range(2 if family == "D" else 1, rs.MAX_RANK + 1)
+                        if r % 5 == index} | {rs.MAX_RANK}):
+        gram = tuple(map(tuple, rs._gram_int(family, rank)))
+        doubled = tuple(family == "BC" and i == rank - 1 for i in range(rank))
+        columns = list(zip(*rs._cartan_rows(gram)))
+        for i, weight in enumerate(rs._fundamental(gram, doubled)):
+            scale = math.lcm(*(c.denominator for c in weight.coords))
+            x = [int(c * scale) for c in weight.coords]
+            pairings = [sum(a * c for a, c in zip(x, column)) for column in columns]
+            expected = 2 * (2 if doubled[i] else 1) * scale
+            assert pairings == [expected * int(i == j) for j in range(rank)], (family, rank, i)
+        rs._fundamental.cache_clear()
+
+
 def test_dominant_representative():
     lam = rs.rho(A2)
     image, w = rs.dominant_representative(A2, lam)
@@ -614,7 +653,7 @@ def test_weyl_group_result_is_callers_own():
 
 
 def test_shared_gram_keeps_each_systems_multiplicities():
-    rs._reduced_closure.cache_clear()
+    rs._positive_roots.cache_clear()
     b2 = build("B", 2, {"short": 1, "long": 3})
     b2_other = build("B", 2, {"short": 5, "long": 2})
     bc2 = build("BC", 2, {"short": 2, "medium": 7, "long": 4})
@@ -638,20 +677,22 @@ def test_closure_runs_once_per_gram_over_catalog(monkeypatch):
 
     monkeypatch.setattr(rs, "_closure", counted)
     rs._shape.cache_clear()
-    rs._reduced_closure.cache_clear()
+    rs._positive_roots.cache_clear()
     rs._weyl_elements.cache_clear()
     try:
         systems = [cat.instantiate(entry) for entry in cat.builtin_catalog().entries]
         grams = {system.gram for system in systems}
-        assert len(calls) == len(grams) < len(systems)
-        del calls[:]
+        # the roots are built by height, once per Gram matrix; only the Weyl
+        # group runs the closure
+        assert rs._positive_roots.cache_info().misses == len(grams) < len(systems)
+        assert calls == []
         low_rank = [system for system in systems if system.rank <= 4]
         for system in low_rank:
             rs.weyl_group(system)
         assert len(calls) == len({system.gram for system in low_rank}) < len(low_rank)
     finally:
         rs._shape.cache_clear()
-        rs._reduced_closure.cache_clear()
+        rs._positive_roots.cache_clear()
         rs._weyl_elements.cache_clear()
 
 
