@@ -6,19 +6,19 @@ normalization in which the short root of each family has squared length 2
 (the invariant, dominance and hull membership are scale invariant, so the
 choice is free).  Covector coordinates are exact rationals.
 
-Everything but the counting kernel and the Weyl group runs in Python
-integers and imports no numpy.  The positive roots are built by height
-(Humphreys, *Introduction to Lie Algebras and Representation Theory*, 8.4),
-each with its coroot pairings and squared length.  The fundamental weights
-are rows of the inverse Cartan matrix, whose determinant and adjugate come
-from fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968).
-The dominant representatives walk on cleared integer coordinates and their
+Everything but the counting kernel runs in Python integers and imports no
+numpy.  The positive roots are built by height (Humphreys, *Introduction to
+Lie Algebras and Representation Theory*, 8.4), each with its coroot
+pairings and squared length.  The fundamental weights are rows of the
+inverse Cartan matrix, whose determinant and adjugate come from
+fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968).  The
+dominant representatives walk on cleared integer coordinates and their
 integer coroot pairings, so the walk and the hull test do no ``Fraction``
-arithmetic.  The Weyl group preserves the root lattice, so its elements are
-integer matrices in simple-root coordinates: row ``i`` of ``s_i`` is ``e_i``
-minus column ``i`` of the Cartan matrix; the group is the int64 closure of
-the simple reflections.  ``n_of`` clears denominators and shares the
-pairing kernel ``(R G) x`` of ``n_of_many``.  While
+arithmetic.  The Weyl group permutes the roots, so its elements are integer
+matrices in simple-root coordinates whose columns are the images of the
+simple roots; the group is the closure of the simple reflections acting on
+root indices.  ``n_of`` clears denominators and shares the pairing kernel
+``(R G) x`` of ``n_of_many``.  While
 ``max|x| * max_i sum_j |(R G)_ij| < 2**53`` bounds every product and partial
 sum, it runs as a float64 BLAS product: each of those is an integer below
 ``2**53``, so IEEE double computes it exactly in any summation order.
@@ -33,9 +33,10 @@ doubled-simple-root flags live on the ``RootSystem`` instance, made on first
 use.  The Gram tuple, the positive roots (with BC's doubled roots) and their
 length classes are cached per (family, rank), so ``build_root_system`` only
 checks the assignment and attaches multiplicities.  Cached on the ``gram``
-tuple, of which the rank ceiling allows a few hundred: the positive roots,
-the Weyl group and the Cartan matrix; with the roots, ``R G`` in float64 and
-its row bound; with the doubled-root flags, the fundamental weights.
+tuple, of which the rank ceiling allows a few hundred: the positive roots
+and the Cartan matrix, and from both the Weyl group; with the roots, ``R G``
+in float64 and its row bound; with the doubled-root flags, the fundamental
+weights.
 
 Supported families: A, B, C, D, BC (non-reduced), G2, F4, E6, E7, E8.
 """
@@ -295,48 +296,6 @@ def _cartan_rows(gram: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ..
     return tuple(tuple(2 * g // d for g, d in zip(row, diagonal)) for row in gram)
 
 
-def _simple_reflections(gram: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """Stacked int64 matrices of the simple reflections in simple-root
-    coordinates: row ``i`` of ``s_i`` is ``e_i - cartan[:, i]``, its other
-    rows are those of the identity."""
-    import numpy as np
-
-    cartan = np.array(_cartan_rows(gram), dtype=np.int64)
-    rank = len(cartan)
-    gens = np.tile(np.eye(rank, dtype=np.int64), (rank, 1, 1))
-    gens[np.arange(rank), np.arange(rank)] -= cartan.T
-    return gens
-
-
-def _closure(gens: np.ndarray, seeds: np.ndarray) -> tuple[list[np.ndarray], list[tuple]]:
-    """Breadth-first closure of the stacked integer matrices ``seeds`` under
-    left multiplication by the stacked generators ``gens``.
-
-    Returns the elements in order of discovery and, for each, the word
-    ``(i1, ..., im)`` with element ``= gens[i1] ... gens[im] @ seed``.  Each
-    frontier is multiplied by every generator in one ``einsum``, and the
-    products are visited in (element, generator) order."""
-    import numpy as np
-
-    seen = {seed.tobytes() for seed in seeds}
-    elements, words = list(seeds), [()] * len(seeds)
-    frontier, frontier_words = seeds, words
-    while len(frontier):
-        products = np.einsum("gij,fjk->fgik", gens, frontier).reshape(-1, *seeds.shape[1:])
-        found, found_words = [], []
-        for n, product in enumerate(products):
-            key = product.tobytes()
-            if key not in seen:
-                seen.add(key)
-                found.append(product)
-                found_words.append((n % len(gens),) + frontier_words[n // len(gens)])
-        elements += found
-        words += found_words
-        frontier = np.array(found).reshape(-1, *seeds.shape[1:])
-        frontier_words = found_words
-    return elements, words
-
-
 @lru_cache(maxsize=None)
 def _positive_roots(gram: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The positive roots of the reduced system of ``gram``, sorted, with
@@ -405,7 +364,11 @@ def build_root_system(
     for key, value in mult_assignment.items():
         if key not in vocab:
             raise RootSystemError(f"unknown length class {key!r} for family {family}")
-        if int(value) != value or value <= 0:
+        try:  # int() raises on None, nan and inf
+            valid = int(value) == value and value > 0
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
             raise RootSystemError(f"invalid multiplicity {value!r} for class {key!r}")
 
     gram, coeffs, classes = _shape(family, rank)
@@ -598,11 +561,32 @@ def weyl_group(sys: RootSystem, max_rank: int = 4) -> list[WeylElement]:
 
 @lru_cache(maxsize=None)
 def _weyl_elements(gram: tuple[tuple[int, ...], ...]) -> tuple[WeylElement, ...]:
-    """The Weyl group of ``gram`` by word length, then word; computed once."""
-    import numpy as np
-
-    elements, words = _closure(_simple_reflections(gram), np.eye(len(gram), dtype=np.int64)[None])
-    group = (WeylElement(tuple(map(tuple, m.tolist())), word) for m, word in zip(elements, words))
+    """The Weyl group of ``gram`` by word length, then word; computed once.
+    ``s_i v = v - <v, a_i^vee> a_i`` permutes the roots, so one table per
+    ``i`` maps root indices to image indices.  An element is the indices of
+    ``w(a_1), ..., w(a_r)``, its matrix's columns.  The closure is breadth
+    first from the identity, and each element keeps the word ``(i,) + word(w)``
+    of its first product ``s_i w`` in (element, generator) order."""
+    cartan = _cartan_rows(gram)
+    rank = len(gram)
+    positive = [v for v, _ in _positive_roots(gram)]
+    roots = positive + [tuple(-c for c in v) for v in positive]
+    index = {v: n for n, v in enumerate(roots)}
+    tables = [[index[v[:i] + (v[i] - sum(c * row[i] for c, row in zip(v, cartan)),) + v[i + 1:]]
+               for v in roots] for i in range(rank)]
+    identity = tuple(index[tuple(int(j == i) for j in range(rank))] for i in range(rank))
+    words, frontier = {identity: ()}, [identity]
+    while frontier:
+        found = []
+        for element in frontier:
+            for i, table in enumerate(tables):
+                product = tuple(map(table.__getitem__, element))
+                if product not in words:
+                    words[product] = (i,) + words[element]
+                    found.append(product)
+        frontier = found
+    group = (WeylElement(tuple(zip(*(roots[n] for n in element))), word)
+             for element, word in words.items())
     return tuple(sorted(group, key=lambda w: (len(w.word), w.word)))
 
 

@@ -356,6 +356,12 @@ def test_singular_blowup_validates_every_degree_before_the_recurrence(monkeypatc
         asy.singular_blowup_check([0.01, 0.1], degrees)
 
 
+def test_singular_blowup_refuses_a_degree_past_the_legendre_ceiling():
+    # the refusal is legendre_rows' up-front ceiling, before any row is summed
+    with pytest.raises(ValueError, match="above the supported maximum"):
+        asy.singular_blowup_check([0.01, 0.1], [10 ** 7])
+
+
 def test_singular_blowup_guards():
     with pytest.raises(ValueError):
         asy.singular_blowup_check([0.6], [10])

@@ -2,8 +2,12 @@
 
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +102,9 @@ def test_invalid_inputs():
         build("A", 2, {"short": 1})  # wrong vocabulary
     with pytest.raises(RootSystemError):
         build("A", 2, {"all": 0})  # nonpositive multiplicity
+    for value in (2.5, "3", float("inf"), float("nan"), None):
+        with pytest.raises(RootSystemError, match="invalid multiplicity"):
+            build("A", 2, {"all": value})
     with pytest.raises(RootSystemError):
         build("G2", 3, {"short": 1, "long": 1})
 
@@ -280,6 +287,47 @@ def test_weyl_group_orders_over_catalog():
         assert len(rs.weyl_group(system)) == _weyl_order(entry.family, entry.rank), entry.id
 
 
+def test_weyl_group_elements_are_the_products_of_their_words():
+    # the group by its meaning, on every distinct catalog Gram of rank <= 4 and
+    # on A5: each matrix is the product of the simple reflections along its
+    # word, preserves the Gram matrix, and has the word's length as its count
+    # of positive roots sent negative; the list is sorted by (length, word),
+    # its matrices are distinct and there are |W| of them
+    systems = {}
+    for entry in cat.builtin_catalog().entries:
+        system = cat.instantiate(entry)
+        if system.rank <= 4:
+            systems.setdefault(system.gram, system)
+    assert len(systems) == 16
+    for system in [*systems.values(), build("A", 5, {"all": 1})]:
+        rank = system.rank
+        gram = np.array(system.gram, dtype=np.int64)
+        gens = []
+        for i in range(rank):  # s_i a_j = a_j - (2 <a_j, a_i> / <a_i, a_i>) a_i
+            s_i = np.eye(rank, dtype=np.int64)
+            s_i[i] -= 2 * gram[:, i] // gram[i, i]
+            gens.append(s_i)
+        products = {(): np.eye(rank, dtype=np.int64)}
+
+        def product(word):
+            if word not in products:
+                products[word] = gens[word[0]] @ product(word[1:])
+            return products[word]
+
+        coeffs = {r.coeffs for r in system.positive_roots}
+        reduced = np.array([v for v in sorted(coeffs) if any(c % 2 for c in v)
+                            or tuple(c // 2 for c in v) not in coeffs], dtype=np.int64).T
+        group = rs.weyl_group(system, max_rank=5)
+        for w in group:
+            matrix = np.array(w.matrix, dtype=np.int64)
+            assert (product(w.word) == matrix).all(), (system.family, rank, w.word)
+            assert (matrix.T @ gram @ matrix == gram).all()
+            assert len(w.word) == int((matrix @ reduced <= 0).all(axis=0).sum())
+        keys = [(len(w.word), w.word) for w in group]
+        assert keys == sorted(keys)
+        assert len({w.matrix for w in group}) == len(group) == _weyl_order(system.family, rank)
+
+
 def test_weyl_preserves_inner_and_roots():
     for system in (A2, G2, BC1):
         group = rs.weyl_group(system)
@@ -379,13 +427,32 @@ HEIGHT_SHAPES = [(family, rank) for family in ("A", "B", "C", "BC", "D")
 HEIGHT_SHAPES += [("G2", 2), ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8)]
 
 
+def _reflection_orbit(gram):
+    """The roots as the orbit of the simple roots under the simple
+    reflections ``v -> v - <v, a_i^vee> a_i`` on coefficient tuples."""
+    cartan = rs._cartan_rows(gram)
+    rank = len(gram)
+    frontier = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    orbit = set(frontier)
+    while frontier:
+        found = []
+        for v in frontier:
+            for i in range(rank):
+                pairing = sum(c * row[i] for c, row in zip(v, cartan))
+                image = v[:i] + (v[i] - pairing,) + v[i + 1:]
+                if image not in orbit:
+                    orbit.add(image)
+                    found.append(image)
+        frontier = found
+    return orbit
+
+
 @pytest.mark.parametrize("family, rank", HEIGHT_SHAPES)
 def test_roots_by_height_match_the_reflection_closure(family, rank):
-    # the oracle is the numpy orbit of the simple roots under the simple reflections
+    # the oracle is the orbit of the simple roots under the simple reflections
     gram = tuple(map(tuple, rs._gram_int(family, rank)))
-    orbit, _ = rs._closure(rs._simple_reflections(gram), np.eye(rank, dtype=np.int64)[:, :, None])
-    positive = sorted(tuple(v.ravel().tolist()) for v in orbit if (v >= 0).all())
-    norms = [int(v @ np.array(gram) @ v) for v in np.array(positive)]
+    positive = sorted(v for v in _reflection_orbit(gram) if min(v) >= 0)
+    norms = [sum(a * g * b for a, row in zip(v, gram) for g, b in zip(row, v)) for v in positive]
     assert rs._positive_roots(gram) == tuple(zip(positive, norms))
     if family == "BC":  # the doubles of the short roots join
         positive += [tuple(2 * c for c in v) for v, n in zip(positive, norms) if n == min(norms)]
@@ -667,15 +734,7 @@ def test_shared_gram_keeps_each_systems_multiplicities():
     assert rs.kappa(b2) != rs.kappa(b2_other)
 
 
-def test_closure_runs_once_per_gram_over_catalog(monkeypatch):
-    calls = []
-    closure = rs._closure
-
-    def counted(gens, seeds):
-        calls.append(gens.tobytes())
-        return closure(gens, seeds)
-
-    monkeypatch.setattr(rs, "_closure", counted)
+def test_closure_runs_once_per_gram_over_catalog():
     rs._shape.cache_clear()
     rs._positive_roots.cache_clear()
     rs._weyl_elements.cache_clear()
@@ -685,11 +744,12 @@ def test_closure_runs_once_per_gram_over_catalog(monkeypatch):
         # the roots are built by height, once per Gram matrix; only the Weyl
         # group runs the closure
         assert rs._positive_roots.cache_info().misses == len(grams) < len(systems)
-        assert calls == []
+        assert rs._weyl_elements.cache_info().misses == 0
         low_rank = [system for system in systems if system.rank <= 4]
         for system in low_rank:
             rs.weyl_group(system)
-        assert len(calls) == len({system.gram for system in low_rank}) < len(low_rank)
+        assert rs._weyl_elements.cache_info().misses == len({system.gram for system in low_rank}) \
+            < len(low_rank)
     finally:
         rs._shape.cache_clear()
         rs._positive_roots.cache_clear()
@@ -820,6 +880,40 @@ def test_exact_layer_never_hashes_a_system(monkeypatch, family, rank, mult):
         hash(system)
     assert _exact_outputs(system) == expected
     assert _exact_outputs(system) == expected  # again, from the stored constants
+
+
+# the exact functions other than the counting kernel, run once with numpy and
+# once in a fresh interpreter where importing numpy fails
+_EXACT_WITHOUT_NUMPY = (
+    "from fractions import Fraction\n"
+    "from sphreg import rootsys as rs\n"
+    "g2 = rs.build_root_system('G2', 2, {'short': 1, 'long': 3})\n"
+    "f4 = rs.build_root_system('F4', 4, {'short': 2, 'long': 1})\n"
+    "lam = rs.Covector.make([Fraction(-1, 2), 3, 0, -2])\n"
+    "result = repr((rs.weyl_group(g2), rs.weyl_group(f4), rs.dominant_representative(f4, lam),\n"
+    "               rs.in_bounded_region(f4, lam), rs.fundamental_weights(f4),\n"
+    "               rs.kappa(f4), rs.kappa(g2)))\n")
+
+
+def test_exact_layer_runs_without_numpy():
+    # only n_of needs numpy, which shows that the block holds
+    script = ("import sys\n"
+              "sys.modules['numpy'] = None\n"
+              + _EXACT_WITHOUT_NUMPY +
+              "print(result)\n"
+              "try:\n"
+              "    rs.n_of(f4, lam)\n"
+              "except ImportError:\n"
+              "    print('n_of needs numpy')\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).resolve().parents[1] / "src")]
+                                        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    namespace = {}
+    exec(_EXACT_WITHOUT_NUMPY, namespace)
+    assert done.stdout.splitlines() == [namespace["result"], "n_of needs numpy"]
 
 
 def test_built_system_is_freed():
