@@ -29,7 +29,7 @@ import math
 import time
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,7 +40,12 @@ from . import rootsys as rs
 from . import spherical as sph
 from .spherical import QuadratureConfig, SpectralParameter
 
-__all__ = ["CriterionResult", "compute_fixtures", "load_fixtures", "run_all"]
+__all__ = ["CriterionNumberError", "CriterionResult", "compute_fixtures", "load_fixtures",
+           "run_all"]
+
+
+class CriterionNumberError(ValueError):
+    """``run_all`` was asked for a criterion number outside the list."""
 
 
 @dataclass(frozen=True)
@@ -243,14 +248,13 @@ HOLDER_GRID_POINTS = 2049
 HOLDER_SWEEP = tuple(2 ** k for k in range(4, 12))
 
 
-def holder_family(grid_points: int = HOLDER_GRID_POINTS,
-                  sweep: Sequence[float] = HOLDER_SWEEP):
-    """Chamber restrictions of the spherical family on a uniform grid of
-    ``HOLDER_REGION``: one sweep call (``spherical.spherical_sl2_sweep``) at
-    the spectral values ``t * HOLDER_XI`` of the sweep."""
-    grid = np.linspace(HOLDER_REGION[0], HOLDER_REGION[1], grid_points)
-    values = sph.spherical_sl2_sweep(HOLDER_XI * np.asarray(sweep, dtype=float), 0.0, grid)
-    return dict(zip(sweep, values.real.T.copy())), grid
+def holder_family():
+    """Chamber restrictions of the spherical family on ``HOLDER_GRID_POINTS``
+    uniform points of ``HOLDER_REGION``: one sweep call (``spherical.spherical_sl2_sweep``)
+    at the spectral values ``t * HOLDER_XI``, t in ``HOLDER_SWEEP``."""
+    grid = np.linspace(HOLDER_REGION[0], HOLDER_REGION[1], HOLDER_GRID_POINTS)
+    values = sph.spherical_sl2_sweep(HOLDER_XI * np.asarray(HOLDER_SWEEP, dtype=float), 0.0, grid)
+    return dict(zip(HOLDER_SWEEP, values.real.T.copy())), grid
 
 
 def criterion_6_holder_dichotomy() -> tuple[bool, str]:
@@ -307,19 +311,15 @@ def criterion_7_leading_term() -> tuple[bool, str]:
 
 def legendre_envelope_fit() -> asy.DecayFit:
     """Log-log fit of the envelope of the Legendre sequence at angle 1 over
-    degrees 10 to 1000, each sample the maximum over four degrees."""
+    degrees 10 to 1000, each sample the maximum over four degrees (``envelope_samples``);
+    windows overlap, so a sample whose degree does not pass the last one's is dropped."""
     theta, n_min, n_max = 1.0, 10, 1000
     sequence = sph.legendre_sequence(n_max + 10, math.cos(theta))
     targets = np.unique(np.geomspace(n_min, n_max, 24).astype(int))
     samples = []
-    for n0 in targets:
-        window = np.arange(n0, n0 + 4)
-        values = np.abs(sequence[window])
-        j = int(np.argmax(values))
-        abscissa = float(window[j])
-        if samples and abscissa <= samples[-1][0]:
-            continue
-        samples.append((abscissa, float(values[j])))
+    for sample in asy.envelope_samples(lambda n: sequence[n.astype(int)], targets, 3.0, 4):
+        if not samples or sample[0] > samples[-1][0]:
+            samples.append(sample)
     return asy.decay_fit(samples)
 
 
@@ -391,13 +391,18 @@ _CRITERIA: tuple[tuple[str, float, Callable[[], tuple[bool, str]]], ...] = (
 )
 
 
-def run_all(only: Iterable[int] | None = None,
+def run_all(only: Sequence[int] | None = None,
             progress: Callable[[str], None] | None = None) -> list[CriterionResult]:
-    """Runs the criteria numbered in ``only`` (all by default) in list order."""
-    wanted = set(only) if only is not None else None
+    """Runs the criteria numbered in ``only`` (all by default) in list order.
+    A number outside the list raises ``CriterionNumberError`` before any
+    criterion runs."""
+    outside = [n for n in only or () if not 1 <= n <= len(_CRITERIA)]
+    if outside:
+        raise CriterionNumberError(f"no criterion {outside[0]}; the criteria are numbered "
+                                   f"1..{len(_CRITERIA)}")
     results = []
     for index, (name, budget, check) in enumerate(_CRITERIA, start=1):
-        if wanted is not None and index not in wanted:
+        if only is not None and index not in only:
             continue
         t0 = time.perf_counter()
         maths, detail = check()

@@ -172,16 +172,15 @@ def leading_term_sl2(
     return LeadingTerm(tuple(terms), 0.5, complex(total))
 
 
-def stationary_points_check_sl2(
-    lam_xi: float, t_geo: float, tol: float, grid_size: int = 4096
-) -> list[float]:
-    """Grid angles where the phase derivative falls below ``tol``; for a
-    regular geodesic these cluster at the four quarter-turn angles."""
+def stationary_points_check_sl2(lam_xi: float, t_geo: float, tol: float) -> list[float]:
+    """Angles of the uniform 4096-point grid on the circle where the phase
+    derivative falls below ``tol``; for a regular geodesic these cluster at
+    the four quarter-turn angles."""
     if t_geo <= 0.0:
         raise ValueError("geodesic parameter must be strictly positive")
     if lam_xi == 0.0:
         raise ValueError("spectral direction must be nonzero")
-    theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    theta = 2.0 * np.pi * np.arange(4096) / 4096
     d = np.cosh(2.0 * t_geo) + np.sinh(2.0 * t_geo) * np.cos(2.0 * theta)
     derivative = 2.0 * lam_xi * (-np.sinh(2.0 * t_geo) * np.sin(2.0 * theta)) / d
     mask = np.abs(derivative) < tol
@@ -264,7 +263,6 @@ def holder_estimate(
     grid: np.ndarray,
     derivative_order: int,
     alpha: float,
-    region: tuple[float, float] | None = None,
     threshold: float = 2.0,
 ) -> HolderReport:
     """Empirical Holder quotients of a family of sampled functions.
@@ -289,25 +287,16 @@ def holder_estimate(
     h = steps[0]
     if np.any(np.abs(steps - h) > 1e-9 * abs(h)):
         raise ValueError("grid must be uniform")
-    mask = slice(None)
-    if region is not None:
-        lo, hi = region
-        idx = np.flatnonzero((grid >= lo) & (grid <= hi))
-        if idx.size < 2:
-            raise ValueError("region selects fewer than two grid points")
-        mask = slice(idx[0], idx[-1] + 1)
-    xs = grid[mask]
-    n = xs.size
 
     params = sorted(family)
     sups = []
     for t in params:
-        values = np.asarray(family[t])[mask]
-        if values.shape != xs.shape:
+        values = np.asarray(family[t])
+        if values.shape != grid.shape:
             raise ValueError("sample array does not match the grid")
         best = 0.0
         k = 0
-        while (1 << k) < n:
+        while (1 << k) < grid.size:
             sep = (1 << k)
             diffs = np.abs(values[sep:] - values[:-sep])
             q = float(diffs.max()) / (h * sep) ** alpha
@@ -381,22 +370,19 @@ class SingularBlowupReport:
 def singular_blowup_check(
     theta_wall_approach: Sequence[float],
     n_list: Sequence[int],
-    alpha: float = 0.5,
-    interior_theta: float = 0.3,
 ) -> SingularBlowupReport:
-    """Holder quotients of the compact family against the chamber wall.
+    """Holder quotients of exponent 1/2 of the compact family against the
+    chamber wall.
 
     For each degree n, the wall quotient is the sup of
-    ``|P_n(1) - P_n(cos theta)| / theta^alpha`` over the supplied approach
+    ``|P_n(1) - P_n(cos theta)| / theta^(1/2)`` over the supplied approach
     angles that have reached scale ``n^{-2}``; along that deepening approach
-    the family blows up in every Holder class.  At a fixed interior angle the
+    the family blows up in every Holder class.  At the interior angle 0.3 the
     same quotient stays bounded.
     """
     thetas = np.asarray(sorted(theta_wall_approach), dtype=float)
     if np.any((thetas <= 0.0) | (thetas >= 0.5)):
         raise ValueError("approach angles must lie in (0, 0.5)")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
     degrees = sorted(int(n) for n in n_list)
     if not degrees:
         raise ValueError("need at least one degree")
@@ -409,6 +395,7 @@ def singular_blowup_check(
 
     from .spherical import legendre_rows
 
+    alpha, interior_theta = 0.5, 0.3
     wall = []
     interior = []
     # one table for every degree; the last column is the interior angle

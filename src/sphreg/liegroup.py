@@ -95,14 +95,19 @@ def _check_conditioning(g: SpecialLinearElement) -> None:
         )
 
 
+def _positive_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QR of a matrix or a stack of matrices with ``r``'s diagonal made
+    nonnegative: its signs (0 taken as 1) move into ``q``'s columns."""
+    q, r = np.linalg.qr(a)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs[signs == 0] = 1.0
+    return q * signs[..., np.newaxis, :], r * signs[..., np.newaxis]
+
+
 def iwasawa(g: SpecialLinearElement) -> IwasawaFactors:
     """Unique orthogonal x abelian x unipotent factorization of ``g``."""
     _check_conditioning(g)
-    q, r = np.linalg.qr(g.entries)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    q = q * signs[np.newaxis, :]
-    r = r * signs[:, np.newaxis]
+    q, r = _positive_qr(g.entries)
     diag = np.diag(r).copy()
     h = np.log(diag)
     nu = r / diag[:, np.newaxis]
@@ -140,11 +145,11 @@ def kak(g: SpecialLinearElement) -> KAKFactors:
     return KAKFactors(u, a_log, k2)
 
 
-def is_regular(g: SpecialLinearElement, tol: float = 1e-9) -> bool:
+def is_regular(g: SpecialLinearElement) -> bool:
     """Whether the chamber component of ``g`` is strictly interior, i.e. all
-    consecutive gaps of the sorted log singular values exceed ``tol``."""
+    consecutive gaps of the sorted log singular values exceed 1e-9."""
     a_log = kak(g).a_log
-    return bool(np.all(np.diff(a_log) < -tol))
+    return bool(np.all(np.diff(a_log) < -1e-9))
 
 
 def haar_so_n_sample(n: int, rng_seed: int, count: int) -> np.ndarray:
@@ -165,10 +170,7 @@ def haar_so_n_sample(n: int, rng_seed: int, count: int) -> np.ndarray:
     out = np.empty((count, n, n))
     for start in range(0, count, block):
         stop = min(start + block, count)
-        q, r = np.linalg.qr(rng.standard_normal((stop - start, n, n)))
-        signs = np.sign(np.einsum("...ii->...i", r))
-        signs[signs == 0] = 1.0
-        q = q * signs[:, np.newaxis, :]
+        q, _ = _positive_qr(rng.standard_normal((stop - start, n, n)))
         dets = np.linalg.det(q)
         q[dets < 0, :, -1] *= -1.0
         out[start:stop] = q

@@ -159,7 +159,6 @@ class RootSystem:
 
     family: str
     rank: int
-    simple_roots: tuple[str, ...]
     gram: tuple[tuple[int, ...], ...]
     positive_roots: tuple[PositiveRoot, ...]
     reduced: bool
@@ -376,8 +375,7 @@ def build_root_system(
     if missing is not None:
         raise RootSystemError(f"incomplete multiplicity assignment: class {missing!r} not covered")
     roots = tuple(PositiveRoot(v, int(mult_assignment[cls])) for v, cls in zip(coeffs, classes))
-    labels = tuple(f"a{i + 1}" for i in range(rank))
-    return RootSystem(family, rank, labels, gram, roots, family != "BC")
+    return RootSystem(family, rank, gram, roots, family != "BC")
 
 
 # ---------------------------------------------------------------------------

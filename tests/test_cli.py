@@ -659,3 +659,11 @@ def test_every_module_attribute_the_cli_reaches_exists():
                      if not hasattr(modules[alias], name))
     assert {("sph", "_mehler_config"), ("sph", "_spherical_compact_su2")} <= reached
     assert missing == []
+    # the acceptance gate is reached through its public names only
+    private = [name for alias, name in reached
+               if modules[alias].__name__ == "sphreg.accept" and name.startswith("_")]
+    private += [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module == "accept" for alias in node.names
+                if alias.name.startswith("_")]
+    assert "accept" in modules and private == []

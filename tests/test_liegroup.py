@@ -128,7 +128,7 @@ def test_kak_bi_invariance_of_chamber_part():
 
 def test_is_regular():
     assert not lg.is_regular(SpecialLinearElement.from_array(np.eye(3)))
-    assert lg.is_regular(SpecialLinearElement.diagonal([1.0, 0.0, -1.0]), tol=1e-6)
+    assert lg.is_regular(SpecialLinearElement.diagonal([1.0, 0.0, -1.0]))
     assert not lg.is_regular(SpecialLinearElement.diagonal([1.0, 1.0, -2.0]))
 
 
