@@ -12,6 +12,6 @@ __version__ = "0.1.0"
 # thread; products above it go to its thread pool, which on a busy two-core
 # host stalled: 8 ms per E8 batch of root counts against 0.7 ms on one
 # thread, and 16 ms against 0.16 ms for a (130 x 100) @ (100 x 401) product.
-# Blocked products (``rootsys._counts``, ``spherical.legendre_rows``) stay
+# Blocked products (``rootsys.n_of_many``, ``spherical.legendre_rows``) stay
 # within it.
 _ONE_THREAD_MADDS = 2 ** 18

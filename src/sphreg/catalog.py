@@ -26,9 +26,8 @@ keys are an error.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import rootsys
 from .rootsys import RootSystem, RootSystemError
@@ -51,8 +50,7 @@ class CatalogError(ValueError):
     """Malformed catalog text or invalid entry data."""
 
 
-@dataclass(frozen=True)
-class SymmetricSpaceEntry:
+class SymmetricSpaceEntry(NamedTuple):
     id: str
     cartan_label: str
     group_name: str
@@ -69,8 +67,7 @@ class SymmetricSpaceEntry:
         return dict(self.multiplicities)
 
 
-@dataclass(frozen=True)
-class CatalogFile:
+class CatalogFile(NamedTuple):
     format_version: int
     entries: tuple[SymmetricSpaceEntry, ...]
 

@@ -4,39 +4,25 @@ Roots are stored through their integer coefficients in the simple-root
 basis; no ambient Euclidean embedding is used.  Gram matrices follow the
 normalization in which the short root of each family has squared length 2
 (the invariant, dominance and hull membership are scale invariant, so the
-choice is free).  Covector coordinates are exact rationals.
+choice is free).  A covector holds integer numerators over one positive
+denominator, in lowest terms; ``coords`` reads them as ``Fraction``s.
 
-Everything but the counting kernel runs in Python integers and imports no
-numpy.  The positive roots are built by height (Humphreys, *Introduction to
-Lie Algebras and Representation Theory*, 8.4), each with its coroot
-pairings and squared length.  The fundamental weights are rows of the
-inverse Cartan matrix, whose determinant and adjugate come from
-fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968).  The
-dominant representatives walk on cleared integer coordinates and their
-integer coroot pairings, so the walk and the hull test do no ``Fraction``
-arithmetic.  The Weyl group permutes the roots, so its elements are integer
-matrices in simple-root coordinates whose columns are the images of the
-simple roots; the group is the closure of the simple reflections acting on
-root indices.  ``n_of`` clears denominators and shares the pairing kernel
-``(R G) x`` of ``n_of_many``.  While
-``max|x| * max_i sum_j |(R G)_ij| < 2**53`` bounds every product and partial
-sum, it runs as a float64 BLAS product: each of those is an integer below
-``2**53``, so IEEE double computes it exactly in any summation order.
-Otherwise it runs in Python integers (``dtype=object``), so the zero test is
-exact for every input.  The hits are weighted in tiers too: by a float64
-BLAS product while the total multiplicity is below ``2**53``, in int64 below
-``2**63``, in Python integers beyond.  Covector coordinates are never rounded.
+All but the batch count ``n_of_many`` (numpy tiers, exact for every input)
+runs in Python integers.  The positive roots are built by height (Humphreys,
+*Introduction to Lie Algebras and Representation Theory*, 8.4, 10.2), and
+sorted, which puts ``v`` before ``v + a_i``: ``n_of`` forms ``y = G x`` once
+and takes each pairing from the root one step lower, ``<v + a_i, x> = <v,
+x> + y_i``.  The fundamental weights are rows of the inverse Cartan matrix,
+by fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968).
+The Weyl group is the closure of the simple reflections permuting the
+roots; its elements are integer matrices in simple-root coordinates, which
+act on the numerators alone, as does the walk to the dominant chamber.
 
 Each constant is computed once, at the level it depends on, and no system
-is hashed on the way.  The multiplicity vector, ``2 rho`` and the
-doubled-simple-root flags live on the ``RootSystem`` instance, made on first
-use.  The Gram tuple, the positive roots (with BC's doubled roots) and their
-length classes are cached per (family, rank), so ``build_root_system`` only
-checks the assignment and attaches multiplicities.  Cached on the ``gram``
-tuple, of which the rank ceiling allows a few hundred: the positive roots
-and the Cartan matrix, and from both the Weyl group; with the roots, ``R G``
-in float64 and its row bound; with the doubled-root flags, the fundamental
-weights.
+is hashed on the way: the batch kernel on the ``RootSystem`` instance, on
+first use; everything but the multiplicities per (family, rank) in
+``_shape``; the positive roots, the Cartan matrix, the Weyl group, ``R G``
+and (with the doubled-root flags) the fundamental weights per ``gram``.
 
 Supported families: A, B, C, D, BC (non-reduced), G2, F4, E6, E7, E8.
 """
@@ -45,9 +31,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from collections import namedtuple
 from functools import cached_property, lru_cache
+from itertools import compress
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from . import _ONE_THREAD_MADDS
@@ -80,23 +67,63 @@ class RootSystemError(ValueError):
     """Invalid family, rank or multiplicity data."""
 
 
-@dataclass(frozen=True)
-class PositiveRoot:
+class _Record:
+    """Immutable record, equal and hashed by the values of its ``_fields``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return type(self).__name__ + repr(self._values())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class PositiveRoot(NamedTuple):
     """A positive root given by its simple-root coefficients and multiplicity."""
 
     coeffs: tuple[int, ...]
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class Covector:
-    """Element of the dual of the Cartan subspace, in simple-root coordinates."""
+class Covector(_Record):
+    """Element of the dual of the Cartan subspace, in simple-root coordinates:
+    the integers ``numerators`` over their least positive ``denominator``."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = _fields = ("numerators", "denominator")
+
+    def __init__(self, coords: Iterable) -> None:
+        # ints and Fractions carry numerator and denominator; the rest go through Fraction
+        coords = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coords]
+        scale = math.lcm(*(c.denominator for c in coords))
+        super().__init__(tuple(c.numerator * (scale // c.denominator) for c in coords), scale)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.denominator) for x in self.numerators)
 
     @staticmethod
     def make(values: Iterable) -> "Covector":
-        return Covector(tuple(Fraction(v) for v in values))
+        return Covector(values)
+
+    def __reduce__(self):
+        return _covector, (self.numerators, self.denominator)
 
     def __add__(self, other: "Covector") -> "Covector":
         return Covector(tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -109,8 +136,16 @@ class Covector:
         return Covector(tuple(c * a for a in self.coords))
 
 
-@dataclass(frozen=True)
-class WeylElement:
+def _covector(numerators: tuple[int, ...], denominator: int) -> Covector:
+    """The covector ``numerators / denominator``, in lowest terms."""
+    if (g := math.gcd(denominator, *numerators)) > 1:
+        numerators, denominator = tuple(x // g for x in numerators), denominator // g
+    lam = object.__new__(Covector)
+    _Record.__init__(lam, numerators, denominator)
+    return lam
+
+
+class WeylElement(NamedTuple):
     """Orthogonal transformation of covector coordinates with a generating word.
 
     ``word = (i1, ..., im)`` means the element is the composition
@@ -123,14 +158,10 @@ class WeylElement:
 
     def apply(self, lam: Covector) -> Covector:
         x, scale = _cleared(lam, len(self.matrix))
-        return Covector(tuple(Fraction(sum(a * b for a, b in zip(row, x)), scale)
-                              for row in self.matrix))
+        return _covector(tuple(sum(map(operator.mul, row, x)) for row in self.matrix), scale)
 
 
-class _PairingKernel(NamedTuple):
-    weights: np.ndarray  # ``(R G)^T``, one column per positive root, in float64
-    mult: np.ndarray     # multiplicities, float64, int64 or Python ints (see ``_kernel``)
-    row_bound: int       # largest absolute row sum of ``R G``
+_PairingKernel = namedtuple("_PairingKernel", "weights mult row_bound")  # see ``_kernel``
 
 
 @lru_cache(maxsize=None)
@@ -147,28 +178,24 @@ def _pairing(gram: tuple[tuple[int, ...], ...],
     return weights, int(np.abs(pairing).sum(axis=1).max())
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(_Record):
     """Restricted root system with multiplicities, over exact rationals.
 
-    The per-system constants below are computed on first use and kept in the
-    instance ``__dict__`` (``cached_property`` writes there directly, past the
-    frozen ``__setattr__``).  They are not fields, so equality and hashing
-    ignore them, and no cache outside the instance keeps it alive.
+    The batch kernel below is computed on first use and kept in the instance
+    ``__dict__`` (``cached_property`` writes there directly, past the frozen
+    ``__setattr__``).  It is not a field, so equality and hashing ignore it,
+    and no cache outside the instance keeps the system alive.
     """
 
-    family: str
-    rank: int
-    gram: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[PositiveRoot, ...]
-    reduced: bool
+    _fields = ("family", "rank", "gram", "positive_roots", "reduced")
 
     @cached_property
     def _kernel(self) -> _PairingKernel:
-        """The pairing kernel of ``n_of`` and ``n_of_many``, arrays read-only.
-        The multiplicities are float64 while their sum is below ``2**53``, so
-        each weighted count is an exact BLAS sum, int64 while it is below
-        ``2**63``, and Python integers (``dtype=object``) beyond."""
+        """The pairing kernel of ``n_of_many``: ``(R G)^T`` and the row bound
+        from ``_pairing``, and the multiplicities, arrays read-only.  Those are
+        float64 while their sum is below ``2**53``, so each weighted count is
+        an exact BLAS sum, int64 while it is below ``2**63``, and Python
+        integers (``dtype=object``) beyond."""
         import numpy as np
 
         weights, row_bound = _pairing(self.gram, tuple(r.coeffs for r in self.positive_roots))
@@ -177,19 +204,6 @@ class RootSystem:
                         np.int64 if sum(mult) < 2 ** 63 else object)
         mult.setflags(write=False)
         return _PairingKernel(weights, mult, row_bound)
-
-    @cached_property
-    def _two_rho(self) -> tuple[int, ...]:
-        """Sum of positive roots weighted by multiplicities, in integers."""
-        return tuple(sum(column) for column in zip(
-            *([r.multiplicity * c for c in r.coeffs] for r in self.positive_roots)))
-
-    @cached_property
-    def _doubled_simple(self) -> tuple[bool, ...]:
-        """Whether twice each simple root is again a positive root."""
-        coeff_set = {r.coeffs for r in self.positive_roots}
-        return tuple(tuple(2 * int(j == i) for j in range(self.rank)) in coeff_set
-                     for i in range(self.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +338,17 @@ def _positive_roots(gram: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int,
     return tuple(sorted((v, norm) for v, _, _, norm in roots))
 
 
+_Shape = namedtuple("_Shape", "gram coeffs classes steps doubled involving heights")
+
+
 @lru_cache(maxsize=None)
-def _shape(family: str, rank: int) -> tuple[tuple, tuple, tuple[str, ...]]:
+def _shape(family: str, rank: int) -> _Shape:
     """Everything of a system but its multiplicities, once per (family, rank):
-    the Gram tuple, the positive roots' coefficient tuples (with BC's doubled
-    roots) and the length class of each."""
+    ``gram``; the sorted positive roots' ``coeffs`` (with BC's doubled roots)
+    and length ``classes``; per root ``v`` the height step ``(index of v - a_i
+    or -1 at a_i, i)``; whether each ``2 a_i`` is ``doubled``; and per ``a_i``
+    and length class, as (first root of the class, value), the number of
+    roots ``involving`` ``a_i`` and the sum of their ``a_i``-``heights``."""
     gram = tuple(map(tuple, _gram_int(family, rank)))
     norm2 = dict(_positive_roots(gram))
     positives = list(norm2)
@@ -344,7 +364,18 @@ def _shape(family: str, rank: int) -> tuple[tuple, tuple, tuple[str, ...]]:
     for v in positives:
         if norm2[v] not in by_norm:
             raise RootSystemError(f"unexpected root length {norm2[v]} in {family}{rank}")
-    return gram, tuple(positives), tuple(by_norm[norm2[v]] for v in positives)
+    classes = tuple(by_norm[norm2[v]] for v in positives)
+    index = {v: k for k, v in enumerate(positives)} | {(0,) * rank: -1}
+    steps = tuple(next((index[w], i) for i in range(rank)
+                       if v[i] and (w := v[:i] + (v[i] - 1,) + v[i + 1:]) in index)
+                  for v in positives)
+    first = {c: classes.index(c) for c in dict.fromkeys(classes)}
+    cols = {k: list(zip(*(v for v, c in zip(positives, classes) if c == name)))
+            for name, k in first.items()}
+    return _Shape(gram, tuple(positives), classes, steps,
+                  tuple(tuple(2 * int(j == i) for j in range(rank)) in index for i in range(rank)),
+                  tuple(zip(*([(k, len(c) - c.count(0)) for c in cs] for k, cs in cols.items()))),
+                  tuple(zip(*([(k, sum(c)) for c in cs] for k, cs in cols.items()))))
 
 
 def build_root_system(
@@ -370,7 +401,7 @@ def build_root_system(
         if not valid:
             raise RootSystemError(f"invalid multiplicity {value!r} for class {key!r}")
 
-    gram, coeffs, classes = _shape(family, rank)
+    gram, coeffs, classes, *_ = _shape(family, rank)
     missing = next((cls for cls in classes if cls not in mult_assignment), None)
     if missing is not None:
         raise RootSystemError(f"incomplete multiplicity assignment: class {missing!r} not covered")
@@ -384,19 +415,18 @@ def build_root_system(
 
 def simple_covector(sys: RootSystem, i: int) -> Covector:
     """The i-th simple root as a covector (0-based index)."""
-    return Covector(tuple(Fraction(int(j == i)) for j in range(sys.rank)))
+    return _covector(tuple(int(j == i) for j in range(sys.rank)), 1)
 
 
 def root_covector(root: PositiveRoot) -> Covector:
-    return Covector(tuple(Fraction(c) for c in root.coeffs))
+    return _covector(root.coeffs, 1)
 
 
 def inner(sys: RootSystem, lam: Covector, mu: Covector) -> Fraction:
     """Exact inner product through the Gram matrix."""
-    if len(lam.coords) != sys.rank or len(mu.coords) != sys.rank:
-        raise ValueError("coordinate length does not match rank")
-    return sum((a * sum(g * b for g, b in zip(row, mu.coords))
-                for a, row in zip(lam.coords, sys.gram) if a != 0), Fraction(0))
+    (x, d), (y, e) = _cleared(lam, sys.rank), _cleared(mu, sys.rank)
+    return Fraction(sum(a * sum(map(operator.mul, row, y)) for a, row in zip(x, sys.gram) if a),
+                    d * e)
 
 
 def _integer_rows(coords, rank: int) -> np.ndarray:
@@ -419,12 +449,9 @@ def _integer_rows(coords, rank: int) -> np.ndarray:
 
 def _cleared(lam: Covector, rank: int) -> tuple[list[int], int]:
     """Integers ``x`` and the least positive ``scale`` with ``lam = x / scale``."""
-    if len(lam.coords) != rank:
+    if len(lam.numerators) != rank:
         raise ValueError("coordinate length does not match rank")
-    # ints and Fractions carry numerator and denominator; floats go through Fraction
-    coords = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in lam.coords]
-    scale = math.lcm(*(c.denominator for c in coords))
-    return [c.numerator * (scale // c.denominator) for c in coords], scale
+    return list(lam.numerators), lam.denominator
 
 
 def _weigh(pairings: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -437,36 +464,17 @@ def _weigh(pairings: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return (pairings != 0).astype(mult.dtype) @ mult
 
 
-def _counts(kernel: _PairingKernel, rows, largest: int) -> np.ndarray:
-    """Multiplicity-weighted counts of the roots not orthogonal to each
-    integer row of ``rows`` (an array or nested lists, with largest absolute
-    entry ``largest``), in the dtype of ``kernel.mult``.
-
-    While ``largest * row_bound < 2**53`` every product and partial sum of
-    ``rows @ (R G)^T`` is an integer below ``2**53``, so float64 BLAS computes
-    it exactly in any order, in blocks that OpenBLAS runs on the calling
-    thread; otherwise the product runs in Python integers."""
-    import numpy as np
-
-    if largest * kernel.row_bound >= 2 ** 53:
-        exact = kernel.weights.astype(np.int64).astype(object)
-        return _weigh(np.asarray(rows, dtype=object) @ exact, kernel.mult)
-    floats = np.asarray(rows, dtype=np.float64)
-    step = max(1, _ONE_THREAD_MADDS // kernel.weights.size)
-    if len(floats) <= step:
-        return _weigh(floats @ kernel.weights, kernel.mult)
-    return np.concatenate([_weigh(floats[start:start + step] @ kernel.weights, kernel.mult)
-                           for start in range(0, len(floats), step)])
-
-
 def n_of(sys: RootSystem, lam: Covector) -> int:
-    """Multiplicity-weighted count of positive roots not orthogonal to ``lam``.
-
-    The denominators of ``lam`` are cleared and the integer row goes through
-    the two tiers of ``n_of_many``, so the orthogonality test is exact.
-    """
+    """Multiplicity-weighted count of positive roots not orthogonal to ``lam``,
+    exact for every input: the pairings ``<v + a_i, x> = <v, x> + (G x)_i``
+    by height, in Python integers."""
     x, _ = _cleared(lam, sys.rank)
-    return int(_counts(sys._kernel, [x], max(map(abs, x)))[0])
+    y = [sum(map(operator.mul, row, x)) for row in sys.gram]
+    steps = _shape(sys.family, sys.rank).steps
+    pairings = [0] * (len(steps) + 1)  # the last entry stands for <0, x>
+    for k, (below, i) in enumerate(steps):
+        pairings[k] = pairings[below] + y[i]
+    return sum(compress(map(operator.attrgetter("multiplicity"), sys.positive_roots), pairings))
 
 
 def n_of_many(sys: RootSystem, coords) -> np.ndarray:
@@ -474,16 +482,25 @@ def n_of_many(sys: RootSystem, coords) -> np.ndarray:
 
     ``coords`` must be integral, of shape ``(count, rank)``; rational inputs
     should be scaled by a common denominator first (the orthogonality
-    pattern is scale-invariant).  The pairings are computed in float64 when
-    their partial sums provably stay below ``2**53``, and in Python integers
-    otherwise, so the zero test is exact for every input.  The counts are
-    int64, or Python integers once the total multiplicity reaches ``2**63``.
+    pattern is scale-invariant).  While ``largest * row_bound < 2**53`` each
+    product and partial sum of ``rows @ (R G)^T`` is an integer below
+    ``2**53``, exact in float64 BLAS in any order (in blocks OpenBLAS runs
+    on the calling thread); beyond, the product runs in Python integers.  The
+    counts are int64, or Python integers once the total multiplicity reaches
+    ``2**63``.
     """
     import numpy as np
 
-    rows = _integer_rows(coords, sys.rank)
+    rows, kernel = _integer_rows(coords, sys.rank), sys._kernel
     largest = max(int(rows.max()), -int(rows.min())) if rows.size else 0
-    counts = _counts(sys._kernel, rows, largest)
+    if largest * kernel.row_bound >= 2 ** 53:
+        exact = kernel.weights.astype(np.int64).astype(object)
+        counts = _weigh(rows.astype(object) @ exact, kernel.mult)
+    else:
+        floats = rows.astype(np.float64)
+        step = max(1, _ONE_THREAD_MADDS // kernel.weights.size)
+        counts = np.concatenate([_weigh(floats[start:start + step] @ kernel.weights, kernel.mult)
+                                 for start in range(0, max(len(floats), 1), step)])
     return counts if counts.dtype == object else counts.astype(np.int64, copy=False)
 
 
@@ -492,8 +509,13 @@ def kappa(sys: RootSystem) -> Fraction:
     of positive roots involving a given simple-root direction."""
     if not sys.positive_roots:
         raise RootSystemError("empty root system")
-    return Fraction(min(sum(r.multiplicity for r in sys.positive_roots if r.coeffs[i] >= 1)
-                        for i in range(sys.rank)), 2)
+    return Fraction(min(_by_class(sys, "involving")), 2)
+
+
+def _by_class(sys: RootSystem, table: str) -> tuple[int, ...]:
+    """Per simple root, the ``_shape`` ``table`` weighed by class multiplicity."""
+    return tuple(sum(sys.positive_roots[k].multiplicity * n for k, n in row)
+                 for row in getattr(_shape(sys.family, sys.rank), table))
 
 
 def reflect(sys: RootSystem, root: PositiveRoot, lam: Covector) -> Covector:
@@ -504,7 +526,7 @@ def reflect(sys: RootSystem, root: PositiveRoot, lam: Covector) -> Covector:
 
 def rho(sys: RootSystem) -> Covector:
     """Half sum of positive roots weighted by multiplicities."""
-    return Covector(tuple(Fraction(t, 2) for t in sys._two_rho))
+    return _covector(_by_class(sys, "heights"), 2)
 
 
 @lru_cache(maxsize=None)
@@ -529,7 +551,7 @@ def _fundamental(gram: tuple[tuple[int, ...], ...],
                 rows[i] = [(pivot * a - f * b) // previous for a, b in zip(row, pivot_row)]
         previous = pivot
     # <w_i, a_j> = ratio_i <a_i, a_i> delta_ij gives w_i = 2 ratio_i (row i of cartan^-1)
-    return tuple(Covector(tuple(Fraction(2 * (2 if d else 1) * a, previous) for a in row[rank:]))
+    return tuple(_covector(tuple(2 * (2 if d else 1) * a for a in row[rank:]), previous)
                  for d, row in zip(doubled, rows))
 
 
@@ -541,7 +563,7 @@ def fundamental_weights(sys: RootSystem) -> list[Covector]:
     they span over the nonnegative integers indexes the spherical
     representations of the compact dual.  The list is the caller's own.
     """
-    return list(_fundamental(sys.gram, sys._doubled_simple))
+    return list(_fundamental(sys.gram, _shape(sys.family, sys.rank).doubled))
 
 
 def weyl_group(sys: RootSystem, max_rank: int = 4) -> list[WeylElement]:
@@ -619,7 +641,7 @@ def dominant_representative(sys: RootSystem, lam: Covector) -> tuple[Covector, W
     for i in steps:  # row i of s_i is e_i - cartan[:, i]
         terms = [(row[i], matrix[k]) for k, row in enumerate(cartan) if row[i]]
         matrix[i] = [m - sum(c * r[j] for c, r in terms) for j, m in enumerate(matrix[i])]
-    return (Covector(tuple(Fraction(c, scale) for c in x)),
+    return (_covector(tuple(x), scale),
             WeylElement(tuple(map(tuple, matrix)), tuple(reversed(steps))))
 
 
@@ -633,4 +655,4 @@ def in_bounded_region(sys: RootSystem, eta: Covector) -> bool:
     """
     x, scale = _cleared(eta, sys.rank)
     _chamber_walk(_cartan_rows(sys.gram), x)
-    return all(scale * t >= 2 * c for t, c in zip(sys._two_rho, x))
+    return all(scale * t >= 2 * c for t, c in zip(_by_class(sys, "heights"), x))

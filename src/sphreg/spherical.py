@@ -569,11 +569,12 @@ def spherical_sl2(
     ``20 / |Y|`` terms cost less than the phase node count, the Harish-Chandra
     series (path ``"series"``) if its bound meets ``config.target``; else the
     Mehler-Dirichlet integral (path ``"trapezoid"``), which needs ``2
-    sl2_sweep_nodes(xi, Y)`` nodes: ``_mehler_config`` gives them, and
-    ``DEFAULT_CONFIG`` up to ``|xi Y|`` of about 787.  Levels still apart by
-    more than ``config.fail`` at ``config.n_max`` raise ``QuadratureError``,
-    which names that count.  A non-finite input, or one whose phase ``2 Y (i
-    xi - eta)`` overflows, raises ``ValueError``."""
+    sl2_sweep_nodes(xi, Y)`` nodes.  ``DEFAULT_CONFIG`` serves ``|xi Y|`` up to
+    about 2000 (``xi = 1990`` returns and 2010 raises at ``eta = 0.75``, ``Y =
+    1``), and ``_mehler_config(xi, Y)`` past it.  Levels still apart by more
+    than ``config.fail`` at ``config.n_max`` raise ``QuadratureError``, which
+    names that count.  A non-finite input, or one whose phase ``2 Y (i xi -
+    eta)`` overflows, raises ``ValueError``."""
     if abs(t_geo) > T_GEO_MAX:
         raise ValueError(f"chamber point Y={t_geo:g} outside |Y| <= {T_GEO_MAX:g}")
     _check_finite(lam, "Y={:g}", t_geo)

@@ -588,7 +588,7 @@ def test_kappa_imports_only_the_exact_layer():
 
 def test_exact_verbs_load_no_numpy():
     # one fresh interpreter: the exact verbs, help and a usage error leave numpy
-    # unloaded; weights counts roots with the numpy kernel
+    # unloaded, and kappa, table, region and weights leave dataclasses unloaded too
     script = ("import contextlib, io, sys\n"
               "from sphreg import cli\n"
               "for argv in sys.argv[1:]:\n"
@@ -598,7 +598,9 @@ def test_exact_verbs_load_no_numpy():
               "            code = cli.main(argv.split())\n"
               "        except SystemExit as exc:\n"
               "            code = exc.code\n"
-              "    print(argv.split()[0], code, 'numpy' in sys.modules)\n")
+              "    print(argv.split()[0], code, 'numpy' in sys.modules)\n"
+              "    if argv.split()[0] in ('kappa', 'table', 'region', 'weights'):\n"
+              "        print('dataclasses', 'dataclasses' in sys.modules)\n")
     system = "--family F4 --rank 4 --mult short:2,long:1"
     verbs = [f"kappa {system}", "table --format csv", f"region {system} --eta=1,-1/2,3,0",
              "--help", "kappa --family X", f"weights {system}"]
@@ -608,8 +610,10 @@ def test_exact_verbs_load_no_numpy():
     done = subprocess.run([sys.executable, "-c", script, *verbs], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["kappa 0 False", "table 0 False", "region 0 False",
-                                        "--help 0 False", "kappa 2 False", "weights 0 True"]
+    assert done.stdout.splitlines() == [
+        "kappa 0 False", "dataclasses False", "table 0 False", "dataclasses False",
+        "region 0 False", "dataclasses False", "--help 0 False", "kappa 2 False",
+        "dataclasses False", "weights 0 False", "dataclasses False"]
 
 
 def test_holder_prints_unbounded_growth_as_a_word(tmp_path):

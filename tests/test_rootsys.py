@@ -1,8 +1,11 @@
 """Exact root-system engine: examples, invariants, and property tests."""
 
+import copy
 import gc
 import math
 import os
+import pickle
+import random
 import subprocess
 import sys
 import weakref
@@ -827,8 +830,9 @@ def test_weighted_counts_exact_for_every_multiplicity(family, rank, mult):
     system = build(family, rank, {c: mult for c in rs.class_vocabulary(family)})
     total = sum(r.multiplicity for r in system.positive_roots)
     rng = np.random.default_rng(rank)
-    # 2 rho at multiplicity one is regular: it pairs with every positive root
-    regular = list(build(family, rank, {c: 1 for c in rs.class_vocabulary(family)})._two_rho)
+    # rho at multiplicity one is regular: it pairs with every positive root
+    regular = list(rs.rho(build(family, rank, {c: 1 for c in rs.class_vocabulary(family)}))
+                   .numerators)
     rows = rng.integers(-3, 4, size=(600, rank)).tolist() + [[0] * rank, regular]
     rows += _straddling_rows(system, 2 ** 60)
     expected = [_recount(system, row) for row in rows]
@@ -836,7 +840,9 @@ def test_weighted_counts_exact_for_every_multiplicity(family, rank, mult):
     assert counts.tolist() == expected
     assert counts.dtype == (np.int64 if total < 2 ** 63 else object)
     assert max(expected) == total
-    assert [rs.n_of(system, Covector.make(row)) for row in rows[:40]] == expected[:40]
+    # n_of in Python integers on the first random rows, zero, rho and the straddling rows
+    assert [rs.n_of(system, Covector.make(row)) for row in rows[:40] + rows[600:]] == \
+        expected[:40] + expected[600:]
     assert rs.n_of_many(system, np.array(rows[:600])).tolist() == expected[:600]
 
 
@@ -882,8 +888,8 @@ def test_exact_layer_never_hashes_a_system(monkeypatch, family, rank, mult):
     assert _exact_outputs(system) == expected  # again, from the stored constants
 
 
-# the exact functions other than the counting kernel, run once with numpy and
-# once in a fresh interpreter where importing numpy fails
+# the exact functions other than the batch counting kernel, run once with
+# numpy and once in a fresh interpreter where importing numpy fails
 _EXACT_WITHOUT_NUMPY = (
     "from fractions import Fraction\n"
     "from sphreg import rootsys as rs\n"
@@ -892,19 +898,19 @@ _EXACT_WITHOUT_NUMPY = (
     "lam = rs.Covector.make([Fraction(-1, 2), 3, 0, -2])\n"
     "result = repr((rs.weyl_group(g2), rs.weyl_group(f4), rs.dominant_representative(f4, lam),\n"
     "               rs.in_bounded_region(f4, lam), rs.fundamental_weights(f4),\n"
-    "               rs.kappa(f4), rs.kappa(g2)))\n")
+    "               rs.kappa(f4), rs.kappa(g2), rs.n_of(f4, lam), rs.rho(f4)))\n")
 
 
 def test_exact_layer_runs_without_numpy():
-    # only n_of needs numpy, which shows that the block holds
+    # only n_of_many needs numpy, which shows that the block holds
     script = ("import sys\n"
               "sys.modules['numpy'] = None\n"
               + _EXACT_WITHOUT_NUMPY +
               "print(result)\n"
               "try:\n"
-              "    rs.n_of(f4, lam)\n"
+              "    rs.n_of_many(f4, [[1, 0, 0, 0]])\n"
               "except ImportError:\n"
-              "    print('n_of needs numpy')\n")
+              "    print('n_of_many needs numpy')\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).resolve().parents[1] / "src")]
                                         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -913,7 +919,7 @@ def test_exact_layer_runs_without_numpy():
     assert done.returncode == 0, done.stderr
     namespace = {}
     exec(_EXACT_WITHOUT_NUMPY, namespace)
-    assert done.stdout.splitlines() == [namespace["result"], "n_of needs numpy"]
+    assert done.stdout.splitlines() == [namespace["result"], "n_of_many needs numpy"]
 
 
 def test_built_system_is_freed():
@@ -943,3 +949,110 @@ def test_n_of_matches_recount_for_int_fraction_and_float_coordinates(system):
             rounded = _recount(system, [int(f) for f in floats])
             assert rs.n_of(system, Covector(tuple(floats))) == rounded
             assert rs.n_of(system, Covector(tuple(f / 8 for f in floats))) == rounded
+
+
+# ---------------------------------------------------------------------------
+# n_of in Python integers against the numpy tiers of n_of_many; covectors
+# held as integer numerators
+# ---------------------------------------------------------------------------
+
+def _both_counts(system, rows):
+    """``n_of`` at each row and ``n_of_many`` on all of them, as two lists."""
+    return [rs.n_of(system, Covector(row)) for row in rows], rs.n_of_many(system, rows).tolist()
+
+
+def test_n_of_matches_n_of_many_at_catalog_weights_and_rho():
+    for entry in cat.builtin_catalog().entries:
+        system = cat.instantiate(entry)
+        rows = [list(w.numerators) for w in rs.fundamental_weights(system)]
+        rows.append(list(rs.rho(system).numerators))
+        single, batch = _both_counts(system, rows)
+        assert single == batch, entry.id
+
+
+@pytest.mark.parametrize("system", [B2, BC2, G2, F4, E8], ids=["B2", "BC2", "G2", "F4", "E8"])
+def test_n_of_matches_n_of_many_up_to_2_to_the_70(system):
+    # entries drawn from a few large values and their small multiples, so
+    # that many rows are orthogonal to some root; plus rows that straddle
+    # orthogonality at 2**70
+    rng = random.Random(70 + system.rank)
+    rows = []
+    for _ in range(200):
+        a, b = rng.randrange(2 ** 70), rng.randrange(2 ** 40)
+        rows.append([rng.choice([0, a, -a, 2 * a, -3 * a, b, a - b]) for _ in range(system.rank)])
+    rows += _straddling_rows(system, 2 ** 70)
+    single, batch = _both_counts(system, rows)
+    assert single == batch == [_recount(system, row) for row in rows]
+    assert len(set(single)) > 1
+
+
+# the overflow probes of the benchmark's exact workload: a pairing of 2**64
+@pytest.mark.parametrize("family,rank,mult,row", [
+    ("B", 2, {"short": 1, "long": 1}, [2 ** 62, 0]),
+    ("B", 3, {"short": 1, "long": 1}, [2 ** 62, 0, 0]),
+    ("C", 2, {"short": 1, "long": 1}, [0, 2 ** 62]),
+    ("C", 3, {"short": 2, "long": 1}, [0, 0, 2 ** 62]),
+    ("BC", 2, {"short": 2, "medium": 2, "long": 1}, [2 ** 62, 0]),
+    ("F4", 4, {"short": 1, "long": 1}, [2 ** 62, 0, 0, 0]),
+])
+def test_n_of_matches_n_of_many_on_overflow_probes(family, rank, mult, row):
+    system = build(family, rank, mult)
+    single, batch = _both_counts(system, [row])
+    assert single == batch == [_recount(system, row)]
+
+
+def test_covector_forms_compare_and_hash_equal():
+    forms = [Covector((1, Fraction(1, 2))), Covector.make([1, 0.5]), Covector((1.0, 0.5)),
+             Covector(iter(["1", "1/2"]))]
+    assert all(lam == forms[0] and hash(lam) == hash(forms[0]) for lam in forms)
+    assert len(set(forms)) == 1
+    assert forms[0].numerators == (2, 1) and forms[0].denominator == 2
+    assert forms[0].coords == (1, Fraction(1, 2))
+    assert all(type(c) is Fraction for c in forms[0].coords + Covector((3, 0)).coords)
+    assert Covector((Fraction(2, 4), Fraction(-6, 4))) == Covector((Fraction(1, 2), -1.5))
+    assert Covector((0, 0)).denominator == 1 and Covector((0, 0)) != Covector((0, 0, 0))
+    assert Covector((1, 2)) != Covector((2, 1)) and Covector((1, 2)) != (1, 2)
+    with pytest.raises(AttributeError):
+        forms[0].denominator = 4
+    with pytest.raises(AttributeError):
+        del forms[0].numerators
+    for record in (forms[0], F4, rs.weyl_group(G2)[3]):
+        assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
+
+
+def test_apply_round_trips_the_fraction_action():
+    # the action on Fraction coordinates, as the matrix product over the
+    # rationals, against the action on numerators read back through coords
+    rng = random.Random(4)
+    lams = [Covector.make(Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(4))
+            for _ in range(6)] + [Covector.make([Fraction(2 ** 70, 3 ** 40), 0, -1, 5])]
+    for w in rs.weyl_group(F4):
+        for lam in lams:
+            image = w.apply(lam)
+            expected = tuple(sum((a * c for a, c in zip(row, lam.coords)), Fraction(0))
+                             for row in w.matrix)
+            assert image.coords == expected
+            assert image == Covector(expected) and hash(image) == hash(Covector(expected))
+
+
+def test_exact_per_call_path_builds_no_fraction(monkeypatch):
+    lam = Covector.make([Fraction(-1, 2), 3, Fraction(2, 3), -2])
+    eta = rs.rho(F4).scale(Fraction(-5, 8))
+    group = rs.weyl_group(F4)
+    built = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    counts = [rs.n_of(F4, w.apply(lam)) for w in group]
+    inside = rs.in_bounded_region(F4, eta)
+    found = len(built)
+    lam.coords  # the guard does see a construction
+    seen = len(built) - found
+    monkeypatch.undo()
+    assert found == 0
+    assert seen == 4
+    assert len(group) == 1152 and set(counts) == {rs.n_of(F4, lam)} and inside
