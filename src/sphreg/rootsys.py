@@ -7,8 +7,8 @@ normalization in which the short root of each family has squared length 2
 choice is free).  A covector holds integer numerators over one positive
 denominator, in lowest terms; ``coords`` reads them as ``Fraction``s.
 
-All but the batch count ``n_of_many`` (numpy tiers, exact for every input)
-runs in Python integers.  The positive roots are built by height (Humphreys,
+All but the float64 path of the batch count ``n_of_many`` runs in Python
+integers.  The positive roots are built by height (Humphreys,
 *Introduction to Lie Algebras and Representation Theory*, 8.4, 10.2), and
 sorted, which puts ``v`` before ``v + a_i``: ``n_of`` forms ``y = G x`` once
 and takes each pairing from the root one step lower, ``<v + a_i, x> = <v,
@@ -19,10 +19,10 @@ roots; its elements are integer matrices in simple-root coordinates, which
 act on the numerators alone, as does the walk to the dominant chamber.
 
 Each constant is computed once, at the level it depends on, and no system
-is hashed on the way: the batch kernel on the ``RootSystem`` instance, on
-first use; everything but the multiplicities per (family, rank) in
-``_shape``; the positive roots, the Cartan matrix, the Weyl group, ``R G``
-and (with the doubled-root flags) the fundamental weights per ``gram``.
+is hashed on the way: everything but the multiplicities per (family, rank)
+in ``_shape``, and ``R G`` in float64 apart in ``_pairing``; the positive
+roots, the Cartan matrix, the Weyl group and (with the doubled-root flags)
+the fundamental weights per ``gram``.
 
 Supported families: A, B, C, D, BC (non-reduced), G2, F4, E6, E7, E8.
 """
@@ -33,7 +33,7 @@ import math
 import operator
 from fractions import Fraction
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import compress
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
@@ -76,6 +76,13 @@ class _Record:
     def __init__(self, *values) -> None:
         for name, value in zip(self._fields, values, strict=True):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _unchecked(cls, *values):
+        """The record of ``values``, past any check of the class's constructor."""
+        record = object.__new__(cls)
+        _Record.__init__(record, *values)
+        return record
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self._fields))
@@ -140,9 +147,7 @@ def _covector(numerators: tuple[int, ...], denominator: int) -> Covector:
     """The covector ``numerators / denominator``, in lowest terms."""
     if (g := math.gcd(denominator, *numerators)) > 1:
         numerators, denominator = tuple(x // g for x in numerators), denominator // g
-    lam = object.__new__(Covector)
-    _Record.__init__(lam, numerators, denominator)
-    return lam
+    return Covector._unchecked(numerators, denominator)
 
 
 class WeylElement(NamedTuple):
@@ -161,49 +166,26 @@ class WeylElement(NamedTuple):
         return _covector(tuple(sum(map(operator.mul, row, x)) for row in self.matrix), scale)
 
 
-_PairingKernel = namedtuple("_PairingKernel", "weights mult row_bound")  # see ``_kernel``
-
-
-@lru_cache(maxsize=None)
-def _pairing(gram: tuple[tuple[int, ...], ...],
-             coeffs: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, int]:
-    """``(R G)^T`` in read-only float64 and the row bound, once per root set.
-    Root coefficients and Gram entries are at most 6 in absolute value, so
-    under ``MAX_RANK`` float64 holds each entry of ``R G`` exactly."""
-    import numpy as np
-
-    pairing = np.array(coeffs, dtype=np.int64) @ np.array(gram, dtype=np.int64)
-    weights = pairing.T.astype(np.float64)
-    weights.setflags(write=False)
-    return weights, int(np.abs(pairing).sum(axis=1).max())
-
-
 class RootSystem(_Record):
     """Restricted root system with multiplicities, over exact rationals.
 
-    The batch kernel below is computed on first use and kept in the instance
-    ``__dict__`` (``cached_property`` writes there directly, past the frozen
-    ``__setattr__``).  It is not a field, so equality and hashing ignore it,
-    and no cache outside the instance keeps the system alive.
+    The exact functions read all but the multiplicities from ``_shape``, so
+    the constructor checks the rest against it.
     """
 
     _fields = ("family", "rank", "gram", "positive_roots", "reduced")
 
-    @cached_property
-    def _kernel(self) -> _PairingKernel:
-        """The pairing kernel of ``n_of_many``: ``(R G)^T`` and the row bound
-        from ``_pairing``, and the multiplicities, arrays read-only.  Those are
-        float64 while their sum is below ``2**53``, so each weighted count is
-        an exact BLAS sum, int64 while it is below ``2**63``, and Python
-        integers (``dtype=object``) beyond."""
-        import numpy as np
-
-        weights, row_bound = _pairing(self.gram, tuple(r.coeffs for r in self.positive_roots))
-        mult = [r.multiplicity for r in self.positive_roots]
-        mult = np.array(mult, dtype=np.float64 if sum(mult) < 2 ** 53 else
-                        np.int64 if sum(mult) < 2 ** 63 else object)
-        mult.setflags(write=False)
-        return _PairingKernel(weights, mult, row_bound)
+    def __init__(self, family: str, rank: int, gram, positive_roots, reduced: bool) -> None:
+        _check_rank(family, rank)
+        shape, roots = _shape(family, rank), tuple(positive_roots)
+        if tuple(map(tuple, gram)) != shape.gram:
+            raise RootSystemError(f"the Gram matrix is not that of {family}{rank}")
+        if tuple(r.coeffs for r in roots) != shape.coeffs:
+            raise RootSystemError(f"the {len(roots)} positive roots are not the "
+                                  f"{len(shape.coeffs)} of {family}{rank}")
+        if reduced != (family != "BC"):
+            raise RootSystemError(f"{family}{rank} has reduced={family != 'BC'}, got {reduced!r}")
+        super().__init__(family, rank, shape.gram, roots, reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +324,20 @@ _Shape = namedtuple("_Shape", "gram coeffs classes steps doubled involving heigh
 
 
 @lru_cache(maxsize=None)
+def _pairing(family: str, rank: int) -> tuple[np.ndarray, int]:
+    """``(R G)^T`` in read-only float64 and the row bound, once per (family,
+    rank).  Root coefficients and Gram entries are at most 6 in absolute
+    value, so under ``MAX_RANK`` float64 holds each entry of ``R G`` exactly."""
+    import numpy as np
+
+    gram, coeffs, *_ = _shape(family, rank)
+    pairing = np.array(coeffs, dtype=np.int64) @ np.array(gram, dtype=np.int64)
+    weights = pairing.T.astype(np.float64)
+    weights.setflags(write=False)
+    return weights, int(np.abs(pairing).sum(axis=1).max())
+
+
+@lru_cache(maxsize=None)
 def _shape(family: str, rank: int) -> _Shape:
     """Everything of a system but its multiplicities, once per (family, rank):
     ``gram``; the sorted positive roots' ``coeffs`` (with BC's doubled roots)
@@ -406,7 +402,7 @@ def build_root_system(
     if missing is not None:
         raise RootSystemError(f"incomplete multiplicity assignment: class {missing!r} not covered")
     roots = tuple(PositiveRoot(v, int(mult_assignment[cls])) for v, cls in zip(coeffs, classes))
-    return RootSystem(family, rank, gram, roots, family != "BC")
+    return RootSystem._unchecked(family, rank, gram, roots, family != "BC")
 
 
 # ---------------------------------------------------------------------------
@@ -429,24 +425,6 @@ def inner(sys: RootSystem, lam: Covector, mu: Covector) -> Fraction:
                     d * e)
 
 
-def _integer_rows(coords, rank: int) -> np.ndarray:
-    """``coords`` as a ``(count, rank)`` integer array, never through float:
-    numpy integers that fit int64 as they stand, anything else as Python ints."""
-    import numpy as np
-
-    rows = np.asarray(coords)
-    if rows.ndim != 2 or rows.shape[1] != rank:
-        raise ValueError(f"coordinate rows must have shape (count, {rank})")
-    if np.can_cast(rows.dtype, np.int64):
-        return rows
-    try:
-        # ``np.asarray`` may have rounded huge ints to float, so start again
-        # from ``coords`` itself
-        return np.frompyfunc(operator.index, 1, 1)(np.array(coords, dtype=object))
-    except TypeError:
-        raise TypeError("coordinates must be integers; clear denominators first") from None
-
-
 def _cleared(lam: Covector, rank: int) -> tuple[list[int], int]:
     """Integers ``x`` and the least positive ``scale`` with ``lam = x / scale``."""
     if len(lam.numerators) != rank:
@@ -454,21 +432,15 @@ def _cleared(lam: Covector, rank: int) -> tuple[list[int], int]:
     return list(lam.numerators), lam.denominator
 
 
-def _weigh(pairings: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """The hits ``pairings != 0`` weighted by ``mult``.  With both in float64
-    the pairings turn into hits in place and a BLAS product weighs them."""
-    import numpy as np
-
-    if pairings.dtype == mult.dtype == np.float64:
-        return np.not_equal(pairings, 0, out=pairings) @ mult
-    return (pairings != 0).astype(mult.dtype) @ mult
-
-
 def n_of(sys: RootSystem, lam: Covector) -> int:
     """Multiplicity-weighted count of positive roots not orthogonal to ``lam``,
-    exact for every input: the pairings ``<v + a_i, x> = <v, x> + (G x)_i``
-    by height, in Python integers."""
-    x, _ = _cleared(lam, sys.rank)
+    exact for every input."""
+    return _count(sys, _cleared(lam, sys.rank)[0])
+
+
+def _count(sys: RootSystem, x: Sequence[int]) -> int:
+    """``n`` at the integer coordinates ``x``: the pairings ``<v + a_i, x> =
+    <v, x> + (G x)_i`` by height, in Python integers."""
     y = [sum(map(operator.mul, row, x)) for row in sys.gram]
     steps = _shape(sys.family, sys.rank).steps
     pairings = [0] * (len(steps) + 1)  # the last entry stands for <0, x>
@@ -482,33 +454,38 @@ def n_of_many(sys: RootSystem, coords) -> np.ndarray:
 
     ``coords`` must be integral, of shape ``(count, rank)``; rational inputs
     should be scaled by a common denominator first (the orthogonality
-    pattern is scale-invariant).  While ``largest * row_bound < 2**53`` each
-    product and partial sum of ``rows @ (R G)^T`` is an integer below
-    ``2**53``, exact in float64 BLAS in any order (in blocks OpenBLAS runs
-    on the calling thread); beyond, the product runs in Python integers.  The
-    counts are int64, or Python integers once the total multiplicity reaches
-    ``2**63``.
+    pattern is scale-invariant).  While ``largest * row_bound`` and the total
+    multiplicity are below ``2**53``, each product and partial sum of ``rows
+    @ (R G)^T`` and of the weighted hits is an integer below ``2**53``, exact
+    in float64 BLAS in any order (in blocks OpenBLAS runs on the calling
+    thread); otherwise each row is counted as ``n_of`` counts.  The counts
+    are int64, or Python integers once the total multiplicity reaches ``2**63``.
     """
     import numpy as np
 
-    rows, kernel = _integer_rows(coords, sys.rank), sys._kernel
+    rows = np.asarray(coords)
+    if rows.ndim != 2 or rows.shape[1] != sys.rank:
+        raise ValueError(f"coordinate rows must have shape (count, {sys.rank})")
+    if not np.can_cast(rows.dtype, np.int64):
+        try:  # as Python ints, from ``coords``: ``np.asarray`` may have rounded them to float
+            rows = np.frompyfunc(operator.index, 1, 1)(np.array(coords, dtype=object))
+        except TypeError:
+            raise TypeError("coordinates must be integers; clear denominators first") from None
+    weights, row_bound = _pairing(sys.family, sys.rank)
+    mult = [r.multiplicity for r in sys.positive_roots]
     largest = max(int(rows.max()), -int(rows.min())) if rows.size else 0
-    if largest * kernel.row_bound >= 2 ** 53:
-        exact = kernel.weights.astype(np.int64).astype(object)
-        counts = _weigh(rows.astype(object) @ exact, kernel.mult)
-    else:
-        floats = rows.astype(np.float64)
-        step = max(1, _ONE_THREAD_MADDS // kernel.weights.size)
-        counts = np.concatenate([_weigh(floats[start:start + step] @ kernel.weights, kernel.mult)
-                                 for start in range(0, max(len(floats), 1), step)])
-    return counts if counts.dtype == object else counts.astype(np.int64, copy=False)
+    if largest * row_bound >= 2 ** 53 or sum(mult) >= 2 ** 53:
+        return np.array([_count(sys, x) for x in rows.tolist()],
+                        dtype=np.int64 if sum(mult) < 2 ** 63 else object)
+    floats, mult = rows.astype(np.float64), np.array(mult, dtype=np.float64)
+    step = max(1, _ONE_THREAD_MADDS // weights.size)
+    blocks = (floats[start:start + step] @ weights for start in range(0, max(len(floats), 1), step))
+    return np.concatenate([np.not_equal(b, 0, out=b) @ mult for b in blocks]).astype(np.int64)
 
 
 def kappa(sys: RootSystem) -> Fraction:
     """The regularity exponent: half the minimal multiplicity-weighted number
     of positive roots involving a given simple-root direction."""
-    if not sys.positive_roots:
-        raise RootSystemError("empty root system")
     return Fraction(min(_by_class(sys, "involving")), 2)
 
 

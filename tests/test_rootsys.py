@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sphreg import catalog as cat, rootsys as rs
+from sphreg import accept, catalog as cat, rootsys as rs
 from sphreg.rootsys import Covector, RootSystemError
 
 
@@ -56,6 +56,27 @@ def test_a1_with_multiplicity_two():
 def test_bc1_has_root_and_double():
     assert [(r.coeffs, r.multiplicity) for r in BC1.positive_roots] == [((1,), 2), ((2,), 1)]
     assert not BC1.reduced
+
+
+def test_constructor_checks_a_system_against_its_family_and_rank():
+    for system in (A2, B2, BC2, F4):
+        assert rs.RootSystem(*(getattr(system, f) for f in system._fields)) == system
+    # kappa of these fields would be read from A2's tables: 1, where B2's roots give 3/2
+    with pytest.raises(RootSystemError, match="Gram matrix"):
+        rs.RootSystem("A", 2, B2.gram, B2.positive_roots, True)
+    with pytest.raises(RootSystemError, match="rank 2, got 3"):
+        rs.RootSystem("G2", 3, G2.gram, G2.positive_roots, True)
+    with pytest.raises(RootSystemError, match="rank >= 1, got 0"):
+        rs.RootSystem("A", 0, (), (), True)
+    with pytest.raises(RootSystemError, match="reduced=False, got True"):
+        rs.RootSystem("BC", 2, BC2.gram, BC2.positive_roots, True)
+    with pytest.raises(RootSystemError, match="reduced=True, got False"):
+        rs.RootSystem("B", 2, B2.gram, B2.positive_roots, False)
+    with pytest.raises(RootSystemError, match="3 positive roots are not the 4 of B2"):
+        rs.RootSystem("B", 2, B2.gram, B2.positive_roots[:3], True)
+    swapped = (B2.positive_roots[1], B2.positive_roots[0]) + B2.positive_roots[2:]
+    with pytest.raises(RootSystemError, match="4 positive roots are not the 4 of B2"):
+        rs.RootSystem("B", 2, B2.gram, swapped, True)
 
 
 @pytest.mark.parametrize(
@@ -688,7 +709,7 @@ def _straddling_rows(system, largest):
 
 @pytest.mark.parametrize("system", [B2, BC2, G2, F4, E8], ids=["B2", "BC2", "G2", "F4", "E8"])
 def test_n_of_many_exact_across_float64_bound(system):
-    row_bound = system._kernel.row_bound
+    row_bound = rs._pairing(system.family, system.rank)[1]
     # no row bound here divides 2**53 - 1 or 2**53 + 1, so each target is
     # straddled by the largest entries just below and just above it
     targets = [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1]
@@ -777,8 +798,7 @@ def test_shape_built_once_per_family_and_rank_over_catalog(monkeypatch):
         assert sorted(calls) == sorted(shapes) and len(shapes) < len(systems)
         for system in systems:
             rs.n_of_many(system, [[1] * system.rank])
-        root_sets = {(s.gram, tuple(r.coeffs for r in s.positive_roots)) for s in systems}
-        assert rs._pairing.cache_info().misses == len(root_sets) <= len(shapes)
+        assert rs._pairing.cache_info().misses == len(shapes)
         # every system of a shape shares its Gram tuple and root coefficients
         first = {}
         for entry, system in zip(entries, systems):
@@ -797,9 +817,10 @@ def test_shared_gram_keeps_distinct_roots_and_kernels():
     assert [r.coeffs for r in b2.positive_roots] == [(0, 1), (1, 0), (1, 1), (1, 2)]
     assert [r.coeffs for r in bc2.positive_roots] == [
         (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 2)]
-    assert b2._kernel.weights.shape == (2, 4) and bc2._kernel.weights.shape == (2, 6)
-    assert b2._kernel.mult.tolist() == [3, 5, 3, 5]
-    assert bc2._kernel.mult.tolist() == [3, 7, 5, 3, 5, 7]
+    assert rs._pairing("B", 2)[0].shape == (2, 4) and rs._pairing("BC", 2)[0].shape == (2, 6)
+    # G [2, 3] = [2, 2] pairs with every root: the count is the total multiplicity
+    assert rs.n_of_many(b2, [[2, 3]]).tolist() == [3 + 5 + 3 + 5]
+    assert rs.n_of_many(bc2, [[2, 3]]).tolist() == [3 + 7 + 5 + 3 + 5 + 7]
     rows = [[1, 0], [0, 1], [1, -1], [1, 1], [2, -1], [1, -2]]
     for system in (b2, bc2):
         expected = [_recount(system, row) for row in rows]
@@ -934,7 +955,7 @@ def test_built_system_is_freed():
 
 @pytest.mark.parametrize("system", [B2, BC2, G2, F4, E8], ids=["B2", "BC2", "G2", "F4", "E8"])
 def test_n_of_matches_recount_for_int_fraction_and_float_coordinates(system):
-    row_bound = system._kernel.row_bound
+    row_bound = rs._pairing(system.family, system.rank)[1]
     # single rows whose largest entry sits just below and just above the
     # float64 guard, and far past it
     sizes = [1, 9, (2 ** 53 - 1) // row_bound, -(-2 ** 53 // row_bound), 2 ** 53, 2 ** 60]
@@ -987,18 +1008,61 @@ def test_n_of_matches_n_of_many_up_to_2_to_the_70(system):
 
 
 # the overflow probes of the benchmark's exact workload: a pairing of 2**64
-@pytest.mark.parametrize("family,rank,mult,row", [
+OVERFLOW_PROBES = [
     ("B", 2, {"short": 1, "long": 1}, [2 ** 62, 0]),
     ("B", 3, {"short": 1, "long": 1}, [2 ** 62, 0, 0]),
     ("C", 2, {"short": 1, "long": 1}, [0, 2 ** 62]),
     ("C", 3, {"short": 2, "long": 1}, [0, 0, 2 ** 62]),
     ("BC", 2, {"short": 2, "medium": 2, "long": 1}, [2 ** 62, 0]),
     ("F4", 4, {"short": 1, "long": 1}, [2 ** 62, 0, 0, 0]),
-])
+]
+
+
+@pytest.mark.parametrize("family,rank,mult,row", OVERFLOW_PROBES)
 def test_n_of_matches_n_of_many_on_overflow_probes(family, rank, mult, row):
     system = build(family, rank, mult)
     single, batch = _both_counts(system, [row])
     assert single == batch == [_recount(system, row)]
+
+
+def test_n_of_many_counts_by_float64_product_unless_it_could_round(monkeypatch):
+    counted = []
+    count = rs._count
+
+    def recorded(system, x):
+        counted.append(list(x))
+        return count(system, x)
+
+    monkeypatch.setattr(rs, "_count", recorded)
+
+    def paths(system, rows):
+        """The rows ``n_of_many`` handed to ``_count``, and its counts."""
+        counted.clear()
+        counts = rs.n_of_many(system, rows)
+        assert counts.tolist() == [_recount(system, list(map(int, row))) for row in rows]
+        return list(counted), counts.dtype
+
+    # criterion 3's rows: integer representatives of random rationals
+    rng = np.random.default_rng(77002)
+    for system in (A2, BC2, G2, F4, E8):
+        rows = accept._random_rational_coords(rng, 500, system.rank)
+        assert paths(system, rows) == ([], np.int64)
+    # on either side of the float64 guard, and on the benchmark's overflow probes
+    for system in (B2, BC2, G2, F4, E8):
+        row_bound = rs._pairing(system.family, system.rank)[1]
+        below, above = (2 ** 53 - 1) // row_bound, -(-2 ** 53 // row_bound)
+        assert below * row_bound < 2 ** 53 <= above * row_bound
+        assert paths(system, _straddling_rows(system, below))[0] == []
+        rows = _straddling_rows(system, above)
+        assert paths(system, rows) == (rows, np.int64)
+    for family, rank, mult, row in OVERFLOW_PROBES:
+        assert paths(build(family, rank, mult), [row]) == ([row], np.int64)
+    # small rows at a total multiplicity past 2**53, and past 2**63
+    rows = [[1] + [0] * 7, [1, -1, 0, 0, 0, 0, 0, 2]]
+    for mult, dtype in [((2 ** 53 - 1) // 120, None), ((2 ** 53 - 1) // 120 + 1, np.int64),
+                        (2 ** 63 // 120 - 1, np.int64), (2 ** 63 // 120 + 1, object)]:
+        done, got = paths(build("E8", 8, {"all": mult}), rows)
+        assert (done, got) == (([], np.int64) if dtype is None else (rows, dtype)), mult
 
 
 def test_covector_forms_compare_and_hash_equal():
