@@ -7,22 +7,26 @@ normalization in which the short root of each family has squared length 2
 choice is free).  A covector holds integer numerators over one positive
 denominator, in lowest terms; ``coords`` reads them as ``Fraction``s.
 
-All but the float64 path of the batch count ``n_of_many`` runs in Python
-integers.  The positive roots are built by height (Humphreys,
-*Introduction to Lie Algebras and Representation Theory*, 8.4, 10.2), and
-sorted, which puts ``v`` before ``v + a_i``: ``n_of`` forms ``y = G x`` once
-and takes each pairing from the root one step lower, ``<v + a_i, x> = <v,
-x> + y_i``.  The fundamental weights are rows of the inverse Cartan matrix,
-by fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968).
-The Weyl group is the closure of the simple reflections permuting the
-roots; its elements are integer matrices in simple-root coordinates, which
-act on the numerators alone, as does the walk to the dominant chamber.
+All but the BLAS products of the batch count ``n_of_many`` runs in Python
+integers; those run in float32 while every product and partial sum is an
+integer below ``2**24``, else in float64 below ``2**53``, and a row past
+that is counted as ``n_of`` counts.  The positive roots are built by height
+(Humphreys, *Introduction to Lie Algebras and Representation Theory*, 8.4,
+10.2), and sorted, which puts ``v`` before ``v + a_i``: ``n_of`` forms ``y =
+G x`` once and takes each pairing from the root one step lower, ``<v + a_i,
+x> = <v, x> + y_i``.  The fundamental weights are rows of the inverse Cartan
+matrix, by fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+1968).  The Weyl group is the closure of the simple reflections permuting
+the roots; its elements are integer matrices in simple-root coordinates,
+which act on the numerators alone, as does the walk to the dominant
+chamber, whose reflections each change the pairings at one node and its
+Dynkin neighbours only.
 
 Each constant is computed once, at the level it depends on, and no system
 is hashed on the way: everything but the multiplicities per (family, rank)
-in ``_shape``, and ``R G`` in float64 apart in ``_pairing``; the positive
-roots, the Cartan matrix, the Weyl group and (with the doubled-root flags)
-the fundamental weights per ``gram``.
+in ``_shape``, and ``R G`` in float32 and float64 apart in ``_pairing``; the
+positive roots, the Cartan matrix, the Weyl group and (with the doubled-root
+flags) the fundamental weights per ``gram``.
 
 Supported families: A, B, C, D, BC (non-reduced), G2, F4, E6, E7, E8.
 """
@@ -169,8 +173,9 @@ class WeylElement(NamedTuple):
 class RootSystem(_Record):
     """Restricted root system with multiplicities, over exact rationals.
 
-    The exact functions read all but the multiplicities from ``_shape``, so
-    the constructor checks the rest against it.
+    The exact functions read all but the multiplicities from ``_shape``, and
+    a class's multiplicity from one root, so the constructor checks the rest
+    against it and builds the system as ``build_root_system`` would.
     """
 
     _fields = ("family", "rank", "gram", "positive_roots", "reduced")
@@ -185,7 +190,11 @@ class RootSystem(_Record):
                                   f"{len(shape.coeffs)} of {family}{rank}")
         if reduced != (family != "BC"):
             raise RootSystemError(f"{family}{rank} has reduced={family != 'BC'}, got {reduced!r}")
-        super().__init__(family, rank, shape.gram, roots, reduced)
+        mult = dict(zip(shape.classes, (r.multiplicity for r in roots)))  # checked as built
+        built = build_root_system(family, rank, mult)
+        if built.positive_roots != roots:
+            raise RootSystemError(f"{family}{rank} has two multiplicities in one length class")
+        super().__init__(*built._values())
 
 
 # ---------------------------------------------------------------------------
@@ -320,20 +329,22 @@ def _positive_roots(gram: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int,
     return tuple(sorted((v, norm) for v, _, _, norm in roots))
 
 
-_Shape = namedtuple("_Shape", "gram coeffs classes steps doubled involving heights")
+_Shape = namedtuple("_Shape", "gram coeffs classes steps doubled involving heights neighbours")
 
 
 @lru_cache(maxsize=None)
-def _pairing(family: str, rank: int) -> tuple[np.ndarray, int]:
-    """``(R G)^T`` in read-only float64 and the row bound, once per (family,
+def _pairing(family: str, rank: int) -> tuple[dict[int, np.ndarray], int]:
+    """``(R G)^T`` read-only in float32 and float64, each keyed by the bound
+    below which it holds every integer, and the row bound, once per (family,
     rank).  Root coefficients and Gram entries are at most 6 in absolute
-    value, so under ``MAX_RANK`` float64 holds each entry of ``R G`` exactly."""
+    value, so under ``MAX_RANK`` both hold each entry of ``R G`` exactly."""
     import numpy as np
 
     gram, coeffs, *_ = _shape(family, rank)
     pairing = np.array(coeffs, dtype=np.int64) @ np.array(gram, dtype=np.int64)
-    weights = pairing.T.astype(np.float64)
-    weights.setflags(write=False)
+    weights = {2 ** 24: pairing.T.astype(np.float32), 2 ** 53: pairing.T.astype(np.float64)}
+    for w in weights.values():
+        w.setflags(write=False)
     return weights, int(np.abs(pairing).sum(axis=1).max())
 
 
@@ -344,7 +355,9 @@ def _shape(family: str, rank: int) -> _Shape:
     and length ``classes``; per root ``v`` the height step ``(index of v - a_i
     or -1 at a_i, i)``; whether each ``2 a_i`` is ``doubled``; and per ``a_i``
     and length class, as (first root of the class, value), the number of
-    roots ``involving`` ``a_i`` and the sum of their ``a_i``-``heights``."""
+    roots ``involving`` ``a_i`` and the sum of their ``a_i``-``heights``; and
+    per ``a_i`` its Dynkin ``neighbours``, each ``k != i`` with a nonzero
+    Cartan entry, as ``(k, cartan[i][k], cartan[k][i])``."""
     gram = tuple(map(tuple, _gram_int(family, rank)))
     norm2 = dict(_positive_roots(gram))
     positives = list(norm2)
@@ -368,10 +381,13 @@ def _shape(family: str, rank: int) -> _Shape:
     first = {c: classes.index(c) for c in dict.fromkeys(classes)}
     cols = {k: list(zip(*(v for v, c in zip(positives, classes) if c == name)))
             for name, k in first.items()}
+    cartan = _cartan_rows(gram)
     return _Shape(gram, tuple(positives), classes, steps,
                   tuple(tuple(2 * int(j == i) for j in range(rank)) in index for i in range(rank)),
                   tuple(zip(*([(k, len(c) - c.count(0)) for c in cs] for k, cs in cols.items()))),
-                  tuple(zip(*([(k, sum(c)) for c in cs] for k, cs in cols.items()))))
+                  tuple(zip(*([(k, sum(c)) for c in cs] for k, cs in cols.items()))),
+                  tuple(tuple((k, c, cartan[k][i]) for k, c in enumerate(row) if c and k != i)
+                        for i, row in enumerate(cartan)))
 
 
 def build_root_system(
@@ -455,11 +471,13 @@ def n_of_many(sys: RootSystem, coords) -> np.ndarray:
     ``coords`` must be integral, of shape ``(count, rank)``; rational inputs
     should be scaled by a common denominator first (the orthogonality
     pattern is scale-invariant).  While ``largest * row_bound`` and the total
-    multiplicity are below ``2**53``, each product and partial sum of ``rows
-    @ (R G)^T`` and of the weighted hits is an integer below ``2**53``, exact
-    in float64 BLAS in any order (in blocks OpenBLAS runs on the calling
-    thread); otherwise each row is counted as ``n_of`` counts.  The counts
-    are int64, or Python integers once the total multiplicity reaches ``2**63``.
+    multiplicity are below ``2**24``, each product and partial sum of ``rows
+    @ (R G)^T`` and of the weighted hits is an integer below ``2**24``, exact
+    in float32 BLAS in any order and with fused multiply-adds (in blocks
+    OpenBLAS runs on the calling thread); below ``2**53`` the same holds in
+    float64.  Otherwise a row that could round is counted as ``n_of``
+    counts (every row, past a total of ``2**53``), and the rest as above.
+    The counts are int64, or Python integers once the total reaches ``2**63``.
     """
     import numpy as np
 
@@ -473,13 +491,21 @@ def n_of_many(sys: RootSystem, coords) -> np.ndarray:
             raise TypeError("coordinates must be integers; clear denominators first") from None
     weights, row_bound = _pairing(sys.family, sys.rank)
     mult = [r.multiplicity for r in sys.positive_roots]
+    total = sum(mult)
     largest = max(int(rows.max()), -int(rows.min())) if rows.size else 0
-    if largest * row_bound >= 2 ** 53 or sum(mult) >= 2 ** 53:
-        return np.array([_count(sys, x) for x in rows.tolist()],
-                        dtype=np.int64 if sum(mult) < 2 ** 63 else object)
-    floats, mult = rows.astype(np.float64), np.array(mult, dtype=np.float64)
-    step = max(1, _ONE_THREAD_MADDS // weights.size)
-    blocks = (floats[start:start + step] @ weights for start in range(0, max(len(floats), 1), step))
+    fits = [w for exact, w in weights.items() if largest * row_bound < exact and total < exact]
+    if not fits:
+        limit = (2 ** 53 - 1) // row_bound  # the largest entry of a row that cannot round
+        past = np.any((rows > limit) | (rows < -limit), axis=1) | (total >= 2 ** 53)
+        counts = np.zeros(len(rows), dtype=np.int64 if total < 2 ** 63 else object)
+        counts[past] = [_count(sys, x) for x in rows[past].tolist()]
+        if not past.all():
+            counts[~past] = n_of_many(sys, rows[~past])  # a float path: none can round
+        return counts
+    w = fits[0]  # the narrowest
+    floats, mult = rows.astype(w.dtype), np.array(mult, dtype=w.dtype)
+    step = max(1, _ONE_THREAD_MADDS // w.size)
+    blocks = (floats[start:start + step] @ w for start in range(0, max(len(floats), 1), step))
     return np.concatenate([np.not_equal(b, 0, out=b) @ mult for b in blocks]).astype(np.int64)
 
 
@@ -587,37 +613,53 @@ def _weyl_elements(gram: tuple[tuple[int, ...], ...]) -> tuple[WeylElement, ...]
     return tuple(sorted(group, key=lambda w: (len(w.word), w.word)))
 
 
-def _chamber_walk(cartan: Sequence[Sequence[int]], x: list[int]) -> list[int]:
+def _chamber_walk(neighbours: Sequence[Sequence[tuple[int, int, int]]], x: list[int]) -> list[int]:
     """Reflects the integer coordinates ``x`` in place into the dominant
     chamber, always at the smallest index with a negative coroot pairing,
     and returns the indices in the order applied.
 
     The pairing ``q_i = <x, a_i^vee> = sum_j x_j cartan[j][i]`` has the sign
     of ``<x, a_i>``.  ``s_i`` subtracts ``q_i`` from ``x_i`` and
-    ``q_i cartan[i][k]`` from each ``q_k``.  Each step strictly increases the
-    pairing with the half-sum of positive roots, so the walk ends."""
-    q = [sum(xj * row[i] for xj, row in zip(x, cartan)) for i in range(len(x))]
+    ``q_i cartan[i][k]`` from each ``q_k``: it negates ``q_i``, lowers the
+    ``q_k`` of the ``neighbours`` of ``i`` (``cartan[i][k] < 0``), which alone
+    can turn negative in the bits of ``negative``, and leaves the rest.  It
+    takes one step per positive root separating ``x`` from the chamber
+    (Humphreys, *Reflection Groups and Coxeter Groups*, 1.6-1.12)."""
+    q = [2 * xi for xi in x]
+    for xi, row in zip(x, neighbours):
+        for k, c, _ in row:
+            q[k] += xi * c
+    negative = 0
+    for i, qi in enumerate(q):
+        if qi < 0:
+            negative |= 1 << i
     steps = []
-    while True:
-        i = next((i for i, qi in enumerate(q) if qi < 0), None)
-        if i is None:
-            return steps
+    while negative:
+        i = (negative & -negative).bit_length() - 1
         qi = q[i]
         x[i] -= qi
-        q = [qk - qi * c for qk, c in zip(q, cartan[i])]
+        q[i] = -qi
+        negative ^= 1 << i
+        for k, c, _ in neighbours[i]:
+            q[k] -= qi * c
+            if q[k] < 0:
+                negative |= 1 << k
         steps.append(i)
+    return steps
 
 
 def dominant_representative(sys: RootSystem, lam: Covector) -> tuple[Covector, WeylElement]:
     """Weyl-chamber representative of ``lam`` together with the element mapping
     ``lam`` onto it, by the integer walk of ``_chamber_walk``."""
     x, scale = _cleared(lam, sys.rank)
-    cartan = _cartan_rows(sys.gram)
-    steps = _chamber_walk(cartan, x)
+    neighbours = _shape(sys.family, sys.rank).neighbours
+    steps = _chamber_walk(neighbours, x)
     matrix = [[int(j == i) for j in range(sys.rank)] for i in range(sys.rank)]
-    for i in steps:  # row i of s_i is e_i - cartan[:, i]
-        terms = [(row[i], matrix[k]) for k, row in enumerate(cartan) if row[i]]
-        matrix[i] = [m - sum(c * r[j] for c, r in terms) for j, m in enumerate(matrix[i])]
+    for i in steps:  # row i of s_i is e_i - cartan[:, i], and cartan[i][i] = 2
+        row = [-m for m in matrix[i]]
+        for k, _, c in neighbours[i]:
+            row = [a - c * b for a, b in zip(row, matrix[k])]
+        matrix[i] = row
     return (_covector(tuple(x), scale),
             WeylElement(tuple(map(tuple, matrix)), tuple(reversed(steps))))
 
@@ -631,5 +673,5 @@ def in_bounded_region(sys: RootSystem, eta: Covector) -> bool:
     simple-root coordinates is a sign check: ``scale * 2 rho >= 2 x``.
     """
     x, scale = _cleared(eta, sys.rank)
-    _chamber_walk(_cartan_rows(sys.gram), x)
+    _chamber_walk(_shape(sys.family, sys.rank).neighbours, x)
     return all(scale * t >= 2 * c for t, c in zip(_by_class(sys, "heights"), x))

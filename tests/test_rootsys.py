@@ -79,6 +79,25 @@ def test_constructor_checks_a_system_against_its_family_and_rank():
         rs.RootSystem("B", 2, B2.gram, swapped, True)
 
 
+def test_constructor_checks_multiplicities_by_the_build_rule():
+    a1 = ("A", 1, ((2,),))
+    # kappa of these would read 0 and -3/2
+    for value in (0, -3, 2.5, "3", float("inf"), float("nan"), None):
+        message = f"invalid multiplicity {value!r} for class 'all'"
+        with pytest.raises(RootSystemError, match=message):
+            rs.RootSystem(*a1, (rs.PositiveRoot((1,), value),), True)
+        with pytest.raises(RootSystemError, match=message):
+            build("A", 1, {"all": value})
+    # kappa reads each class's first root, n_of every root: 7/2 against min n 3
+    mixed = (rs.PositiveRoot((0, 1), 5),) + B2.positive_roots[1:]
+    with pytest.raises(RootSystemError, match="B2 has two multiplicities in one length class"):
+        rs.RootSystem("B", 2, B2.gram, mixed, True)
+    # an integral float is the integer, as in build_root_system
+    system = rs.RootSystem(*a1, (rs.PositiveRoot((1,), 2.0),), True)
+    assert system == build("A", 1, {"all": 2.0}) == build("A", 1, {"all": 2})
+    assert type(system.positive_roots[0].multiplicity) is int
+
+
 @pytest.mark.parametrize(
     "family,rank,count",
     [
@@ -544,31 +563,32 @@ def test_in_bounded_region_weyl_invariant():
 
 
 def _fraction_walk(system, lam):
-    """The earlier reflection loop on ``Fraction`` coordinates, kept as an
-    oracle: reflect at the smallest index with negative Gram pairing.
+    """The reflection loop on ``Fraction`` coordinates, kept as an oracle:
+    reflect at the smallest index with a negative Gram pairing ``<x, a_i>``.
+    ``s_i`` takes ``x`` to ``x - t a_i`` with ``t = 2 <x, a_i> / <a_i, a_i>``,
+    so each pairing ``<x, a_k>`` drops by ``t <a_i, a_k>``.
     Returns (coordinates, word, matrix)."""
     gram, rank = system.gram, system.rank
     coords = [Fraction(c) for c in lam.coords]
+    pairings = [sum(g * c for g, c in zip(row, coords)) for row in gram]
     word = []
     matrix = [[int(i == j) for j in range(rank)] for i in range(rank)]
     while True:
-        for i, row in enumerate(gram):
-            pairing = sum(g * c for g, c in zip(row, coords))
-            if pairing < 0:
-                coords[i] -= Fraction(2 * pairing, row[i])
-                # row i of s_i M is M[i] - sum_j cartan[j][i] M[j]; the
-                # Cartan integers 2 gram[j][i] / gram[i][i] divide exactly
-                cartan_i = [2 * gram[j][i] // gram[i][i] for j in range(rank)]
-                matrix[i] = [matrix[i][k] - sum(c * m[k] for c, m in zip(cartan_i, matrix) if c)
-                             for k in range(rank)]
-                word.insert(0, i)
-                break
-        else:
+        i = next((i for i, p in enumerate(pairings) if p < 0), None)
+        if i is None:
             return tuple(coords), tuple(word), tuple(tuple(row) for row in matrix)
+        t = Fraction(2 * pairings[i], gram[i][i])
+        coords[i] -= t
+        pairings = [p - t * g if g else p for p, g in zip(pairings, gram[i])]
+        # row i of s_i M is M[i] - sum_j cartan[j][i] M[j]; the
+        # Cartan integers 2 gram[j][i] / gram[i][i] divide exactly
+        terms = [(2 * gram[j][i] // gram[i][i], matrix[j]) for j in range(rank) if gram[j][i]]
+        matrix[i] = [matrix[i][k] - sum(c * m[k] for c, m in terms) for k in range(rank)]
+        word.insert(0, i)
 
 
 def _fraction_half_sum(system):
-    return [sum(Fraction(r.multiplicity * r.coeffs[j], 2) for r in system.positive_roots)
+    return [Fraction(sum(r.multiplicity * r.coeffs[j] for r in system.positive_roots), 2)
             for j in range(system.rank)]
 
 
@@ -618,6 +638,29 @@ def test_antidominant_rho_walk_length_is_reduced_root_count():
         system = cat.instantiate(entry)
         _, w = rs.dominant_representative(system, rs.rho(system).scale(-1))
         assert len(w.word) == _reduced_positive_count(entry.family, entry.rank), entry.id
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C", "D", "BC"])
+def test_chamber_walk_matches_fraction_oracle_at_rank_64(family):
+    # the walk updates only the pairings at i and its Dynkin neighbours; a
+    # stale neighbour would end the walk early or send it elsewhere
+    system = build(family, 64, {c: 1 for c in rs.class_vocabulary(family)})
+    half_sum = _fraction_half_sum(system)
+    rng = random.Random(64)
+    lams = [rs.rho(system).scale(-1),
+            Covector.make(Fraction(rng.randint(-2 ** 20, 2 ** 20), rng.randint(1, 12))
+                          for _ in range(64))]
+    inside, lengths = [], []
+    for lam in lams:
+        dominant, w = rs.dominant_representative(system, lam)
+        expected = _fraction_walk(system, lam)
+        assert (dominant.coords, w.word, w.matrix) == expected
+        assert w.apply(lam) == dominant
+        inside.append(all(h >= c for h, c in zip(half_sum, expected[0])))
+        assert rs.in_bounded_region(system, lam) == inside[-1]
+        lengths.append(len(w.word))
+    assert inside == [True, False]
+    assert lengths[0] == _reduced_positive_count(family, 64)  # 2,080 steps on A64
 
 
 def test_weyl_apply_matches_fraction_row_sums():
@@ -711,25 +754,30 @@ def _straddling_rows(system, largest):
 def test_n_of_many_exact_across_float64_bound(system):
     row_bound = rs._pairing(system.family, system.rank)[1]
     # no row bound here divides 2**53 - 1 or 2**53 + 1, so each target is
-    # straddled by the largest entries just below and just above it
-    targets = [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1]
+    # straddled by the largest entries just below and just above it; the
+    # same for the float32 bound 2**24, which a row bound of 8 divides
+    targets = [2 ** 24 - 1, 2 ** 24, 2 ** 24 + 1, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1]
     sizes = sorted({t // row_bound for t in targets} | {-(-t // row_bound) for t in targets}
-                   | {2 ** 53, 2 ** 60, (2 ** 63 - 1) // row_bound})
-    assert any(2 ** 53 - row_bound <= s * row_bound < 2 ** 53 for s in sizes)
-    assert any(2 ** 53 <= s * row_bound < 2 ** 53 + row_bound for s in sizes)
+                   | {2 ** 26, 2 ** 53, 2 ** 60, (2 ** 63 - 1) // row_bound})
+    for bound in (2 ** 24, 2 ** 53):
+        assert any(bound - row_bound <= s * row_bound < bound for s in sizes)
+        assert any(bound <= s * row_bound < bound + row_bound for s in sizes)
+    rounding = {2 ** 26: np.float32, 2 ** 60: np.float64}
     for largest in sizes:
         rows = _straddling_rows(system, largest)
         expected = [_recount(system, row) for row in rows]
         for batch in (rows, np.array(rows, dtype=np.int64)):
             assert rs.n_of_many(system, batch).tolist() == expected, largest
-        if largest == 2 ** 60:
-            # the rows do probe cancellation: rounded to float64 they miscount
+        if largest in rounding:
+            # the rows do probe cancellation: rounded to the float that
+            # cannot hold them, they miscount
+            dtype = rounding[largest]
             pairing = np.array([[sum(c * g for c, g in zip(r.coeffs, column))
                                  for column in zip(*system.gram)]
-                                for r in system.positive_roots], dtype=np.float64)
-            mult = [r.multiplicity for r in system.positive_roots]
-            rounded = ((np.array(rows, dtype=np.float64) @ pairing.T) != 0) @ mult
-            assert rounded.tolist() != expected
+                                for r in system.positive_roots], dtype=dtype)
+            mult = np.array([r.multiplicity for r in system.positive_roots], dtype=dtype)
+            rounded = ((np.array(rows, dtype=dtype) @ pairing.T) != 0) @ mult
+            assert rounded.tolist() != expected, largest
 
 
 def test_weyl_group_result_is_callers_own():
@@ -817,7 +865,8 @@ def test_shared_gram_keeps_distinct_roots_and_kernels():
     assert [r.coeffs for r in b2.positive_roots] == [(0, 1), (1, 0), (1, 1), (1, 2)]
     assert [r.coeffs for r in bc2.positive_roots] == [
         (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 2)]
-    assert rs._pairing("B", 2)[0].shape == (2, 4) and rs._pairing("BC", 2)[0].shape == (2, 6)
+    for family, roots in (("B", 4), ("BC", 6)):
+        assert [w.shape for w in rs._pairing(family, 2)[0].values()] == [(2, roots)] * 2
     # G [2, 3] = [2, 2] pairs with every root: the count is the total multiplicity
     assert rs.n_of_many(b2, [[2, 3]]).tolist() == [3 + 5 + 3 + 5]
     assert rs.n_of_many(bc2, [[2, 3]]).tolist() == [3 + 7 + 5 + 3 + 5 + 7]
@@ -841,12 +890,16 @@ def test_fundamental_weights_list_is_callers_own():
 
 
 @pytest.mark.parametrize("family,rank,mult", [
+    ("A", 1, 2 ** 24 - 1),           # total just below the float32 bound
+    ("A", 1, 2 ** 24),               # at it
+    ("A", 1, 2 ** 24 + 1),           # past it: no float32
     ("E8", 8, (2 ** 53 - 1) // 120),   # total just below 2**53
     ("E8", 8, (2 ** 53 - 1) // 120 + 1),  # just above it
     ("B", 3, 2 ** 60 // 9),          # below 2**63
     ("E8", 8, 2 ** 60),              # total past 2**63
     ("A", 1, 10 ** 20),              # one root past 2**63
-], ids=["E8-below-2^53", "E8-above-2^53", "B3-below-2^63", "E8-all-2^60", "A1-all-10^20"])
+], ids=["A1-2^24-1", "A1-2^24", "A1-2^24+1", "E8-below-2^53", "E8-above-2^53",
+        "B3-below-2^63", "E8-all-2^60", "A1-all-10^20"])
 def test_weighted_counts_exact_for_every_multiplicity(family, rank, mult):
     system = build(family, rank, {c: mult for c in rs.class_vocabulary(family)})
     total = sum(r.multiplicity for r in system.positive_roots)
@@ -1047,14 +1100,20 @@ def test_n_of_many_counts_by_float64_product_unless_it_could_round(monkeypatch):
     for system in (A2, BC2, G2, F4, E8):
         rows = accept._random_rational_coords(rng, 500, system.rank)
         assert paths(system, rows) == ([], np.int64)
-    # on either side of the float64 guard, and on the benchmark's overflow probes
+    # on either side of the float64 guard only the rows past it are walked,
+    # and on the benchmark's overflow probes
     for system in (B2, BC2, G2, F4, E8):
         row_bound = rs._pairing(system.family, system.rank)[1]
         below, above = (2 ** 53 - 1) // row_bound, -(-2 ** 53 // row_bound)
         assert below * row_bound < 2 ** 53 <= above * row_bound
         assert paths(system, _straddling_rows(system, below))[0] == []
         rows = _straddling_rows(system, above)
-        assert paths(system, rows) == (rows, np.int64)
+        past = [row for row in rows if max(map(abs, row)) * row_bound >= 2 ** 53]
+        assert 0 < len(past) < len(rows)
+        assert paths(system, rows) == (past, np.int64)
+    rows = np.random.default_rng(34).integers(-9, 10, size=(4096, 8))
+    rows[1234, 5] = 2 ** 60
+    assert paths(E8, rows) == ([rows[1234].tolist()], np.int64)
     for family, rank, mult, row in OVERFLOW_PROBES:
         assert paths(build(family, rank, mult), [row]) == ([row], np.int64)
     # small rows at a total multiplicity past 2**53, and past 2**63
