@@ -7,20 +7,17 @@ normalization in which the short root of each family has squared length 2
 choice is free).  A covector holds integer numerators over one positive
 denominator, in lowest terms; ``coords`` reads them as ``Fraction``s.
 
-All but the BLAS products of the batch count ``n_of_many`` runs in Python
-integers; those run in float32 while every product and partial sum is an
-integer below ``2**24``, else in float64 below ``2**53``, and a row past
-that is counted as ``n_of`` counts.  The positive roots are built by height
-(Humphreys, *Introduction to Lie Algebras and Representation Theory*, 8.4,
-10.2), and sorted, which puts ``v`` before ``v + a_i``: ``n_of`` forms ``y =
-G x`` once and takes each pairing from the root one step lower, ``<v + a_i,
-x> = <v, x> + y_i``.  The fundamental weights are rows of the inverse Cartan
-matrix, by fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
-1968).  The Weyl group is the closure of the simple reflections permuting
-the roots; its elements are integer matrices in simple-root coordinates,
-which act on the numerators alone, as does the walk to the dominant
-chamber, whose reflections each change the pairings at one node and its
-Dynkin neighbours only.
+All but the BLAS product of ``n_of_many``, in the narrowest float that
+cannot round, runs in Python integers.  The positive roots are built by
+height (Humphreys, *Introduction to Lie Algebras and Representation
+Theory*, 8.4, 10.2), and sorted, which puts ``v`` before ``v + a_i``:
+``n_of`` forms ``y = G x`` once and takes each pairing from the root one
+step lower, ``<v + a_i, x> = <v, x> + y_i``.  The fundamental weights are
+rows of the inverse Cartan matrix, by fraction-free Gauss-Jordan
+elimination (Bareiss, Math. Comp. 22, 1968).  The Weyl group is the closure
+of the simple reflections permuting the roots; its elements are integer
+matrices in simple-root coordinates, which act on the numerators alone, as
+does the walk to the dominant chamber, by Dynkin neighbours.
 
 Each constant is computed once, at the level it depends on, and no system
 is hashed on the way: everything but the multiplicities per (family, rank)
@@ -174,8 +171,8 @@ class RootSystem(_Record):
     """Restricted root system with multiplicities, over exact rationals.
 
     The exact functions read all but the multiplicities from ``_shape``, and
-    a class's multiplicity from one root, so the constructor checks the rest
-    against it and builds the system as ``build_root_system`` would.
+    those from one root per class, so the constructor builds the system as
+    ``build_root_system`` would and checks the rest against it.
     """
 
     _fields = ("family", "rank", "gram", "positive_roots", "reduced")
@@ -333,19 +330,18 @@ _Shape = namedtuple("_Shape", "gram coeffs classes steps doubled involving heigh
 
 
 @lru_cache(maxsize=None)
-def _pairing(family: str, rank: int) -> tuple[dict[int, np.ndarray], int]:
-    """``(R G)^T`` read-only in float32 and float64, each keyed by the bound
-    below which it holds every integer, and the row bound, once per (family,
-    rank).  Root coefficients and Gram entries are at most 6 in absolute
-    value, so under ``MAX_RANK`` both hold each entry of ``R G`` exactly."""
+def _pairing(family: str, rank: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(R G)^T`` read-only in float32 and in float64, and the row bound,
+    once per (family, rank).  Root coefficients and Gram entries are at most
+    6 in absolute value, so under ``MAX_RANK`` both hold each entry exactly."""
     import numpy as np
 
     gram, coeffs, *_ = _shape(family, rank)
     pairing = np.array(coeffs, dtype=np.int64) @ np.array(gram, dtype=np.int64)
-    weights = {2 ** 24: pairing.T.astype(np.float32), 2 ** 53: pairing.T.astype(np.float64)}
-    for w in weights.values():
-        w.setflags(write=False)
-    return weights, int(np.abs(pairing).sum(axis=1).max())
+    w32, w64 = pairing.T.astype(np.float32), pairing.T.astype(np.float64)
+    w32.setflags(write=False)
+    w64.setflags(write=False)
+    return w32, w64, int(np.abs(pairing).sum(axis=1).max())
 
 
 @lru_cache(maxsize=None)
@@ -356,8 +352,7 @@ def _shape(family: str, rank: int) -> _Shape:
     or -1 at a_i, i)``; whether each ``2 a_i`` is ``doubled``; and per ``a_i``
     and length class, as (first root of the class, value), the number of
     roots ``involving`` ``a_i`` and the sum of their ``a_i``-``heights``; and
-    per ``a_i`` its Dynkin ``neighbours``, each ``k != i`` with a nonzero
-    Cartan entry, as ``(k, cartan[i][k], cartan[k][i])``."""
+    the Dynkin ``neighbours`` of ``a_i`` as ``(k, cartan[i][k], cartan[k][i])``."""
     gram = tuple(map(tuple, _gram_int(family, rank)))
     norm2 = dict(_positive_roots(gram))
     positives = list(norm2)
@@ -475,9 +470,8 @@ def n_of_many(sys: RootSystem, coords) -> np.ndarray:
     @ (R G)^T`` and of the weighted hits is an integer below ``2**24``, exact
     in float32 BLAS in any order and with fused multiply-adds (in blocks
     OpenBLAS runs on the calling thread); below ``2**53`` the same holds in
-    float64.  Otherwise a row that could round is counted as ``n_of``
-    counts (every row, past a total of ``2**53``), and the rest as above.
-    The counts are int64, or Python integers once the total reaches ``2**63``.
+    float64; otherwise each row is counted as ``n_of`` counts.  The counts
+    are int64, or Python integers once the total multiplicity reaches ``2**63``.
     """
     import numpy as np
 
@@ -489,20 +483,14 @@ def n_of_many(sys: RootSystem, coords) -> np.ndarray:
             rows = np.frompyfunc(operator.index, 1, 1)(np.array(coords, dtype=object))
         except TypeError:
             raise TypeError("coordinates must be integers; clear denominators first") from None
-    weights, row_bound = _pairing(sys.family, sys.rank)
+    w32, w64, row_bound = _pairing(sys.family, sys.rank)
     mult = [r.multiplicity for r in sys.positive_roots]
-    total = sum(mult)
     largest = max(int(rows.max()), -int(rows.min())) if rows.size else 0
-    fits = [w for exact, w in weights.items() if largest * row_bound < exact and total < exact]
-    if not fits:
-        limit = (2 ** 53 - 1) // row_bound  # the largest entry of a row that cannot round
-        past = np.any((rows > limit) | (rows < -limit), axis=1) | (total >= 2 ** 53)
-        counts = np.zeros(len(rows), dtype=np.int64 if total < 2 ** 63 else object)
-        counts[past] = [_count(sys, x) for x in rows[past].tolist()]
-        if not past.all():
-            counts[~past] = n_of_many(sys, rows[~past])  # a float path: none can round
-        return counts
-    w = fits[0]  # the narrowest
+    bound = max(largest * row_bound, sum(mult))  # of every product and partial sum
+    if bound >= 2 ** 53:
+        return np.array([_count(sys, x) for x in rows.tolist()],
+                        dtype=np.int64 if sum(mult) < 2 ** 63 else object)
+    w = w32 if bound < 2 ** 24 else w64
     floats, mult = rows.astype(w.dtype), np.array(mult, dtype=w.dtype)
     step = max(1, _ONE_THREAD_MADDS // w.size)
     blocks = (floats[start:start + step] @ w for start in range(0, max(len(floats), 1), step))
@@ -620,11 +608,10 @@ def _chamber_walk(neighbours: Sequence[Sequence[tuple[int, int, int]]], x: list[
 
     The pairing ``q_i = <x, a_i^vee> = sum_j x_j cartan[j][i]`` has the sign
     of ``<x, a_i>``.  ``s_i`` subtracts ``q_i`` from ``x_i`` and
-    ``q_i cartan[i][k]`` from each ``q_k``: it negates ``q_i``, lowers the
-    ``q_k`` of the ``neighbours`` of ``i`` (``cartan[i][k] < 0``), which alone
-    can turn negative in the bits of ``negative``, and leaves the rest.  It
-    takes one step per positive root separating ``x`` from the chamber
-    (Humphreys, *Reflection Groups and Coxeter Groups*, 1.6-1.12)."""
+    ``q_i cartan[i][k]`` from each ``q_k``: it negates ``q_i`` and lowers only
+    the ``neighbours``' pairings, the bits of ``negative`` that can turn on.
+    One step per positive root separating ``x`` from the chamber (Humphreys,
+    *Reflection Groups and Coxeter Groups*, 1.6-1.12)."""
     q = [2 * xi for xi in x]
     for xi, row in zip(x, neighbours):
         for k, c, _ in row:
@@ -656,10 +643,9 @@ def dominant_representative(sys: RootSystem, lam: Covector) -> tuple[Covector, W
     steps = _chamber_walk(neighbours, x)
     matrix = [[int(j == i) for j in range(sys.rank)] for i in range(sys.rank)]
     for i in steps:  # row i of s_i is e_i - cartan[:, i], and cartan[i][i] = 2
-        row = [-m for m in matrix[i]]
+        matrix[i] = [-m for m in matrix[i]]
         for k, _, c in neighbours[i]:
-            row = [a - c * b for a, b in zip(row, matrix[k])]
-        matrix[i] = row
+            matrix[i] = [a - c * b for a, b in zip(matrix[i], matrix[k])]
     return (_covector(tuple(x), scale),
             WeylElement(tuple(map(tuple, matrix)), tuple(reversed(steps))))
 
