@@ -223,8 +223,8 @@ def statphase_rows(group: str, t_geo: float, steps: Sequence[int],
                    xi: float = 0.0) -> list[tuple[int, complex, complex]]:
     """``(t, value, leading term)`` at the whole steps ``t`` (increasing).
 
-    ``"sl2"``: ``spherical_sl2`` at the spectral value ``t * xi`` under
-    ``_mehler_config(max t * xi, Y)``, against ``leading_term_sl2``.
+    ``"sl2"``: ``spherical_sl2`` at the spectral value ``t * xi``, against
+    ``leading_term_sl2``; ``spherical`` works out each value's node budget.
     ``"su2"``: the degree-``t`` Legendre value (``legendre_sequence``) at angle
     ``Y``, against ``leading_term_compact``; ``xi`` is not used.  An input out
     of range raises ``ValueError``."""
@@ -232,12 +232,8 @@ def statphase_rows(group: str, t_geo: float, steps: Sequence[int],
 
     if group == "sl2":
         amplitude = spherical_amplitude_sl2(t_geo)
-        config = sph._mehler_config(steps[-1] * xi, t_geo)
-        rows = []
-        for t in steps:
-            value = sph.spherical_sl2(sph.SpectralParameter.rank1(t * xi), t_geo, config).value
-            rows.append((t, value, leading_term_sl2(xi, t_geo, t, amplitude).total))
-        return rows
+        return [(t, sph.spherical_sl2(sph.SpectralParameter.rank1(t * xi), t_geo).value,
+                 leading_term_sl2(xi, t_geo, t, amplitude).total) for t in steps]
     if group == "su2":
         seq = sph.legendre_sequence(steps[-1], math.cos(t_geo))
         return [(t, float(seq[t]), leading_term_compact(t, t_geo)) for t in steps]

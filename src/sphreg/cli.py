@@ -227,9 +227,12 @@ def cmd_spherical(args) -> int:
     if args.ygrid:
         try:
             lo, hi, count = args.ygrid.split(":")
-            points = list(np.linspace(float(lo), float(hi), int(count)))
+            lo, hi, count = float(lo), float(hi), int(count)
         except ValueError:
             raise CliError("--ygrid must be lo:hi:count") from None
+        if count < 1:
+            raise CliError("--ygrid count must be at least 1")
+        points = list(np.linspace(lo, hi, count))
     if not points:
         raise CliError("one of --points or --ygrid is required")
     ts = _spectral_ts(args)
@@ -244,13 +247,14 @@ def cmd_spherical(args) -> int:
 
     try:
         if args.group == "sl2":
-            xi = _parse_list(args.xi, float)[0] if args.xi else 0.5
-            eta = _parse_list(args.eta, float)[0] if args.eta else 0.0
+            xi = _parse_list(args.xi, float) if args.xi else [0.5]
+            eta = _parse_list(args.eta, float) if args.eta else [0.0]
+            if len(xi) != 1 or len(eta) != 1:
+                raise CliError("sl2 needs one --xi and one --eta coordinate")
             for y in points:
-                config = sph._mehler_config(float(ts[-1]) * abs(xi) + abs(eta) + 1.0, y)
                 for t in ts:
-                    lam = sph.SpectralParameter.rank1(t * xi, eta)
-                    value = sph.spherical_sl2(lam, y, config)
+                    lam = sph.SpectralParameter.rank1(t * xi[0], eta[0])
+                    value = sph.spherical_sl2(lam, y)
                     emit(t, (y,), value.value, value.estimated_error)
         elif args.group == "sl3":
             xi = _parse_list(args.xi, float) if args.xi else [0.5, 0.5]

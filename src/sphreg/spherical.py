@@ -17,7 +17,7 @@ Rank one.  The abelian coordinate of ``a_Y k_theta``, ``a_Y = diag(e^Y, e^-Y)``,
 is ``u = 0.5 log(cosh 2Y + sinh 2Y cos 2theta)`` in closed form.  Laplace's
 integral of ``exp((2i xi - 2 eta - 1) u)`` defines the value
 ``phi = P_nu(cosh 2Y)``, ``nu = i xi - eta - 1/2``.  Values, sweeps and
-derivatives follow one rule (``spherical_sl2``), each path with its error:
+derivatives follow one rule (``_rank_one``), each path with its error:
 near the identity the germ ``F(-nu, nu + 1; 1; -sinh^2 Y)`` (DLMF 14.3);
 else the Harish-Chandra expansion (Helgason, *Groups and Geometric
 Analysis*, ch. IV), at rank one ``P_nu = tan(nu pi) / pi (Q_nu - Q_{-nu-1})``
@@ -503,27 +503,27 @@ def _tan_nu_pi(xi, eta: float):
     return -1.0 / tan if cot else tan
 
 
-def _accepted_series(xi: float, eta: float, t_geo: float, order: int,
-                     config: QuadratureConfig) -> SphericalValue | None:
-    """The small-``Y`` series where ``_small_y_valid`` holds; else the
-    Harish-Chandra series where ``_series_valid`` and a cost model favour it
-    and its bound meets ``config.target`` relative to ``max(1, |value|)``;
-    else None.  The model weighs about ``20 / |Y|`` terms against the phase
+def _rank_one(xi: float, eta: float, t_geo: float, order: int,
+              config: QuadratureConfig | None) -> SphericalValue:
+    """``phi^(order)`` (orders 0-3) at ``Y = t_geo`` by the rank-one rule, for
+    a checked input: the small-``Y`` series where ``_small_y_valid`` holds;
+    else the Harish-Chandra series where ``_series_valid`` and a cost model
+    favour it and its bound meets the target of ``config`` (of
+    ``DEFAULT_CONFIG`` when it is None) relative to ``max(1, |value|)``; else
+    ``_mehler``.  The model weighs about ``20 / |Y|`` terms against the phase
     node count and fixed cost of the quadrature: it refuses small ``|Y|``."""
     y = abs(t_geo)
     if _small_y_valid(xi, eta, y):
         value, bound, terms = _small_y_series(complex(-eta, xi), t_geo, order)
         return SphericalValue(complex(value), terms, bound, "small-y")
-    if not _series_valid(xi, eta, y):
-        return None
     cost = (1.0 if eta == 0.0 else 2.0) * _SERIES_TERM_COST * _SERIES_TERMS_Y
-    if (cost > y * (_MEHLER_FIXED_COST + _SWEEP_FLOOR)
-            and cost > y * (_MEHLER_FIXED_COST + _phase_nodes(xi, t_geo))):
-        return None
-    value = _harish_chandra_series(xi, eta, t_geo, order)
-    if value.estimated_error <= config.target * max(1.0, abs(value.value)):
-        return value
-    return None
+    if _series_valid(xi, eta, y) and (
+            cost <= y * (_MEHLER_FIXED_COST + _SWEEP_FLOOR)
+            or cost <= y * (_MEHLER_FIXED_COST + _phase_nodes(xi, t_geo))):
+        value = _harish_chandra_series(xi, eta, t_geo, order)
+        if value.estimated_error <= (config or DEFAULT_CONFIG).target * max(1.0, abs(value.value)):
+            return value
+    return _mehler(xi, eta, t_geo, order, config)
 
 
 def _harish_chandra_series(xi: float, eta: float, t_geo: float,
@@ -559,45 +559,82 @@ def _harish_chandra_series(xi: float, eta: float, t_geo: float,
 
 
 def spherical_sl2(
-    lam: SpectralParameter, t_geo: float, config: QuadratureConfig = DEFAULT_CONFIG
+    lam: SpectralParameter, t_geo: float, config: QuadratureConfig | None = None
 ) -> SphericalValue:
     """Spherical function of the degree-2 special linear group at
     a_Y = diag(e^Y, e^-Y), Y = ``t_geo``; exact value 1 at the identity.
-    One rule, shared with ``spherical_sl2_sweep`` and ``deriv_spherical_sl2``:
-    where ``_small_y_valid`` holds, the series of ``F(-nu, nu + 1; 1; -sinh^2
-    Y)`` (path ``"small-y"``); else, where ``_series_valid`` holds and about
-    ``20 / |Y|`` terms cost less than the phase node count, the Harish-Chandra
-    series (path ``"series"``) if its bound meets ``config.target``; else the
-    Mehler-Dirichlet integral (path ``"trapezoid"``), which needs ``2
-    sl2_sweep_nodes(xi, Y)`` nodes.  ``DEFAULT_CONFIG`` serves ``|xi Y|`` up to
-    about 2000 (``xi = 1990`` returns and 2010 raises at ``eta = 0.75``, ``Y =
-    1``), and ``_mehler_config(xi, Y)`` past it.  Levels still apart by more
-    than ``config.fail`` at ``config.n_max`` raise ``QuadratureError``, which
-    names that count.  A non-finite input, or one whose phase ``2 Y (i xi -
-    eta)`` overflows, raises ``ValueError``."""
+    One rule (``_rank_one``), shared with ``spherical_sl2_sweep`` and
+    ``deriv_spherical_sl2``: where ``_small_y_valid`` holds, the series of
+    ``F(-nu, nu + 1; 1; -sinh^2 Y)`` (path ``"small-y"``); else, where
+    ``_series_valid`` holds and about ``20 / |Y|`` terms cost less than the
+    phase node count, the Harish-Chandra series (path ``"series"``) if its
+    bound meets the target; else the Mehler-Dirichlet integral (path
+    ``"trapezoid"``), which needs ``2 sl2_sweep_nodes(xi, Y)`` nodes: with
+    ``config`` omitted it runs under the sweep's budget, worked out from
+    ``xi`` and ``Y`` only then, else under ``config`` as given.  Levels still
+    apart by more than ``fail`` at ``n_max`` raise ``QuadratureError``, which
+    names that count.  A non-finite input, one whose phase ``2 Y (i xi -
+    eta)`` overflows or, with ``config`` omitted, one whose count is above
+    ``SWEEP_NODE_CEILING`` raises ``ValueError``."""
     if abs(t_geo) > T_GEO_MAX:
         raise ValueError(f"chamber point Y={t_geo:g} outside |Y| <= {T_GEO_MAX:g}")
     _check_finite(lam, "Y={:g}", t_geo)
     _check_phase(lam, t_geo)
-    series = _accepted_series(lam.xi[0], lam.eta[0], t_geo, 0, config)
+    return _rank_one(lam.xi[0], lam.eta[0], t_geo, 0, config)
+
+
+def _mehler(xi: float, eta: float, t_geo: float, order: int,
+            config: QuadratureConfig | None) -> SphericalValue:
+    """``phi^(order)`` (orders 0-3) by the Mehler-Dirichlet family on the
+    folded, nested trapezoid rule, for a checked input, under ``config`` or,
+    when it is None, ``_mehler_config(xi, Y)``.  A ``QuadratureError`` names
+    the node count the phase needs.
+
+    With ``x = cosh 2Y`` and ``c = cos a``, order 1 is DLMF 14.10.5,
+    ``(x^2 - 1) P_nu' = nu (x P_nu - P_{nu-1})``, in Mehler-Dirichlet form:
+    ``phi' = (2 nu / sinh 2Y) (1/pi) int_0^pi [A sinh(2Ysc) sinh(2Yc) + 2Y^2
+    sin^2 a cosh(2Ysc) / A] da`` with ``A`` the amplitude of
+    ``_mehler_amplitude``; ``A^2 (cosh 2Y - cosh 2Yc) = 2Y^2 sin^2 a`` removes
+    the 0/0 at the wall.  The prefactor sits inside the integrand, so the stop
+    test sees the derivative's own scale.  Orders 2 and 3 follow from Legendre's equation,
+    with no further quadrature: ``phi'' = -2 coth(2Y) phi' + (4 s^2 - 1) phi``
+    and ``phi''' = -2 coth(2Y) phi'' + (4 csch^2(2Y) + 4 s^2 - 1) phi'``, with
+    ``phi`` by ``_rank_one``; the estimates of ``phi'`` and ``phi`` go through
+    the same steps.  These cancel as ``Y -> 0``, where ``_rank_one`` takes the
+    small-``Y`` series instead."""
+    config = config or _mehler_config(xi, t_geo)
+    s, y2 = 1j * xi - eta, 2.0 * t_geo
+    if order == 0:
+        def integrand(rule):
+            return _mehler_integrand(_mehler_amplitude(t_geo, rule.sin2_half),
+                                     y2 * rule.cos, xi, eta)
+    else:
+        prefactor = (2.0 * s - 1.0) / math.sinh(y2)
+
+        def integrand(rule):
+            c, amplitude = rule.cos, _mehler_amplitude(t_geo, rule.sin2_half)
+            # array first: numpy turns a long ``prefactor * array`` into ``array *=
+            # prefactor``, which rounds differently, so a value would depend on the length
+            return (amplitude * np.sinh(y2 * s * c) * np.sinh(y2 * c)
+                    + 0.5 * (y2 * rule.sin) ** 2 * np.cosh(y2 * s * c) / amplitude) * prefactor
     try:
-        return series or _spherical_sl2_mehler(lam, t_geo, config)
+        value, nodes, err = _nested_trapezoid(integrand, 4, config)
     except QuadratureError as exc:
-        raise QuadratureError(f"{exc}; xi={lam.xi[0]:g} at Y={t_geo:g} needs "
-                              f"{2 * _phase_nodes(lam.xi[0], t_geo)} nodes "
+        raise QuadratureError(f"{exc}; xi={xi:g} at Y={t_geo:g} needs "
+                              f"{2 * _phase_nodes(xi, t_geo)} nodes "
                               f"(2 sl2_sweep_nodes), n_max is {config.n_max}") from exc
-
-
-def _spherical_sl2_mehler(lam: SpectralParameter, t_geo: float,
-                          config: QuadratureConfig) -> SphericalValue:
-    """``spherical_sl2`` by the Mehler-Dirichlet integral on the folded,
-    nested trapezoid rule, for a checked input."""
-    xi, eta = lam.xi[0], lam.eta[0]
-    value, nodes, err = _nested_trapezoid(
-        lambda rule: _mehler_integrand(_mehler_amplitude(t_geo, rule.sin2_half),
-                                       2.0 * t_geo * rule.cos, xi, eta),
-        4, config)
-    return SphericalValue(complex(value), nodes, float(err), "trapezoid")
+    d1, e1 = complex(value), float(err)
+    if order < 2:
+        return SphericalValue(d1, nodes, e1, "trapezoid")
+    phi = _rank_one(xi, eta, t_geo, 0, config)
+    coth, k = 1.0 / math.tanh(y2), 4.0 * s * s - 1.0
+    d2 = -2.0 * coth * d1 + k * phi.value
+    e2 = 2.0 * coth * e1 + abs(k) * phi.estimated_error
+    if order == 2:
+        return SphericalValue(d2, nodes, e2, "trapezoid")
+    k3 = 4.0 / math.sinh(y2) ** 2 + k
+    return SphericalValue(-2.0 * coth * d2 + k3 * d1, nodes, 2.0 * coth * e2 + abs(k3) * e1,
+                          "trapezoid")
 
 
 def sl2_sweep_nodes(xi_peak: float, t_geo: float) -> int:
@@ -618,10 +655,10 @@ def sl2_sweep_nodes(xi_peak: float, t_geo: float) -> int:
 
 
 def _mehler_config(xi: float, y: float) -> QuadratureConfig:
-    """Adaptive rank-one rule for spectral values up to ``xi`` at ``Y = y``:
-    at most twice the count ``sl2_sweep_nodes`` gives, and at least 8192 nodes."""
-    return QuadratureConfig(n_start=1024, n_max=max(8192, 2 * sl2_sweep_nodes(xi, y)),
-                            target=1e-12, fail=1e-7)
+    """The budget ``_mehler`` takes when it is given no config, for spectral
+    values up to ``xi`` at ``Y = y``: at most twice the count
+    ``sl2_sweep_nodes`` gives, at least 8192 nodes, the default target and fail."""
+    return QuadratureConfig(n_start=1024, n_max=max(8192, 2 * sl2_sweep_nodes(xi, y)))
 
 
 def spherical_sl2_sweep(xis, eta: float, t_geo) -> np.ndarray:
@@ -632,7 +669,7 @@ def spherical_sl2_sweep(xis, eta: float, t_geo) -> np.ndarray:
     small-``Y`` series in one array pass; the Harish-Chandra series for the
     whole grid (``_harish_chandra_sweep``; bounds within
     ``DEFAULT_CONFIG.target``, no cost model, as a vectorised term costs almost
-    nothing); else ``_spherical_sl2_mehler`` under ``_mehler_config(xi, Y)``.
+    nothing); else ``_mehler`` under ``_mehler_config(xi, Y)``.
     A non-finite input, a count above ``SWEEP_NODE_CEILING`` or a chamber
     point with ``|Y| > T_GEO_MAX`` raises ``ValueError`` before any value."""
     xs, ys = np.asarray(xis, dtype=float), np.asarray(t_geo, dtype=float)
@@ -659,8 +696,7 @@ def spherical_sl2_sweep(xis, eta: float, t_geo) -> np.ndarray:
         out[grid] = np.where(series[grid], values, out[grid])
     for i, j in zip(*np.nonzero(~(near | series))):
         xi, y = float(row[j]), float(column[i])
-        out[i, j] = _spherical_sl2_mehler(SpectralParameter.rank1(xi, eta), y,
-                                          _mehler_config(xi, y)).value
+        out[i, j] = _mehler(xi, eta, y, 0, None).value
     return out.reshape(ys.shape + xs.shape)
 
 
@@ -729,15 +765,15 @@ def deriv_spherical_sl2(
     t_scale: float,
     t_geo: float,
     order: int,
-    config: QuadratureConfig = DEFAULT_CONFIG,
+    config: QuadratureConfig | None = None,
 ) -> complex:
     """Derivative of order ``order`` (0..3) in the geodesic parameter of the
     chamber restriction of the spherical function at spectral value
     ``t_scale * xi + i eta``, by the rule of ``spherical_sl2``: the small-``Y``
     series; else the Harish-Chandra series, term ``k`` of each Q-series taking
     the factor ``(-2 (b + 2k))^order``; else the Mehler-Dirichlet family
-    (``_deriv_spherical_sl2_mehler``): order 1 by one integral, orders 2 and
-    3 from Legendre's equation.
+    (``_mehler``): order 1 by one integral, orders 2 and 3 from Legendre's
+    equation.  ``config`` is read as by ``spherical_sl2``.
 
     A non-finite spectral value, or one whose phase overflows, raises
     ``ValueError``.  For orders 1-3 so does one whose ``(2s - 1) / sinh 2Y``
@@ -753,46 +789,7 @@ def deriv_spherical_sl2(
     if order and not cmath.isfinite((2j * xi - 2.0 * eta - 1.0) / math.sinh(2.0 * t_geo)):
         raise ValueError(f"prefactor (2s - 1) / sinh 2Y overflows at spectral value "
                          f"{scaled}, Y={t_geo:g}")
-    if order == 0:
-        return spherical_sl2(scaled, t_geo, config).value
-    series = _accepted_series(xi, eta, t_geo, order, config)
-    return series.value if series else _deriv_spherical_sl2_mehler(scaled, t_geo, order, config)
-
-
-def _deriv_spherical_sl2_mehler(scaled: SpectralParameter, t_geo: float, order: int,
-                                config: QuadratureConfig) -> complex:
-    """Orders 1-3 of ``deriv_spherical_sl2`` from the Mehler-Dirichlet family,
-    for a checked input at the scaled spectral value.
-
-    With ``x = cosh 2Y`` and ``c = cos a``, order 1 is DLMF 14.10.5,
-    ``(x^2 - 1) P_nu' = nu (x P_nu - P_{nu-1})``, in Mehler-Dirichlet form:
-    ``phi' = (2 nu / sinh 2Y) (1/pi) int_0^pi [A sinh(2Ysc) sinh(2Yc) + 2Y^2
-    sin^2 a cosh(2Ysc) / A] da`` with ``A`` the amplitude of
-    ``_mehler_amplitude``; ``A^2 (cosh 2Y - cosh 2Yc) = 2Y^2 sin^2 a`` removes
-    the 0/0 at the wall.  The prefactor sits inside the integrand, so the stop
-    test sees the derivative's own scale.  Orders 2 and 3 follow from Legendre's equation,
-    with no further quadrature: ``phi'' = -2 coth(2Y) phi' + (4 s^2 - 1) phi``
-    and ``phi''' = -2 coth(2Y) phi'' + (4 csch^2(2Y) + 4 s^2 - 1) phi'``.
-    These steps cancel as ``Y -> 0``, where ``deriv_spherical_sl2`` takes the
-    small-``Y`` series instead."""
-    s, y2 = 1j * scaled.xi[0] - scaled.eta[0], 2.0 * t_geo
-    prefactor = (2.0 * s - 1.0) / math.sinh(y2)
-
-    def integrand(rule):
-        c, amplitude = rule.cos, _mehler_amplitude(t_geo, rule.sin2_half)
-        # array first: numpy turns a long ``prefactor * array`` into ``array *=
-        # prefactor``, which rounds differently, so a value would depend on the length
-        return (amplitude * np.sinh(y2 * s * c) * np.sinh(y2 * c)
-                + 0.5 * (y2 * rule.sin) ** 2 * np.cosh(y2 * s * c) / amplitude) * prefactor
-
-    d1 = complex(_nested_trapezoid(integrand, 4, config)[0])
-    if order == 1:
-        return d1
-    coth, k = 1.0 / math.tanh(y2), 4.0 * s * s - 1.0
-    d2 = -2.0 * coth * d1 + k * spherical_sl2(scaled, t_geo, config).value
-    if order == 2:
-        return d2
-    return -2.0 * coth * d2 + (4.0 / math.sinh(y2) ** 2 + k) * d1
+    return _rank_one(xi, eta, t_geo, order, config).value
 
 
 _SL3_TARGET = 1e-10  # the rank-two rule stops at this step, relative to max(1, |value|)

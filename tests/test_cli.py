@@ -548,6 +548,22 @@ def test_spherical_sl3_bad_inputs_exit_with_one_line(options, code, message):
     assert len(err.splitlines()) == 1 and message in err
 
 
+@pytest.mark.parametrize("options, message", [
+    # sl2 used to take the first coordinate of each list and drop the rest
+    (["--points", "1", "--xi", "1,2", "--eta", "0.1,5"], "sl2 needs one --xi and one --eta"),
+    (["--points", "1", "--xi", "1,2"], "sl2 needs one --xi and one --eta"),
+    (["--points", "1", "--eta", "0.1,5"], "sl2 needs one --xi and one --eta"),
+    # a count of 0 used to be reported as a missing --ygrid
+    (["--ygrid", "0:1:0"], "--ygrid count must be at least 1"),
+    (["--ygrid", "0:1:-2"], "--ygrid count must be at least 1"),
+])
+def test_spherical_sl2_bad_counts_exit_with_one_line(options, message):
+    got, out, err = _quiet_run("spherical", "--group", "sl2", "--tmin", "1", "--tmax", "2",
+                               "--tsteps", "2", *options)
+    assert (got, out) == (2, "")
+    assert len(err.splitlines()) == 1 and message in err
+
+
 @pytest.mark.parametrize("option", ["--samples", "--seed"])
 def test_spherical_sl3_refuses_the_monte_carlo_options(capsys, option):
     # the values are deterministic cubatures: no sample count and no seed
@@ -647,11 +663,12 @@ def test_usage_errors_print_one_stderr_line(capsys, argv, prefix):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith(prefix), captured.err
 
 
-def test_every_module_attribute_the_cli_reaches_exists():
-    # each verb imports its layers inside the function, so a renamed helper,
-    # often a private one that no other test names, would fail only when its
-    # verb runs
-    tree = ast.parse((ROOT / "src" / "sphreg" / "cli.py").read_text(encoding="utf-8"))
+def _sibling_names(name):
+    """``(modules, reached, imported)`` of ``src/sphreg/<name>.py``: the modules
+    it imports by ``from . import``, keyed by alias; the ``(alias, attribute)``
+    pairs it reads through them; the ``(module, name)`` pairs of its ``from
+    .module import``."""
+    tree = ast.parse((ROOT / "src" / "sphreg" / f"{name}.py").read_text(encoding="utf-8"))
     modules = {alias.asname or alias.name: importlib.import_module(f"sphreg.{alias.name}")
                for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
@@ -659,15 +676,31 @@ def test_every_module_attribute_the_cli_reaches_exists():
     reached = {(node.value.id, node.attr) for node in ast.walk(tree)
                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                and node.value.id in modules}
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+                for alias in node.names}
+    return modules, reached, imported
+
+
+def test_every_module_attribute_the_cli_reaches_exists():
+    # each verb imports its layers inside the function, so a renamed helper,
+    # often a private one that no other test names, would fail only when its
+    # verb runs
+    modules, reached, imported = _sibling_names("cli")
     missing = sorted(f"{alias}.{name}" for alias, name in reached
                      if not hasattr(modules[alias], name))
-    assert {("sph", "_mehler_config"), ("sph", "_spherical_compact_su2")} <= reached
+    assert {("sph", "_spherical_compact_su2")} <= reached
     assert missing == []
     # the acceptance gate is reached through its public names only
     private = [name for alias, name in reached
                if modules[alias].__name__ == "sphreg.accept" and name.startswith("_")]
-    private += [alias.name for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.level == 1
-                and node.module == "accept" for alias in node.names
-                if alias.name.startswith("_")]
+    private += [name for module, name in imported if module == "accept" and name.startswith("_")]
     assert "accept" in modules and private == []
+    # only spherical picks a rank-one path or node budget: the modules that
+    # call it name none of its private helpers but the compact integral's
+    for caller in ("cli", "asymptotics", "accept"):
+        modules, reached, imported = _sibling_names(caller)
+        names = {name for alias, name in reached if modules[alias].__name__ == "sphreg.spherical"}
+        names |= {name for module, name in imported if module == "spherical"}
+        assert {name for name in names if name.startswith("_")} <= {"_spherical_compact_su2"}, \
+            caller

@@ -123,21 +123,44 @@ def test_bounded_region_dichotomy():
 def test_quadrature_failure_raises():
     tight = QuadratureConfig(n_start=64, n_max=256, target=1e-12, fail=1e-9)
     with pytest.raises(QuadratureError):
-        sph._spherical_sl2_mehler(SpectralParameter.rank1(500.0), 2.0, tight)
+        sph._mehler(500.0, 0.0, 2.0, 0, tight)
 
 
-@pytest.mark.parametrize("xi, eta, y", [(-626.93, 0.99865, 4.8285), (-653.66, -1.0004, 3.2090),
-                                      (-722.41, 0.83155, 2.8183)])
-def test_default_budget_raises_with_the_node_count_the_phase_needs(xi, eta, y):
-    # 2 sl2_sweep_nodes = 32768 > 8192: the scalar raises, the sweep's rule converges
-    need = 2 * sph.sl2_sweep_nodes(xi, y)
-    with pytest.raises(QuadratureError, match=f"needs {need} nodes"):
-        spherical_sl2(SpectralParameter.rank1(xi, eta), y)
+# (xi, eta, Y) whose Mehler-Dirichlet phase needs 2 sl2_sweep_nodes = 32768 > 8192
+# full-turn nodes, and the sweep's value there
+SWEEP_PAST_8192_NODES = {(-626.93, 0.99865, 4.8285): -2.591624658064073 + 1.0076847594388203j,
+                         (-653.66, -1.0004, 3.2090): -0.5088296185935238 + 0.20256159332688736j,
+                         (-722.41, 0.83155, 2.8183): 0.12766439778716118 - 0.047008618703597196j,
+                         (3000.0, 0.75, 1.0): 0.006060088411796607 + 0.01533560260060149j}
+
+
+@pytest.mark.parametrize("xi, eta, y", SWEEP_PAST_8192_NODES)
+def test_default_budget_is_the_sweeps_where_the_phase_needs_more_than_8192_nodes(xi, eta, y):
+    lam = SpectralParameter.rank1(xi, eta)
+    got = spherical_sl2(lam, y)
+    assert got.path == "trapezoid" and got.quadrature_nodes > 8192
+    sweep = complex(sph.spherical_sl2_sweep(xi, eta, y))
+    assert repr(got.value) == repr(sweep) == repr(SWEEP_PAST_8192_NODES[xi, eta, y])
+    derivative = sph.deriv_spherical_sl2(lam, 1.0, y, 1)
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
-        want = complex(mpmath.legenp(mpmath.mpc(-0.5, xi) - mpmath.mpf(eta), 0,
-                                     mpmath.cosh(2 * mpmath.mpf(y)), type=3))
-    assert abs(sph.spherical_sl2_sweep(xi, eta, y) - want) <= 1e-12 * abs(want)
+        def legendre_p(t):
+            return mpmath.legenp(mpmath.mpc(-0.5, xi) - mpmath.mpf(eta), 0,
+                                 mpmath.cosh(2 * t), type=3)
+        want, want_derivative = (complex(f(mpmath.mpf(y))) for f in
+                                 (legendre_p, lambda t: mpmath.diff(legendre_p, t)))
+    assert abs(got.value - want) <= 1e-12 * abs(want)
+    assert abs(derivative - want_derivative) <= 1e-12 * abs(want_derivative)
+
+
+@pytest.mark.parametrize("xi, eta, y", SWEEP_PAST_8192_NODES)
+def test_explicit_config_raises_with_the_node_count_the_phase_needs(xi, eta, y):
+    lam, config = SpectralParameter.rank1(xi, eta), QuadratureConfig()
+    with pytest.raises(QuadratureError, match="needs 32768 nodes"):
+        spherical_sl2(lam, y, config)
+    for order in range(4):
+        with pytest.raises(QuadratureError, match="needs 32768 nodes"):
+            sph.deriv_spherical_sl2(lam, 1.0, y, order, config)
 
 
 def test_geodesic_range_guard():
@@ -175,7 +198,7 @@ def _mehler_full_turn(xi, eta, y, nodes):
 @pytest.mark.parametrize("nodes", PINNED_NODES)
 def test_folded_rule_equals_full_turn_mean(nodes):
     for xi, eta, y in [(0.7, 0.2, 0.9), (6.0, -0.4, 1.6), (15.0, 0.0, 0.3), (3.0, 0.5, -1.2)]:
-        got = sph._spherical_sl2_mehler(SpectralParameter.rank1(xi, eta), y, _pinned(nodes))
+        got = sph._mehler(xi, eta, y, 0, _pinned(nodes))
         assert got.quadrature_nodes == nodes
         assert abs(got.value - _mehler_full_turn(xi, eta, y, nodes)) <= 1e-13
 
@@ -203,8 +226,7 @@ def _laplace_derivatives(xi, eta, y, nodes=1 << 17):
 def test_folded_derivatives_equal_full_turn_mean(nodes):
     for xi, eta, scale, y in [(0.8, 0.1, 3.0, 1.1), (0.5, -0.3, 1.0, 0.6)]:
         want = _mehler_derivative_full_turn(scale * xi, eta, y, nodes)
-        got = sph._deriv_spherical_sl2_mehler(SpectralParameter.rank1(scale * xi, eta), y, 1,
-                                              _pinned(nodes))
+        got = sph._mehler(scale * xi, eta, y, 1, _pinned(nodes)).value
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
@@ -724,10 +746,8 @@ BENCH_POINTS = [(2 ** 7.5, 0.31, 0.6), (2 ** 6.25, -0.12, 1.25), (2 ** 5.25, 0.5
 def test_integrand_points_equal_the_level_by_level_loop(monkeypatch, xi, eta, y):
     # each integrand call gets one level, the n_start grid and then each
     # doubling's midpoints, and the result is the full-grid oracle's
-    lam = SpectralParameter.rank1(xi, eta)
     kernel = sph._nested_trapezoid
-    for call in (lambda: sph._spherical_sl2_mehler(lam, y, BENCH_CONFIG),
-                 lambda: sph._deriv_spherical_sl2_mehler(lam, y, 1, BENCH_CONFIG)):
+    for order in (0, 1):
         sizes, runs = [], []
 
         def recorded(integrand, fold, config):
@@ -739,7 +759,7 @@ def test_integrand_points_equal_the_level_by_level_loop(monkeypatch, xi, eta, y)
 
         with monkeypatch.context() as patch:
             patch.setattr(sph, "_nested_trapezoid", recorded)
-            call()
+            sph._mehler(xi, eta, y, order, BENCH_CONFIG)
         [(integrand, fold, config, got)] = runs
         assert repr(got) == repr(_full_grid_nested_trapezoid(integrand, fold, config))
         doublings = range(1, (got[1] // config.n_start).bit_length())
@@ -753,8 +773,7 @@ def test_derivative_integrand_does_not_depend_on_the_level_length(monkeypatch):
     captured = []
     monkeypatch.setattr(sph, "_nested_trapezoid",
                         lambda integrand, fold, config: captured.append(integrand) or (0j, 0, 0.0))
-    sph._deriv_spherical_sl2_mehler(SpectralParameter.rank1(37.5, 0.9), 1.3, 1,
-                                    sph.DEFAULT_CONFIG)
+    sph._mehler(37.5, 0.9, 1.3, 1, sph.DEFAULT_CONFIG)
     [integrand] = captured
     angles = np.linspace(0.01, 0.5 * np.pi - 0.01, 64)
     padded = np.concatenate([angles, np.linspace(0.0, 0.5 * np.pi, (1 << 14) + 1 - 64)])
@@ -957,7 +976,7 @@ def test_series_bound_covers_the_error(xi, eta, y, order):
 @pytest.mark.parametrize("xi, eta, y", BENCH_POINTS)
 def test_series_matches_the_mehler_rule_on_bench_points(xi, eta, y):
     got = spherical_sl2(SpectralParameter.rank1(xi, eta), y, BENCH_CONFIG)
-    mehler = sph._spherical_sl2_mehler(SpectralParameter.rank1(xi, eta), y, BENCH_CONFIG)
+    mehler = sph._mehler(xi, eta, y, 0, BENCH_CONFIG)
     assert (got.path, mehler.path) == ("series", "trapezoid")
     assert got.quadrature_nodes <= 40  # terms, against 2^9 .. 2^17 nodes
     assert got.estimated_error <= 1e-13 * max(1.0, abs(got.value))
@@ -986,7 +1005,7 @@ def test_dispatch_takes_the_right_path_and_stays_finite(xi, eta, y, path):
     if y == 0.0 or (xi == 0.0 and abs(eta) == 0.5):
         assert abs(got.value - 1.0) <= 1e-12  # P_0 = P_-1 = 1
     else:
-        want = sph._spherical_sl2_mehler(SpectralParameter.rank1(xi, eta), y, BIG).value
+        want = sph._mehler(xi, eta, y, 0, BIG).value
         assert abs(got.value - want) <= 1e-12 * max(1.0, abs(want))
 
 
@@ -1009,8 +1028,7 @@ def test_series_derivatives_match_the_mehler_family():
     for xi, eta, y in [(2.4, 0.1, 1.1), (40.0, -0.3, 0.8), (300.0, 0.5, 2.0)]:
         for order in (1, 2, 3):
             got = sph.deriv_spherical_sl2(SpectralParameter.rank1(xi, eta), 1.0, y, order)
-            want = sph._deriv_spherical_sl2_mehler(SpectralParameter.rank1(xi, eta), y, order,
-                                                   BIG)
+            want = sph._mehler(xi, eta, y, order, BIG).value
             assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (xi, eta, y, order)
 
 
@@ -1138,14 +1156,14 @@ def test_sweep_fallback_points_equal_the_mehler_rule_to_the_bit(monkeypatch, eta
     # take spherical_sl2's own fallback
     xis = np.array([[0.0, 0.5, 3.0], [40.0, -7.0, 1e-9]])
     ys = np.array([0.0, -0.0, 0.05, 0.2, -0.25, 0.6, 1.7])
-    calls, mehler = [], sph._spherical_sl2_mehler
+    calls, mehler = [], sph._mehler
 
-    def recorded(lam, y, config):
-        calls.append((lam.xi[0], y))
-        assert config == sph._mehler_config(lam.xi[0], y)
-        return mehler(lam, y, config)
+    def recorded(xi, eta, y, order, config):
+        calls.append((xi, y))
+        assert (order, config) == (0, None)
+        return mehler(xi, eta, y, order, config)
 
-    monkeypatch.setattr(sph, "_spherical_sl2_mehler", recorded)
+    monkeypatch.setattr(sph, "_mehler", recorded)
     got = sph.spherical_sl2_sweep(xis, eta, ys)
     assert got.shape == (7, 2, 3) and got.dtype == complex
     if eta == 0.0:
@@ -1161,8 +1179,7 @@ def test_sweep_fallback_points_equal_the_mehler_rule_to_the_bit(monkeypatch, eta
     assert fallback[~near].all() == (abs(eta) > 0.5)
     assert sorted(calls) == sorted(zip(x[fallback].tolist(), y[fallback].tolist()))
     for index in zip(*np.nonzero(fallback)):
-        want = mehler(SpectralParameter.rank1(x[index], eta), y[index],
-                      sph._mehler_config(x[index], y[index])).value
+        want = mehler(x[index], eta, y[index], 0, sph._mehler_config(x[index], y[index])).value
         assert repr(complex(got[index])) == repr(want), index
 
 
@@ -1174,7 +1191,7 @@ def test_sweep_takes_the_series_where_the_scalar_cost_model_would_not(monkeypatc
     assert small.path == "small-y"
     assert spherical_sl2(SpectralParameter.rank1(30.0), 0.05).path == "trapezoid"
     want = [_legendre_reference(0.5, 0.0, 0.05), _legendre_reference(30.0, 0.0, 0.05)]
-    monkeypatch.setattr(sph, "_spherical_sl2_mehler", _refuse)
+    monkeypatch.setattr(sph, "_mehler", _refuse)
     monkeypatch.setattr(sph, "_mehler_integrand", _refuse)
     got = sph.spherical_sl2_sweep(np.array([0.5, 30.0]), 0.0, np.array([0.05, -0.05]))
     assert np.all(np.abs(got - want) <= 1e-13)
@@ -1231,7 +1248,7 @@ def test_scalar_small_y_series_runs_without_numpy(monkeypatch):
 def test_sweep_rejects_chamber_points_out_of_range_before_any_value(monkeypatch):
     # the fallback's sinh would overflow at Y = 400 and return 0
     monkeypatch.setattr(sph, "_harish_chandra_sweep", _refuse)
-    monkeypatch.setattr(sph, "_spherical_sl2_mehler", _refuse)
+    monkeypatch.setattr(sph, "_mehler", _refuse)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="outside"):
